@@ -22,6 +22,7 @@ import json
 import os
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -504,9 +505,8 @@ def _cmd_barriers_validate(objs, run_dir, seed, threads):
 
 
 def _cmd_simulate(objs, run_dir, seed, threads):
-    grid, config = objs["grid"], objs["solver_config"]
-    config = SolverConfig(dt=config.dt, scheme=config.scheme,
-                          cfl_safety=config.cfl_safety, workers=threads)
+    grid = objs["grid"]
+    config = replace(objs["solver_config"], workers=threads)
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     t_start = float(exp.get("t_start", 0.0))
@@ -537,9 +537,8 @@ def _cmd_simulate(objs, run_dir, seed, threads):
 
 
 def _cmd_entire(objs, run_dir, seed, threads):
-    grid, config = objs["grid"], objs["solver_config"]
-    config = SolverConfig(dt=config.dt, scheme=config.scheme,
-                          cfl_safety=config.cfl_safety, workers=threads)
+    grid = objs["grid"]
+    config = replace(objs["solver_config"], workers=threads)
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     c = profile.speed
@@ -567,9 +566,8 @@ def _cmd_entire(objs, run_dir, seed, threads):
 
 
 def _cmd_verify(objs, run_dir, seed, threads):
-    grid, config = objs["grid"], objs["solver_config"]
-    config = SolverConfig(dt=config.dt, scheme=config.scheme,
-                          cfl_safety=config.cfl_safety, workers=threads)
+    grid = objs["grid"]
+    config = replace(objs["solver_config"], workers=threads)
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     c = profile.speed
@@ -645,9 +643,8 @@ def _cmd_speed(objs, run_dir, seed, threads):
 
 
 def _cmd_stability(objs, run_dir, seed, threads):
-    grid, config = objs["grid"], objs["solver_config"]
-    config = SolverConfig(dt=config.dt, scheme=config.scheme,
-                          cfl_safety=config.cfl_safety, workers=threads)
+    grid = objs["grid"]
+    config = replace(objs["solver_config"], workers=threads)
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     if "height" not in exp or "radius" not in exp:

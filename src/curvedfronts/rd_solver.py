@@ -7,14 +7,17 @@ boundary data come from a policy callable evaluated on the boundary ring
 each step, so comparison arguments against the analytic barriers carry
 over to the discrete runs.
 
-Interior updates are computed band-by-band over the leading axis with a
-fixed band layout independent of the worker count, and all reductions
-combine band partials in band order; results are therefore bit-identical
-for 1, 4, or 8 workers.
+Each step is one pass over cache-sized blocks of leading-axis rows (about
+BLOCK_CELLS cells each); with several workers the blocks run on a thread
+pool.  Every cell's update is the same sequence of elementwise
+floating-point operations whichever block computes it, and the only
+reduction (the blow-up check) is a max, which is exact, so results are
+bit-identical for any block layout and any worker count.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -38,7 +41,7 @@ __all__ = [
     "SpeedFit",
 ]
 
-N_BANDS = 16  # fixed, so band boundaries never depend on the worker count
+BLOCK_CELLS = 32768  # cells per row block: 256 KiB per float64 array
 BOUNDS_SLACK = 1e-12
 
 
@@ -188,27 +191,29 @@ def make_boundary(policy: str, cfg: FrontConfiguration | None = None,
     raise ValueError(f"unknown boundary policy {policy!r}")
 
 
-def _band_edges(n_rows: int):
-    bands = min(N_BANDS, n_rows)
-    edges = np.linspace(0, n_rows, bands + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(bands)
-            if edges[i + 1] > edges[i]]
+def _row_blocks(counts: tuple):
+    """Interior leading-axis rows split into contiguous [lo, hi) blocks of
+    about BLOCK_CELLS cells; the layout depends on the grid alone."""
+    rows = max(1, BLOCK_CELLS // math.prod(counts[1:]))
+    edges = list(range(1, counts[0] - 1, rows)) + [counts[0] - 1]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class _Stepper:
-    """Banded explicit stepper with a persistent worker pool.
+    """Cache-blocked explicit stepper with a double-buffered state.
 
-    The optional floor callable t -> grid-shaped values is applied as a
-    pointwise max after each completed step.  The plain scheme transports
-    fronts at a slightly wrong discrete speed, so the subsolution is not
-    preserved under discretization; flooring by it restores the comparison
-    structure (the floored update is still a monotone map), which the
-    entire-solution iteration relies on.
+    Each step is one pass over the row blocks; a block computes
+    Lap u + f(u) on its interior cells and writes the update straight into
+    the output buffer.  The optional floor callable t -> grid-shaped values
+    is applied as a pointwise max after each completed step.  The plain
+    scheme transports fronts at a slightly wrong discrete speed, so the
+    subsolution is not preserved under discretization; flooring by it
+    restores the comparison structure (the floored update is still a
+    monotone map), which the entire-solution iteration relies on.
     """
 
     def __init__(self, grid: Grid, nl: CombustionNonlinearity, dt: float,
                  scheme: str, boundary, workers: int = 1, floor=None):
-        self.grid = grid
         self.nl = nl
         self.dt = dt
         self.scheme = scheme
@@ -216,106 +221,85 @@ class _Stepper:
         self.floor = floor
         self.inv_dx2 = 1.0 / grid.dx**2
         self.ring = grid.ring_indices()
-        self.all_points = grid.points().reshape(-1, grid.dimension)
-        self.ring_points = self.all_points[self.ring]
-        rows = grid.counts[0]
-        inner = max(rows - 2, 1)
-        self.bands = [(lo + 1, hi + 1) for lo, hi in _band_edges(inner)]
+        self.ring_points = grid.points().reshape(-1, grid.dimension)[self.ring]
+        self.blocks = _row_blocks(grid.counts)
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        self.scratch = np.empty(grid.counts, dtype=float)
-        self.stage = np.empty(grid.counts, dtype=float) if scheme == "rk2" else None
+        self.buffers = (np.empty(grid.counts), np.empty(grid.counts))
+        if scheme == "rk2":
+            self.stage = np.empty(grid.counts)
+            self.k1 = np.empty(grid.counts)
 
     def close(self):
         if self.pool is not None:
             self.pool.shutdown(wait=True)
             self.pool = None
 
-    def _rhs_band(self, u, out, lo, hi):
-        """out[lo:hi] = Lap u + f(u) on interior rows lo:hi."""
-        dim = self.grid.dimension
-        c = self.inv_dx2
-        if dim == 1:
-            ui = u[lo:hi]
-            lap = (u[lo - 1:hi - 1] + u[lo + 1:hi + 1] - 2.0 * ui) * c
-            out[lo:hi] = lap + self.nl(ui)
-            return
-        if dim == 2:
-            ui = u[lo:hi, 1:-1]
-            lap = (u[lo - 1:hi - 1, 1:-1] + u[lo + 1:hi + 1, 1:-1]
-                   + u[lo:hi, :-2] + u[lo:hi, 2:] - 4.0 * ui) * c
-            out[lo:hi, 1:-1] = lap + self.nl(ui)
-            return
-        ui = u[lo:hi, 1:-1, 1:-1]
-        lap = (u[lo - 1:hi - 1, 1:-1, 1:-1] + u[lo + 1:hi + 1, 1:-1, 1:-1]
-               + u[lo:hi, :-2, 1:-1] + u[lo:hi, 2:, 1:-1]
-               + u[lo:hi, 1:-1, :-2] + u[lo:hi, 1:-1, 2:] - 6.0 * ui) * c
-        out[lo:hi, 1:-1, 1:-1] = lap + self.nl(ui)
+    def _block(self, lo, hi, u, out, k1=None, base=None):
+        """Update interior rows lo:hi of out from u in one pass.
 
-    def _apply_bands(self, fn):
-        if self.pool is None:
-            for lo, hi in self.bands:
-                fn(lo, hi)
+        With base None: out = u + dt * (Lap u + f(u)), also storing the
+        slope in k1 if given.  Otherwise the Heun corrector:
+        out = base + dt/2 * (k1 + Lap u + f(u)).
+        """
+        dim = u.ndim
+        rest = (slice(1, -1),) * (dim - 1)
+        inner = (slice(lo, hi),) + rest
+        ui = u[inner]
+        rhs = u[(slice(lo - 1, hi - 1),) + rest] + u[(slice(lo + 1, hi + 1),) + rest]
+        for k in range(1, dim):
+            for side in (slice(None, -2), slice(2, None)):
+                rhs += u[inner[:k] + (side,) + inner[k + 1:]]
+        rhs -= 2.0 * dim * ui
+        rhs *= self.inv_dx2
+        rhs += self.nl(ui)
+        if base is None:
+            if k1 is not None:
+                k1[inner] = rhs
+            rhs *= self.dt
+            np.add(ui, rhs, out=out[inner])
         else:
-            futures = [self.pool.submit(fn, lo, hi) for lo, hi in self.bands]
-            for f in futures:
+            rhs += k1[inner]
+            rhs *= 0.5 * self.dt
+            np.add(base[inner], rhs, out=out[inner])
+
+    def _sweep(self, *args, **kwargs):
+        if self.pool is None:
+            for lo, hi in self.blocks:
+                self._block(lo, hi, *args, **kwargs)
+        else:
+            for f in [self.pool.submit(self._block, lo, hi, *args, **kwargs)
+                      for lo, hi in self.blocks]:
                 f.result()
 
     def _set_ring(self, values, t):
-        flat = values.ravel()
-        flat[self.ring] = self.boundary(t, self.ring_points)
-
-    def _apply_floor(self, values, t):
-        if self.floor is None:
-            return values
-        np.maximum(values, self.floor(t), out=values)
-        return values
+        values.ravel()[self.ring] = self.boundary(t, self.ring_points)
 
     def advance(self, values: np.ndarray, t: float) -> np.ndarray:
-        """One step from t to t + dt; returns the new array."""
-        dt = self.dt
-        rhs = self.scratch
+        """One step from t to t + dt; returns the new state.
+
+        values is only read.  The result is one of the stepper's two
+        buffers, whichever values is not, so it stays valid while it is
+        fed back in and is overwritten two steps later; a caller that
+        keeps a state longer must copy it.
+        """
+        a, b = self.buffers
+        new = a if values is b else b
+        t_new = t + self.dt
         if self.scheme == "euler":
-            self._apply_bands(lambda lo, hi: self._rhs_band(values, rhs, lo, hi))
-
-            def euler_band(lo, hi):
-                sl = (slice(lo, hi),) + (slice(1, -1),) * (self.grid.dimension - 1)
-                rhs[sl] = values[sl] + dt * rhs[sl]
-            self._apply_bands(euler_band)
-            new = rhs.copy()
-            self._set_ring(new, t + dt)
-            return self._apply_floor(new, t + dt)
-        # Heun: full Euler stage, then average of the two slopes
-        stage = self.stage
-        self._apply_bands(lambda lo, hi: self._rhs_band(values, rhs, lo, hi))
-        k1 = rhs.copy()
-
-        def stage_band(lo, hi):
-            sl = (slice(lo, hi),) + (slice(1, -1),) * (self.grid.dimension - 1)
-            stage[sl] = values[sl] + dt * k1[sl]
-        self._apply_bands(stage_band)
-        self._set_ring(stage, t + dt)
-        self._apply_bands(lambda lo, hi: self._rhs_band(stage, rhs, lo, hi))
-
-        def combine_band(lo, hi):
-            sl = (slice(lo, hi),) + (slice(1, -1),) * (self.grid.dimension - 1)
-            rhs[sl] = values[sl] + 0.5 * dt * (k1[sl] + rhs[sl])
-        self._apply_bands(combine_band)
-        new = rhs.copy()
-        self._set_ring(new, t + dt)
-        return self._apply_floor(new, t + dt)
-
-    def banded_max_abs(self, values: np.ndarray) -> float:
-        """Maximum of |values| with a fixed band-ordered reduction."""
-        partials = [np.max(np.abs(values[lo - 1:hi + 1])) for lo, hi in self.bands]
-        m = partials[0]
-        for p in partials[1:]:
-            m = max(m, p)
-        return float(m)
+            self._sweep(values, new)
+        else:
+            self._sweep(values, self.stage, k1=self.k1)
+            self._set_ring(self.stage, t_new)
+            self._sweep(self.stage, new, k1=self.k1, base=values)
+        self._set_ring(new, t_new)
+        if self.floor is not None:
+            np.maximum(new, self.floor(t_new), out=new)
+        return new
 
 
 def step(fld: Field, nl: CombustionNonlinearity, config: SolverConfig,
          boundary, floor=None) -> Field:
-    """Single-step convenience wrapper around the banded stepper."""
+    """Single-step convenience wrapper around the blocked stepper."""
     dt = config.resolve_dt(fld.grid, nl)
     st = _Stepper(fld.grid, nl, dt, config.scheme, boundary, config.workers,
                   floor=floor)
@@ -355,16 +339,17 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
     st = _Stepper(u0.grid, nl, dt, config.scheme, boundary, config.workers,
                   floor=floor)
     try:
+        # advance never writes into its input, so this copy can be kept;
+        # later states live in the stepper's buffers and are copied out
         values = u0.values.copy()
-        flat = values.ravel()
-        flat[st.ring] = boundary(t0, st.ring_points)
-        out = [Field(u0.grid, values.copy(), t0)]
+        st._set_ring(values, t0)
+        out = [Field(u0.grid, values, t0)]
         for k in range(n_snaps):
             t_snap0 = t0 + k * snapshot_dt
             for j in range(steps_per_snap):
                 t = t_snap0 + j * dt
                 values = st.advance(values, t)
-                if st.banded_max_abs(values) > 2.0:
+                if values.max() > 2.0 or values.min() < -2.0:
                     raise RuntimeError(
                         f"blow-up detected at t={t + dt:.6f}: |u| exceeded 2")
             t_now = t0 + (k + 1) * snapshot_dt

@@ -2,6 +2,7 @@
 order preservation, planar-wave accuracy, worker determinism, and the
 monotone entire-solution construction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,8 +23,15 @@ from curvedfronts import (
     subsolution_floor,
     symmetric_v,
 )
+from curvedfronts.rd_solver import _row_blocks
 
 C = 0.26343617168072303
+
+# grids for the kernel tests: the 1D one is one row block, the 2D and 3D
+# ones span several
+GRID_1D = Grid((1201,), 0.25, (-150.0,))
+GRID_2D = Grid((40, 1024), 0.5, (-10.0, -256.0))
+GRID_3D = Grid((20, 40, 48), 0.5, (-5.0, -10.0, -12.0))
 
 
 def planar_cfg(speed):
@@ -139,10 +147,13 @@ def test_planar_wave_speed_and_shape(small_grid, nl03, profile03):
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk2"])
-def test_bit_identical_across_workers(scheme, small_grid, nl03, profile03, cfg_v):
-    u0 = initial_field(cfg_v, profile03, small_grid)
+def test_bit_identical_across_workers(scheme, nl03, profile03, cfg_v):
+    # several row blocks, so the pooled runs really split each step
+    grid = GRID_2D
+    assert len(_row_blocks(grid.counts)) >= 2
+    u0 = initial_field(cfg_v, profile03, grid)
     bc = make_boundary("dirichlet-lower", cfg=cfg_v, profile=profile03)
-    floor = subsolution_floor(cfg_v, profile03, small_grid)
+    floor = subsolution_floor(cfg_v, profile03, grid)
     outs = []
     for workers in (1, 4, 8):
         sc = SolverConfig(scheme=scheme, workers=workers)
@@ -150,6 +161,87 @@ def test_bit_identical_across_workers(scheme, small_grid, nl03, profile03, cfg_v
         outs.append(traj[-1].values)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
+
+
+def reference_rhs(u, nl, inv_dx2):
+    """Lap u + f(u) on the interior of the whole array, neighbours summed
+    axis by axis in the same order as the solver's kernel."""
+    d = u.ndim
+    inner = (slice(1, -1),) * d
+
+    def shifted(k, side):
+        return u[inner[:k] + (side,) + inner[k + 1:]]
+
+    acc = shifted(0, slice(None, -2)) + shifted(0, slice(2, None))
+    for k in range(1, d):
+        acc = acc + shifted(k, slice(None, -2)) + shifted(k, slice(2, None))
+    return (acc - 2.0 * d * u[inner]) * inv_dx2 + nl(u[inner])
+
+
+def reference_march(u0, nl, grid, bc, scheme, dt, steps):
+    """Whole-array Euler or Heun steps with Dirichlet ring data."""
+    inner = (slice(1, -1),) * grid.dimension
+    ring = grid.ring_indices()
+    ring_pts = grid.points().reshape(-1, grid.dimension)[ring]
+    inv_dx2 = 1.0 / grid.dx**2
+
+    def with_ring(u, t):
+        u.ravel()[ring] = bc(t, ring_pts)
+        return u
+
+    u = with_ring(u0.copy(), 0.0)
+    for j in range(steps):
+        t = j * dt
+        k1 = reference_rhs(u, nl, inv_dx2)
+        new = u.copy()
+        if scheme == "euler":
+            new[inner] = u[inner] + dt * k1
+        else:
+            stage = u.copy()
+            stage[inner] = u[inner] + dt * k1
+            k2 = reference_rhs(with_ring(stage, t + dt), nl, inv_dx2)
+            new[inner] = u[inner] + 0.5 * dt * (k1 + k2)
+        u = with_ring(new, t + dt)
+    return u
+
+
+@pytest.mark.parametrize("grid,workers", [
+    (GRID_1D, 1), (GRID_2D, 1), (GRID_2D, 2), (GRID_3D, 1), (GRID_3D, 2),
+], ids=["1d", "2d-w1", "2d-w2", "3d-w1", "3d-w2"])
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_blocked_kernel_matches_whole_array_reference(grid, workers, scheme,
+                                                      nl03, profile03):
+    # workers = 2 on the 2D and 3D grids splits each step across the pool
+    assert grid.dimension == 1 or len(_row_blocks(grid.counts)) >= 2
+    c = profile03.speed
+
+    def bc(t, pts):
+        return profile03(pts[:, -1] + 0.2 * np.sin(pts[:, 0]) - c * t)
+
+    pts = grid.points().reshape(-1, grid.dimension)
+    u0 = Field(grid, bc(0.0, pts).reshape(grid.counts), 0.0)
+    steps, t_end = 8, 0.08
+    dt = t_end / steps
+    sc = SolverConfig(dt=dt, scheme=scheme, workers=workers)
+    out = solve_cauchy(u0, nl03, bc, sc, t_end=t_end, snapshot_dt=t_end)
+    expected = reference_march(u0.values, nl03, grid, bc, scheme, dt, steps)
+    assert np.array_equal(out[-1].values, expected)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_stepping_leaves_input_untouched(scheme, nl03, profile03, cfg_v):
+    grid = GRID_2D
+    u0 = initial_field(cfg_v, profile03, grid)
+    before = u0.values.copy()
+    bc = make_boundary("dirichlet-lower", cfg=cfg_v, profile=profile03)
+    floor = subsolution_floor(cfg_v, profile03, grid)
+    sc = SolverConfig(scheme=scheme, workers=2)
+    step(u0, nl03, sc, bc, floor=floor)
+    traj = solve_cauchy(u0, nl03, bc, sc, t_end=0.5, snapshot_dt=0.25, floor=floor)
+    assert np.array_equal(u0.values, before)
+    # snapshots are copies, not views of the stepper's two buffers
+    arrays = [u0.values] + [f.values for f in traj]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
 def test_single_step_matches_solve(small_grid, nl03, profile03, cfg_v):
@@ -165,6 +257,8 @@ def test_single_step_matches_solve(small_grid, nl03, profile03, cfg_v):
 def test_measured_1d_speed_matches_shooting(nl03, profile03):
     fit = measure_speed_1d(nl03, dx=0.25, length=200.0, sample_dt=4.0)
     assert abs(fit.speed - profile03.speed) / profile03.speed < 0.01
+    # frozen: the stepper's block layout must not change the result
+    assert fit.speed == 0.2633131889212719
     assert fit.stderr < 1e-3
     assert len(fit.times) == len(fit.positions)
 
