@@ -18,13 +18,13 @@ high-order finite differences and certified against a fixed tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .front_geometry import FrontConfiguration, min_q, ridge_distance
 from .hypersurface import ScaledSurface, fit_surface_constants
+from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity
 from .wave_profile import WaveProfile
 
@@ -307,7 +307,7 @@ class ValidationReport:
     notes: str = ""
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+        return dumps(asdict(self), indent=indent)
 
 
 def case_thresholds(profile: WaveProfile, nl: CombustionNonlinearity,

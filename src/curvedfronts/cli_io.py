@@ -34,6 +34,7 @@ from .diagnostics import (DiagnosticsReport, PerturbationSpec,
                           stability_run, weighted_gap_report)
 from .front_geometry import FrontConfiguration, min_q
 from .hypersurface import ScaledSurface, fit_surface_constants
+from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity, make_combustion
 from .rd_solver import (Field, Grid, SolverConfig, entire_solution,
                         make_boundary, measure_speed_1d, solve_cauchy,
@@ -394,7 +395,7 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
     }
     path = os.path.join(run_dir, "manifest.json")
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write(dumps(manifest, indent=2, sort_keys=True))
     return path
 
 
@@ -410,19 +411,8 @@ def verify_manifest(run_dir) -> bool:
 def _write_json(run_dir, name, payload) -> str:
     path = os.path.join(run_dir, name)
     with open(path, "w") as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            json.dump(payload, fh, indent=2, default=_json_default)
+        fh.write(payload if isinstance(payload, str) else dumps(payload, indent=2))
     return path
-
-
-def _json_default(o):
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, (np.floating, np.integer, np.bool_)):
-        return o.item()
-    raise TypeError(f"not serializable: {type(o)}")
 
 
 # -- subcommand bodies ---------------------------------------------------------

@@ -8,7 +8,6 @@ into quantitative report sections over solver snapshots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ from .barriers import BarrierSet
 from .front_geometry import (FrontConfiguration, min_q, ridge_distance,
                              interface_distance, sample_interface,
                              spatial_ridge_distance)
+from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity
 from .rd_solver import (Grid, Field, SolverConfig, solve_cauchy, make_boundary,
                         subsolution_floor)
@@ -488,7 +488,7 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
 
 @dataclass
 class DiagnosticsReport:
-    """Aggregated report sections; values must all be finite."""
+    """Aggregated report sections; to_json writes non-finite values as null."""
 
     sections: dict = field(default_factory=dict)
 
@@ -496,16 +496,8 @@ class DiagnosticsReport:
         self.sections[name] = section
 
     def to_json(self, indent: int = 2) -> str:
-        def default(o):
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            if hasattr(o, "__dict__"):
-                return {k: v for k, v in o.__dict__.items()
-                        if not k.startswith("_")}
-            raise TypeError(f"not serializable: {type(o)}")
-        return json.dumps(self.sections, indent=indent, default=default)
+        """Strict JSON; non-finite values become null."""
+        return dumps(self.sections, indent=indent)
 
     def write_csv_curves(self, out_dir) -> list:
         """One flat CSV per curve-like section entry; returns paths."""

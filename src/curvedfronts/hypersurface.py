@@ -92,8 +92,9 @@ class ScaledSurface:
 
         Started at the lower bracket y = psi the iterates increase
         monotonically (the residual is convex decreasing in y), so no
-        safeguarding is needed; iteration stops when the residual reaches
-        a few ulps or the update stalls.
+        safeguarding is needed; iteration stops when every residual is
+        within 64 n ulps of zero.  Raises RuntimeError, naming the largest
+        |residual|, if that takes more than max_iter Newton updates.
         """
         x = self._as_x(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
@@ -101,16 +102,20 @@ class ScaledSurface:
         y = np.max(psi_all, axis=-1)
         n = self.cfg.n_waves
         tol = 64.0 * np.finfo(float).eps * n
-        for _ in range(max_iter):
+        for k in range(max_iter + 1):
             q = self.q_at(t, x, y)
             w = np.exp(-q)
             r = np.sum(w, axis=-1) - 1.0
             m = np.sum(w * self._sin, axis=-1)  # -d residual / dy > 0
             step = r / m
             if not np.any(np.abs(r) > tol):
+                return y
+            if k == max_iter:
                 break
             y = y + step
-        return y
+        raise RuntimeError(
+            f"solve_phi did not converge in {max_iter} Newton steps: "
+            f"max |residual| {np.max(np.abs(r)):.3e} > {tol:.3e}")
 
     def weights(self, t, x, phi=None) -> np.ndarray:
         """w_i = exp(-q_i) on the surface; sums to 1 there."""

@@ -274,17 +274,17 @@ class _Stepper:
     def _set_ring(self, values, t):
         values.ravel()[self.ring] = self.boundary(t, self.ring_points)
 
-    def advance(self, values: np.ndarray, t: float) -> np.ndarray:
-        """One step from t to t + dt; returns the new state.
+    def advance(self, values: np.ndarray, t_new: float) -> np.ndarray:
+        """One step of length dt ending at time t_new; returns the new state.
 
-        values is only read.  The result is one of the stepper's two
-        buffers, whichever values is not, so it stays valid while it is
-        fed back in and is overwritten two steps later; a caller that
-        keeps a state longer must copy it.
+        The ring and the floor are evaluated at t_new.  values is only
+        read.  The result is one of the stepper's two buffers, whichever
+        values is not, so it stays valid while it is fed back in and is
+        overwritten two steps later; a caller that keeps a state longer
+        must copy it.
         """
         a, b = self.buffers
         new = a if values is b else b
-        t_new = t + self.dt
         if self.scheme == "euler":
             self._sweep(values, new)
         else:
@@ -304,7 +304,7 @@ def step(fld: Field, nl: CombustionNonlinearity, config: SolverConfig,
     st = _Stepper(fld.grid, nl, dt, config.scheme, boundary, config.workers,
                   floor=floor)
     try:
-        new = st.advance(fld.values, fld.time)
+        new = st.advance(fld.values, fld.time + dt)
     finally:
         st.close()
     return Field(fld.grid, new, fld.time + dt)
@@ -346,13 +346,15 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
         out = [Field(u0.grid, values, t0)]
         for k in range(n_snaps):
             t_snap0 = t0 + k * snapshot_dt
+            t_now = t0 + (k + 1) * snapshot_dt
             for j in range(steps_per_snap):
                 t = t_snap0 + j * dt
-                values = st.advance(values, t)
+                # the last step ends exactly at the snapshot's recorded time,
+                # so a floored snapshot sits on or above floor(t_now) bit for bit
+                values = st.advance(values, t_now if j == steps_per_snap - 1 else t + dt)
                 if values.max() > 2.0 or values.min() < -2.0:
                     raise RuntimeError(
                         f"blow-up detected at t={t + dt:.6f}: |u| exceeded 2")
-            t_now = t0 + (k + 1) * snapshot_dt
             if keep_all or k == n_snaps - 1:
                 out.append(Field(u0.grid, values.copy(), t_now))
     finally:
@@ -526,7 +528,7 @@ def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
         t = 0.0
         while t < max_time:
             for _ in range(steps):
-                values = st.advance(values, t)
+                values = st.advance(values, t + dt)
                 t += dt
             try:
                 pos = _half_level_position(x, values, level=level)

@@ -15,10 +15,18 @@ positive root of mu^2 + c*mu + f'(1) = 0.  Integrating downward in U is
 contracting, so the seed error is crushed; integrating upward is unstable,
 which is why the tabulated profile is also produced by the downward pass.
 
-For evaluation the profile is stored as three exact/spectral pieces:
-right tail (closed form), a Chebyshev fit of log(1 - U(D)) on the computed
-span, and the exponential left tail beyond it.  The result is smooth at
-machine precision, which downstream finite-difference residual checks need.
+For evaluation the profile is stored as three pieces: the right tail
+(closed form), log(1 - U(D)) on the computed span [d_joint, 0], and the
+exponential left tail beyond it.  On the span, a global Chebyshev fit of the
+shooting samples (degree 128 or more) is the accuracy gate, but it is not
+evaluated at run time.  It is resampled at build time into a table of
+N_PIECES uniform pieces, each a degree-PIECE_DEGREE Chebyshev interpolant
+(the interval splitting of Trefethen, *Approximation Theory and
+Approximation Practice*).  A point finds its piece in O(1) and costs a
+PIECE_DEGREE-step Clenshaw sum; a second table, differentiated piece by
+piece, gives U'.  The pieces agree with the global fit to a few ulps, so
+the result is smooth at machine precision, which downstream
+finite-difference residual checks need.
 """
 
 from __future__ import annotations
@@ -39,11 +47,12 @@ __all__ = [
     "find_wave_speed",
     "build_profile",
     "tail_rates",
-    "fitted_left_rate",
     "ode_residual_sup",
 ]
 
 DELTA_LIN = 1e-6  # seeding offset 1 - U at the burned end of the shot
+N_PIECES = 128  # uniform pieces of the evaluation table on [d_joint, 0]
+PIECE_DEGREE = 12  # Chebyshev degree of each piece
 
 
 class ShootingCollapseError(RuntimeError):
@@ -160,7 +169,7 @@ class WaveProfile:
     """Tabulated planar front with smooth evaluation and exact tails.
 
     grid/values hold a uniform tabulation (U strictly decreasing); the
-    callable interface uses the underlying spectral representation, valid
+    callable interface uses the underlying piecewise representation, valid
     for every real D.
     """
 
@@ -170,20 +179,40 @@ class WaveProfile:
     grid: np.ndarray
     values: np.ndarray
     tail_constants: tuple  # (L1, L2, L3, L4)
-    _cheb: chebyshev.Chebyshev  # fit of log(1 - U) on [d_joint, 0]
+    # Chebyshev coefficients of log(1 - U) on the pieces of [d_joint, 0]:
+    # row m holds degree m of every piece, so a Clenshaw step gathers one row
+    _table: np.ndarray  # (PIECE_DEGREE + 1, N_PIECES)
+    _slope_table: np.ndarray  # (PIECE_DEGREE, N_PIECES): d/dD of _table
+    _centres: np.ndarray  # (N_PIECES,): midpoints of the pieces
     _d_joint: float
+    _piece_width: float
     _log_one_minus_at_joint: float
 
     # -- core piecewise representation -------------------------------------
 
-    def _log_one_minus(self, d):
-        """log(1 - U(D)), valid for D <= 0."""
-        d = np.asarray(d, dtype=float)
+    def _table_sum(self, rows, d):
+        """Piecewise Chebyshev sum of `rows` at D in [d_joint, 0]."""
+        idx = np.minimum(((d - self._d_joint) / self._piece_width).astype(np.intp),
+                         N_PIECES - 1)
+        # twice the local variable s in [-1, 1] of the piece, measured from
+        # its centre: d lies close to it, so the difference is exact
+        # (Sterbenz) outside the piece next to D = 0
+        x2 = (d - self._centres.take(idx)) * (4.0 / self._piece_width)
+        b1, b2 = rows[-1].take(idx), 0.0
+        for row in rows[-2:0:-1]:  # Clenshaw: b_m = c_m + 2 s b_{m+1} - b_{m+2}
+            b1, b2 = row.take(idx) + x2 * b1 - b2, b1
+        return rows[0].take(idx) + 0.5 * x2 * b1 - b2
+
+    def _log_one_minus(self, d, slope: bool = False):
+        """log(1 - U(D)) for D <= 0, or with slope=True its D-derivative."""
         out = np.empty_like(d)
         mid = d >= self._d_joint
-        out[mid] = self._cheb(d[mid])
+        out[mid] = self._table_sum(self._slope_table if slope else self._table, d[mid])
         left = ~mid
-        out[left] = self._log_one_minus_at_joint + self.beta0 * (d[left] - self._d_joint)
+        if slope:
+            out[left] = self.beta0
+        else:
+            out[left] = self._log_one_minus_at_joint + self.beta0 * (d[left] - self._d_joint)
         return out
 
     def one_minus(self, d):
@@ -236,18 +265,9 @@ class WaveProfile:
         right = d >= 0.0
         out[right] = -self.speed * self.anchor * np.exp(-self.speed * d[right])
         neg = ~right
-        if np.any(neg):
-            dn = d[neg]
-            g = self._log_one_minus(dn)
-            gp = np.where(dn >= self._d_joint, self._cheb.deriv()(np.minimum(dn, 0.0)), self.beta0)
-            out[neg] = -gp * np.exp(g)
+        dn = d[neg]
+        out[neg] = -self._log_one_minus(dn, slope=True) * np.exp(self._log_one_minus(dn))
         return float(out[0]) if scalar else out
-
-    def second_derivative(self, d):
-        """U''(D) from the profile equation U'' = -c U' - f(U); the caller
-        supplies f via nonlinearity when needed, so here use the identity
-        only through stored speed and a cached nonlinearity-free form."""
-        raise NotImplementedError("use ode_second_derivative(profile, nl, d)")
 
     def inverse(self, u: float) -> float:
         """D with U(D) = u, for u in (0, 1); bisection on the evaluator."""
@@ -285,18 +305,35 @@ def _fit_chebyshev(d_samples, g_samples, tol=3e-12, max_deg=1600):
         deg *= 2
 
 
-def build_profile(nl: CombustionNonlinearity, c: float | None = None,
-                  domain_half_width: float | None = None, step: float = 0.005) -> WaveProfile:
-    """Solve for the profile and tabulate it on [-W, W] at the given step.
+def _piece_tables(fit: chebyshev.Chebyshev):
+    """Resample the global fit into N_PIECES uniform pieces of its domain.
 
-    The downward phase-plane pass supplies (U, D) samples; D is anchored by
-    shifting so that U(0) = theta exactly.
+    Each piece is the degree-PIECE_DEGREE interpolant at the Chebyshev
+    points of the first kind, whose coefficients follow from the discrete
+    orthogonality of T_0..T_M on those points.  The nodes are evaluated in
+    extended precision where the platform has it: the rounding noise of the
+    degree-128 sum would otherwise reach the derivative table amplified by
+    about PIECE_DEGREE**2 / width.  Returns the value table, the table of
+    D-derivatives (both one row per degree), the piece centres and the
+    piece width.
     """
-    if c is None:
-        c = find_wave_speed(nl)
-    beta0 = decay_rate_into_burned(nl, c)
-    theta = nl.theta
+    lo, hi = fit.domain
+    width = (hi - lo) / N_PIECES
+    centres = lo + width * (np.arange(N_PIECES) + 0.5)
+    n = PIECE_DEGREE + 1
+    nodes = np.cos(np.pi * (np.arange(n, dtype=np.longdouble) + 0.5) / n)
+    g = fit(centres.astype(np.longdouble)[:, None] + 0.5 * width * nodes)  # (N_PIECES, n)
+    coef = (2.0 / n) * g @ chebyshev.chebvander(nodes, PIECE_DEGREE)
+    coef[:, 0] *= 0.5
+    slope = chebyshev.chebder(coef, axis=1) * (2.0 / width)
+    return (np.ascontiguousarray(coef.T, dtype=float),
+            np.ascontiguousarray(slope.T, dtype=float), centres, float(width))
 
+
+def _log_one_minus_samples(nl: CombustionNonlinearity, c: float):
+    """(D, log(1 - U)) along the downward phase-plane pass, sorted by D and
+    anchored so that D(theta) = 0."""
+    theta = nl.theta
     # sample the shot at points log-spaced in 1 - U so the D-grid is even
     n_pass = 24001
     w = np.exp(np.linspace(np.log(DELTA_LIN), np.log(1.0 - theta), n_pass))
@@ -313,11 +350,27 @@ def build_profile(nl: CombustionNonlinearity, c: float | None = None,
     d_samples = d_raw - d_raw[-1]  # now D(theta) = 0, D <= 0 along the pass
     g_samples = np.log(1.0 - sol.t)  # log(1 - U)
     order = np.argsort(d_samples)
-    d_samples, g_samples = d_samples[order], g_samples[order]
+    return d_samples[order], g_samples[order]
+
+
+def build_profile(nl: CombustionNonlinearity, c: float | None = None,
+                  domain_half_width: float | None = None, step: float = 0.005) -> WaveProfile:
+    """Solve for the profile and tabulate it on [-W, W] at the given step.
+
+    The downward phase-plane pass supplies (U, D) samples; D is anchored by
+    shifting so that U(0) = theta exactly.
+    """
+    if c is None:
+        c = find_wave_speed(nl)
+    beta0 = decay_rate_into_burned(nl, c)
+    theta = nl.theta
+
+    d_samples, g_samples = _log_one_minus_samples(nl, c)
     fit, fit_resid = _fit_chebyshev(d_samples, g_samples)
     if fit_resid > 1e-9:
         raise RuntimeError(f"spectral fit of the profile did not converge (residual {fit_resid:.3e})")
     d_joint = float(d_samples[0])
+    table, slope_table, centres, width = _piece_tables(fit)
 
     if domain_half_width is None:
         domain_half_width = max(16.0 / c, 16.0 / beta0, abs(d_joint) + 4.0)
@@ -326,8 +379,10 @@ def build_profile(nl: CombustionNonlinearity, c: float | None = None,
 
     profile = WaveProfile(
         speed=c, beta0=beta0, anchor=theta, grid=grid, values=np.empty(0),
-        tail_constants=(), _cheb=fit, _d_joint=d_joint,
-        _log_one_minus_at_joint=float(fit(d_joint)),
+        tail_constants=(), _table=table, _slope_table=slope_table, _d_joint=d_joint,
+        _centres=centres, _piece_width=width,
+        # the left tail continues the first piece from its end s = -1
+        _log_one_minus_at_joint=float(chebyshev.chebval(-1.0, table[:, 0])),
     )
     values = profile(grid)
     object.__setattr__(profile, "values", values)
@@ -348,18 +403,6 @@ def tail_rates(profile: WaveProfile) -> tuple:
     D > 0; L4 e^{b0 D} <= 1 - U <= L3 e^{b0 D} on D < 0)."""
     l1, l2, l3, l4 = profile.tail_constants
     return (profile.speed, profile.beta0, l1, l2, l3, l4)
-
-
-def fitted_left_rate(profile: WaveProfile, d_max: float = -5.0) -> float:
-    """Log-linear fit of 1 - U on grid points D < d_max; the slope estimates
-    beta0 independently of the closed form."""
-    mask = profile.grid < d_max
-    if np.count_nonzero(mask) < 16:
-        raise ValueError("fit window too short; widen the tabulation domain")
-    d = profile.grid[mask]
-    g = np.log(profile.one_minus(d))
-    slope = np.polyfit(d, g, 1)[0]
-    return float(slope)
 
 
 def ode_residual_sup(profile: WaveProfile, nl: CombustionNonlinearity) -> float:

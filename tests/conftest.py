@@ -4,6 +4,7 @@ The ignition profile is expensive to build (shooting plus spectral fit), so
 the standard theta=0.3 family is constructed once per session and reused.
 """
 
+import json
 import math
 
 import pytest
@@ -41,3 +42,11 @@ def params03(cfg_v, profile03, nl03):
 @pytest.fixture(scope="session")
 def barriers03(cfg_v, profile03, nl03, params03):
     return BarrierSet(cfg_v, profile03, nl03, params03)
+
+
+@pytest.fixture(scope="session")
+def strict_loads():
+    # json.loads that rejects NaN and Infinity, as strict JSON readers do
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return lambda text: json.loads(text, parse_constant=reject)

@@ -170,12 +170,15 @@ def test_validation_rejects_alpha_ten(cfg_v, profile03, nl03, params03):
     assert rep.min_residual_upper == pytest.approx(-1.1357118925614724, rel=1e-6)
 
 
-def test_validation_report_serialises(cfg_v, profile03, nl03, params03):
-    import json
-
+def test_validation_report_serialises(cfg_v, profile03, nl03, params03, strict_loads):
     spec = BarrierSampleSpec(n_samples=2000, seed=1)
     rep = validate_parameters(cfg_v, profile03, nl03, params03, spec=spec)
-    blob = rep.to_json()
-    parsed = json.loads(blob)
+    parsed = strict_loads(rep.to_json())
     assert parsed["passed"] == rep.passed
     assert "min_residual_upper" in parsed
+    # non-finite fields are written as null
+    rep.min_residual_time = math.nan
+    rep.worst_ridge_distance = math.inf
+    parsed = strict_loads(rep.to_json())
+    assert parsed["min_residual_time"] is None
+    assert parsed["worst_ridge_distance"] is None

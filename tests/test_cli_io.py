@@ -16,11 +16,13 @@ from curvedfronts.cli_io import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _write_json,
     build_objects,
     config_hash,
     load_config,
     main,
     verify_manifest,
+    write_manifest,
 )
 
 C = 0.26343617168072303
@@ -430,3 +432,13 @@ def test_unknown_subcommand_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["explode", "--config", str(tmp_path / "x.json")])
     assert exc.value.code == 2
+
+
+def test_artifacts_are_strict_json(tmp_path, strict_loads):
+    # non-finite values become null in written artifacts and the manifest
+    _write_json(str(tmp_path), "summary.json", {"gap": np.float64(np.nan), "rows": [math.inf, 0.5]})
+    write_manifest(str(tmp_path), {"x": 1}, "verify", True, seed=0, threads=1)
+    assert strict_loads((tmp_path / "summary.json").read_text()) == {"gap": None, "rows": [None, 0.5]}
+    manifest = strict_loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == ["summary.json"]
+    assert verify_manifest(str(tmp_path))

@@ -232,7 +232,7 @@ def test_stability_rejects_far_field_perturbation(cfg_v, profile03, nl03, barrie
                       snapshot_dt=1.0 / c, barriers=barriers03, rho0=5.0)
 
 
-def test_diagnostics_report_serialisation(tmp_path):
+def test_diagnostics_report_serialisation(tmp_path, strict_loads):
     rep = DiagnosticsReport()
     rep.add("speeds", {"gamma_hat": 0.26, "curve": [3.0, 2.0, 1.0]})
     rep.add("flags", {"passed": True})
@@ -244,3 +244,10 @@ def test_diagnostics_report_serialisation(tmp_path):
     assert csv[0] == "index,curve"
     assert csv[1].startswith("0,")
     assert float(csv[-1].split(",")[1]) == 1.0
+
+    # numpy values become Python ones and non-finite floats become null
+    rep = DiagnosticsReport()
+    rep.add("sandwich", {"dudt_min": np.inf, "curve": np.array([1.0, -np.inf, np.nan]),
+                         "n": np.int64(3), "ok": np.bool_(True)})
+    assert strict_loads(rep.to_json()) == {
+        "sandwich": {"dudt_min": None, "curve": [1.0, None, None], "n": 3, "ok": True}}

@@ -33,6 +33,15 @@ def test_apex_value(surf):
     assert phi[0] == pytest.approx(math.log(2.0) / SIN60, abs=1e-12)
 
 
+def test_solve_phi_reports_non_convergence(surf):
+    # at the apex the start y = psi has residual 1; one Newton step cannot
+    # bring it to machine precision, and the loop must say so
+    with pytest.raises(RuntimeError, match=r"did not converge in 1 Newton steps: max \|residual\|"):
+        surf.solve_phi(np.array([0.0]), np.zeros((1, 1)), max_iter=1)
+    phi = surf.solve_phi(np.array([0.0]), np.zeros((1, 1)), max_iter=20)
+    assert phi[0] == pytest.approx(math.log(2.0) / SIN60, abs=1e-12)
+
+
 def test_apex_value_three_waves():
     S = pyramid_surface()
     phi = S.solve_phi(np.array([0.0]), np.zeros((1, 2)))

@@ -1,18 +1,29 @@
 """Planar traveling wave U(D) with speed c: shooting solver, decay rates,
-evaluator accuracy, and the amplitude scaling law."""
+evaluator accuracy (the piecewise table against the global Chebyshev fit
+it is resampled from), and the amplitude scaling law."""
 
 import numpy as np
 import pytest
 
 from curvedfronts import (
+    Field,
+    Grid,
     ShootingCollapseError,
+    SolverConfig,
     build_profile,
     decay_rate_into_burned,
+    entire_solution,
     find_wave_speed,
     make_combustion,
     ode_residual_sup,
+    sandwich_and_monotonicity,
     shoot_p,
     tail_rates,
+)
+from curvedfronts.wave_profile import (
+    N_PIECES,
+    _fit_chebyshev,
+    _log_one_minus_samples,
 )
 
 # Bisection-converged speeds, frozen once the shooting solver stabilised.
@@ -150,3 +161,69 @@ def test_build_profile_with_explicit_speed(nl03, profile03):
     prof = build_profile(nl03, c=profile03.speed)
     D = np.linspace(-15.0, 15.0, 200)
     assert np.max(np.abs(prof(D) - profile03(D))) < 1e-12
+
+
+# -- piecewise evaluation table ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def global_series(nl03, profile03):
+    """The degree-128 global fit of log(1 - U) that the table is built from."""
+    fit, _ = _fit_chebyshev(*_log_one_minus_samples(nl03, profile03.speed))
+    return fit
+
+
+def _breakpoints(profile):
+    return profile._d_joint + profile._piece_width * np.arange(1, N_PIECES)
+
+
+def test_piecewise_table_matches_global_series(profile03, global_series):
+    lo, hi = global_series.domain
+    assert lo == profile03._d_joint and hi == 0.0
+    b = _breakpoints(profile03)
+    # D = 0 itself belongs to the exact right tail, so stop one ulp short
+    D = np.concatenate([np.linspace(lo, np.nextafter(0.0, -1.0), 100001),
+                        b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
+    g = global_series(D)
+    u_ref = 1.0 - np.exp(g)
+    du_ref = -global_series.deriv()(D) * np.exp(g)
+    assert np.max(np.abs(profile03(D) - u_ref)) <= 1e-14
+    assert np.max(np.abs(profile03.one_minus(D) - np.exp(g))) <= 1e-14
+    assert np.max(np.abs(profile03.derivative(D) - du_ref)) <= 1e-12
+
+
+def test_piecewise_table_is_continuous_at_breakpoints(profile03):
+    # the piece joints, plus the joint to the exponential left tail
+    b = np.append(_breakpoints(profile03), profile03._d_joint)
+    below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
+    assert np.max(np.abs(profile03(above) - profile03(below))) <= 1e-14
+    assert np.max(np.abs(profile03(b) - profile03(below))) <= 1e-14
+    jump_slope = profile03.derivative(above) - profile03.derivative(below)
+    assert np.max(np.abs(jump_slope)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["__call__", "one_minus", "log_u", "derivative"])
+def test_evaluator_shapes(profile03, method):
+    f = getattr(profile03, method)
+    assert isinstance(f(-3.0), float)
+    assert isinstance(f(np.float64(2.0)), float)
+    for shape in [(0,), (1,), (5,), (3, 4)]:
+        D = np.linspace(-40.0, 10.0, int(np.prod(shape))).reshape(shape)
+        out = f(D)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        np.testing.assert_allclose(out.reshape(-1), [f(float(x)) for x in D.reshape(-1)],
+                                   rtol=1e-13, atol=0.0)
+    assert isinstance(profile03.u_pow(-3.0, 0.5), float)
+    assert profile03.u_pow(np.zeros((2, 3)), 0.5).shape == (2, 3)
+
+
+def test_floored_run_has_zero_lower_violation(cfg_v, profile03, nl03):
+    # the solver floor and the check both call subsolution_floor at the
+    # snapshot times, so a floored run sits on or above it bit for bit
+    c = profile03.speed
+    g = Grid((48, 48), 0.5, (-12.0, -16.0))
+    res = entire_solution(cfg_v, profile03, nl03, g,
+                          SolverConfig(scheme="euler", cfl_safety=0.4),
+                          n_list=[2.0 / c], window_end=1.0 / c, snapshot_dt=0.5 / c)
+    traj = [Field(g, v, t) for v, t in zip(res.v_hat, res.times)]
+    assert sandwich_and_monotonicity(traj, cfg_v, profile03)["lower_violation"] == 0.0
