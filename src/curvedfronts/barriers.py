@@ -118,27 +118,6 @@ class BarrierParams:
         return asdict(self)
 
 
-def check_invariants(params: BarrierParams, nl: CombustionNonlinearity,
-                     profile: WaveProfile, max_cot: float,
-                     c1_hat: float) -> None:
-    """Raise with all violated schedule constraints listed."""
-    g = nl.gamma_star
-    c = profile.speed
-    beta_star = beta_star_bound(c1_hat, max_cot)
-    problems = []
-    if not 0 < params.epsilon <= g / 6:
-        problems.append(f"epsilon={params.epsilon} outside (0, gamma_star/6={g / 6:.3e}]")
-    if not 0 < params.beta <= beta_star:
-        problems.append(f"beta={params.beta} outside (0, beta_star={beta_star:.3e}]")
-    if not 0 < params.delta <= g / 8:
-        problems.append(f"delta={params.delta} outside (0, gamma_star/8={g / 8:.3e}]")
-    lam_cap = min(-nl.fprime_at_one / 4, params.beta * c * c / 16)
-    if not 0 < params.lam < lam_cap:
-        problems.append(f"lam={params.lam} outside (0, {lam_cap:.3e})")
-    if problems:
-        raise ValueError("barrier parameter invariants violated: " + "; ".join(problems))
-
-
 def beta_star_bound(c1_hat: float, max_cot: float) -> float:
     """Largest admissible tail exponent for the fitted surface constants."""
     base = (c1_hat + max_cot) ** 2 + 1.0
@@ -158,19 +137,24 @@ class BarrierSet:
         self.params = params
         self.surface = ScaledSurface(cfg, params.alpha)
 
-    def _split(self, z):
+    def _frame(self, t, z):
+        """(eta, xi, h) at (t, z) from one solve of the sharpened surface:
+        the vertical offset eta = y - phi, its rescaling
+        xi = eta / sqrt(1 + |grad phi|^2), and the flatness h."""
         z = np.asarray(z, dtype=float)
-        return z[..., :-1], z[..., -1]
+        x, y = z[..., :-1], z[..., -1]
+        a = self.params.alpha
+        at = a * np.asarray(t, dtype=float)
+        ax = a * x
+        phi = self.surface.solve_phi(at, ax)
+        grad, h = self.surface.gradient_and_flatness(at, ax, phi)
+        eta = y - phi / a
+        xi = eta / np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+        return eta, xi, h
 
     def eta_xi(self, t, z):
         """Vertical offset from the sharpened surface and its rescaling."""
-        x, y = self._split(z)
-        a = self.params.alpha
-        t = np.asarray(t, dtype=float)
-        phi = self.surface.solve_phi(a * t, a * x)
-        grad = self.surface.derivatives(a * t, a * x, phi=phi).grad
-        eta = y - phi / a
-        xi = eta / np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+        eta, xi, _ = self._frame(t, z)
         return eta, xi
 
     def tail_weight(self, eta):
@@ -178,27 +162,17 @@ class BarrierSet:
         w, _, _ = mollifier_omega(eta)
         return self.profile.u_pow(eta, self.params.beta) * w + (1.0 - w)
 
-    def flatness_at(self, t, z):
-        x, _ = self._split(z)
-        a = self.params.alpha
-        return self.surface.flatness(a * np.asarray(t, dtype=float), a * x)
-
     def lower(self, t, z):
         """Subsolution: max of the planar fronts, U(min_i q_i)."""
         return self.profile(min_q(self.cfg, t, z))
 
     def upper(self, t, z):
         """Supersolution V_up (clamped at 1)."""
-        x, _ = self._split(z)
-        a = self.params.alpha
-        t = np.asarray(t, dtype=float)
-        phi = self.surface.solve_phi(a * t, a * x)
-        eta = np.asarray(z, dtype=float)[..., -1] - phi / a
-        grad = self.surface.derivatives(a * t, a * x, phi=phi).grad
-        xi = eta / np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
-        h = self.surface.flatness(a * t, a * x, phi=phi)
-        body = self.profile(xi) + self.params.epsilon * h * self.tail_weight(eta)
-        return np.minimum(body, 1.0)
+        eta, xi, h = self._frame(t, z)
+        return self._clamped_upper(xi, h, self.tail_weight(eta))
+
+    def _clamped_upper(self, xi, h, tail):
+        return np.minimum(self.profile(xi) + self.params.epsilon * h * tail, 1.0)
 
     def shift_time(self, t):
         """pi(t) = t - rho delta e^(-lambda t) + rho delta; pi(0) = 0."""
@@ -207,32 +181,29 @@ class BarrierSet:
         return t - rd * np.exp(-self.params.lam * t) + rd
 
     def time_upper(self, t, z):
-        """Time-shifted supersolution W_delta for t >= 0."""
+        """Time-shifted supersolution W_delta for t >= 0.
+
+        V_up and the layer share one surface frame at pi(t)."""
         t = np.asarray(t, dtype=float)
-        pi_t = self.shift_time(t)
-        eta, _ = self.eta_xi(pi_t, z)
-        layer = self.params.delta * np.exp(-self.params.lam * t) * self.tail_weight(eta)
-        return np.minimum(self.upper(pi_t, z) + layer, 1.0)
+        eta, xi, h = self._frame(self.shift_time(t), z)
+        tail = self.tail_weight(eta)
+        layer = self.params.delta * np.exp(-self.params.lam * t) * tail
+        return np.minimum(self._clamped_upper(xi, h, tail) + layer, 1.0)
 
 
 # -- residual certification -------------------------------------------------
 
 
-def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
-                       h_fd: float = DEFAULT_FD_STEP):
-    """Sampled residual L v = v_t - Lap v - f(v) by 4th-order stencils.
+def _stencil(field_fn, t, z, h_fd):
+    """4th-order finite differences of field_fn at the points (t, z).
 
-    field_fn(t, z) must accept arrays of shape (...,) and (..., N).
-    Returns (residual, excluded) where excluded marks samples whose stencil
-    touches the clamp v >= 1 (the min with 1 kinks the field there, so the
-    finite differences are not trustworthy and the residual claim does not
-    apply anyway).
+    Evaluates field_fn once on all 1 + 4 (N + 1) stencil points and
+    returns (vals, v_t, lap): the values, shape (1 + 4 + 4 N, npts) with
+    the centre in row 0, the time derivative and the Laplacian, from the
+    5-point weights on [-2h, -h, 0, h, 2h].
     """
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
     npts, ndim = z.shape
     shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * h_fd
-    # first-derivative and second-derivative weights on [-2h,-h,0,h,2h]
     d1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_fd)
     d2_off = np.array([-1.0, 16.0, 16.0, -1.0]) / (12.0 * h_fd**2)
     d2_center = -30.0 / (12.0 * h_fd**2)
@@ -251,13 +222,26 @@ def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
     vals = field_fn(np.concatenate(t_all), np.concatenate(z_all, axis=0))
     vals = vals.reshape(1 + 4 + 4 * ndim, npts)
 
-    center = vals[0]
     v_t = vals[1:5].T @ d1
     lap = np.zeros(npts)
     for k in range(ndim):
-        block = vals[5 + 4 * k: 9 + 4 * k]
-        lap += block.T @ d2_off + d2_center * center
-    residual = v_t - lap - nl(center)
+        lap += vals[5 + 4 * k: 9 + 4 * k].T @ d2_off + d2_center * vals[0]
+    return vals, v_t, lap
+
+
+def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
+                       h_fd: float = DEFAULT_FD_STEP):
+    """Sampled residual L v = v_t - Lap v - f(v) by 4th-order stencils.
+
+    field_fn(t, z) must accept arrays of shape (...,) and (..., N).
+    Returns (residual, excluded) where excluded marks samples whose stencil
+    touches the clamp v >= 1 (the min with 1 kinks the field there, so the
+    finite differences are not trustworthy and the residual claim does not
+    apply anyway).
+    """
+    vals, v_t, lap = _stencil(field_fn, np.asarray(t, dtype=float),
+                              np.asarray(z, dtype=float), h_fd)
+    residual = v_t - lap - nl(vals[0])
     excluded = np.max(vals, axis=0) >= CLAMP_GUARD
     return residual, excluded
 
@@ -366,28 +350,7 @@ def fit_time_term_constant(barriers: BarrierSet,
         eta, _ = barriers.eta_xi(tq, zq)
         return barriers.tail_weight(eta)
 
-    t_all = [t]
-    z_all = [z]
-    h = spec.fd_step
-    shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    d1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    d2_off = np.array([-1.0, 16.0, 16.0, -1.0]) / (12.0 * h**2)
-    d2_center = -30.0 / (12.0 * h**2)
-    for s in shifts:
-        t_all.append(t + s)
-        z_all.append(z)
-    for k in range(z.shape[1]):
-        for s in shifts:
-            zk = z.copy()
-            zk[:, k] += s
-            t_all.append(t)
-            z_all.append(zk)
-    vals = g_field(np.concatenate(t_all), np.concatenate(z_all, axis=0))
-    vals = vals.reshape(1 + 4 + 4 * z.shape[1], n)
-    g_t = vals[1:5].T @ d1
-    lap = np.zeros(n)
-    for k in range(z.shape[1]):
-        lap += vals[5 + 4 * k: 9 + 4 * k].T @ d2_off + d2_center * vals[0]
+    _, g_t, lap = _stencil(g_field, t, z, spec.fd_step)
     worst = float(np.min(g_t - lap))
     return 2.0 * max(0.0, -worst)
 
@@ -442,21 +405,15 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         y = barriers.surface.solve_phi(a * t, a * x) / a + off
         return t, np.concatenate([x, y[:, None]], axis=1), off
 
-    def upper_field(tq, zq):
-        return barriers.upper(tq, zq)
-
-    def time_field(tq, zq):
-        return barriers.time_upper(tq, zq)
-
     # upper barrier residuals
     t_u, z_u, eta_u = sample_points(spec.n_samples, *spec.t_range)
-    res_u, exc_u = parabolic_residual(upper_field, nl, t_u, z_u, spec.fd_step)
+    res_u, exc_u = parabolic_residual(barriers.upper, nl, t_u, z_u, spec.fd_step)
     cases_u = _stratify(res_u, exc_u, eta_u, x_prime, x_double_prime, RESIDUAL_TOL)
     live_u = ~exc_u
     min_u = float(np.min(res_u[live_u])) if np.any(live_u) else float("nan")
     order = np.argsort(np.where(live_u, res_u, np.inf))
     worst_idx = order[: min(512, int(np.sum(live_u)))]
-    res_half, exc_half = parabolic_residual(upper_field, nl, t_u[worst_idx],
+    res_half, exc_half = parabolic_residual(barriers.upper, nl, t_u[worst_idx],
                                             z_u[worst_idx], spec.fd_step / 2.0)
     both = ~exc_half
     richardson_gap = float(np.max(np.abs(res_half[both] - res_u[worst_idx][both]))) if np.any(both) else 0.0
@@ -507,7 +464,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         t_w, z_w, _ = sample_points(spec.n_samples // 2,
                                     max(spec.w_t_range[0], 2.5 * spec.fd_step),
                                     spec.w_t_range[1], seed_offset=13)
-        res_w, exc_w = parabolic_residual(time_field, nl, t_w, z_w, spec.fd_step)
+        res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w, spec.fd_step)
         eta_w, _ = barriers.eta_xi(barriers.shift_time(t_w), z_w)
         cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
         live_w = ~exc_w

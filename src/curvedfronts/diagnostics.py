@@ -261,6 +261,13 @@ def mean_speed_estimate(cfg: FrontConfiguration, times,
     }
 
 
+def _slab_weight(cfg: FrontConfiguration, t: float, pts: np.ndarray,
+                 v_rate: float) -> np.ndarray:
+    """min{1, exp(-v * min_i q_i(t, pts) / sin theta_i)} for points (P, N)."""
+    q = pts @ cfg.directions.T - cfg.speed * t + cfg.shifts
+    return np.minimum(1.0, np.exp(-v_rate * (q / np.sin(cfg.angles)).min(axis=1)))
+
+
 def weighted_gap_report(trajectory, cfg: FrontConfiguration,
                         profile: WaveProfile, v_rate: float,
                         n_bins: int = 8, pass_level: float = 0.05) -> dict:
@@ -277,12 +284,9 @@ def weighted_gap_report(trajectory, cfg: FrontConfiguration,
 
     all_d = []
     all_ratio = []
-    sin = np.sin(cfg.angles)
     for tk, vk in zip(times, values):
         tvec = np.full(pts.shape[0], tk)
-        q = pts @ cfg.directions.T - cfg.speed * tvec[:, None] + cfg.shifts
-        slab = (q / sin).min(axis=1)
-        weight = np.minimum(1.0, np.exp(-v_rate * slab))
+        weight = _slab_weight(cfg, tk, pts, v_rate)
         gap = np.abs(vk.reshape(-1) - floor(tk).reshape(-1))
         all_d.append(ridge_distance(cfg, tvec, pts))
         all_ratio.append(gap / weight)
@@ -364,10 +368,7 @@ def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
     far = np.nonzero(d > rho0)[0]
     if far.size > n_samples:
         far = rng.choice(far, size=n_samples, replace=False)
-    sin = np.sin(cfg.angles)
-    q = pts_all[far] @ cfg.directions.T + cfg.shifts
-    slab = (q / sin).min(axis=1)
-    weight = np.minimum(1.0, np.exp(-v_rate * slab))
+    weight = _slab_weight(cfg, 0.0, pts_all[far], v_rate)
     worst_ratio = float((pert[far] / weight).max()) if far.size else 0.0
 
     ok = below <= 1e-12 and out_of_range <= 1e-12 and worst_ratio <= ratio_tol

@@ -12,6 +12,14 @@ alpha grows; folding alpha into the shifts keeps that scaling exact).
 The left side is strictly decreasing and convex in y, so a Newton
 iteration started at the support function max_i psi_i converges
 monotonically from below to machine precision.
+
+The kernel is wave-major: q_at returns one contiguous row per wave, and
+Newton, the weight sums and h add those rows left to right.  np.sum adds a
+short last axis in that order (n < 8; longer axes it sums pairwise), so
+below eight waves the bits equal those of a point-major (..., n) kernel.
+weights and derivatives keep the (..., n) layout; gradient_and_flatness
+gives a barrier its whole frame (grad phi, h) from one solve and one
+weights array.
 """
 
 from __future__ import annotations
@@ -77,15 +85,30 @@ class ScaledSurface:
         return np.max(self.support_planes(t, x), axis=-1)
 
     def q_at(self, t, x, y) -> np.ndarray:
+        """q_i(t, x, y), wave-major: shape (n, ...), one contiguous row per wave."""
         x = self._as_x(x)
-        t = np.asarray(t, dtype=float)
+        xn = x @ self._nu_cos.T                          # (..., n)
+        ct = self.cfg.speed * np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
-        return (x @ self._nu_cos.T + y[..., None] * self._sin
-                - self.cfg.speed * t[..., None] + self._tau)
+        q = np.empty((self.cfg.n_waves,)
+                     + np.broadcast_shapes(xn.shape[:-1], ct.shape, y.shape))
+        for i in range(self.cfg.n_waves):
+            row = q[i, ...]
+            np.multiply(y, self._sin[i], out=row)
+            row += xn[..., i]
+            row -= ct
+            row += self._tau[i]
+        return q
+
+    def _weight_rows(self, t, x, phi) -> np.ndarray:
+        """exp(-q_i), wave-major like q_at."""
+        q = self.q_at(t, x, phi)
+        np.negative(q, out=q)
+        return np.exp(q, out=q)
 
     def residual(self, t, x, y) -> np.ndarray:
         """sum_i exp(-q_i(t, x, y)) - 1; zero exactly on the surface."""
-        return np.sum(np.exp(-self.q_at(t, x, y)), axis=-1) - 1.0
+        return _wave_sum(self._weight_rows(t, x, y)) - 1.0
 
     def solve_phi(self, t, x, max_iter: int = 100) -> np.ndarray:
         """Solve sum exp(-q_i) = 1 for y by damped-free Newton.
@@ -98,30 +121,40 @@ class ScaledSurface:
         """
         x = self._as_x(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
-        psi_all = self.support_planes(t, x)
-        y = np.max(psi_all, axis=-1)
+        y = self.psi(t, x)
         n = self.cfg.n_waves
         tol = 64.0 * np.finfo(float).eps * n
         for k in range(max_iter + 1):
-            q = self.q_at(t, x, y)
-            w = np.exp(-q)
-            r = np.sum(w, axis=-1) - 1.0
-            m = np.sum(w * self._sin, axis=-1)  # -d residual / dy > 0
-            step = r / m
+            w = self._weight_rows(t, x, y)
+            r = _wave_sum(w) - 1.0
             if not np.any(np.abs(r) > tol):
                 return y
             if k == max_iter:
                 break
-            y = y + step
+            m = _wave_sum(w, self._sin)  # -d residual / dy > 0
+            y = y + r / m
         raise RuntimeError(
             f"solve_phi did not converge in {max_iter} Newton steps: "
             f"max |residual| {np.max(np.abs(r)):.3e} > {tol:.3e}")
 
     def weights(self, t, x, phi=None) -> np.ndarray:
-        """w_i = exp(-q_i) on the surface; sums to 1 there."""
+        """w_i = exp(-q_i) on the surface, shape (..., n); sums to 1 there."""
         if phi is None:
             phi = self.solve_phi(t, x)
-        return np.exp(-self.q_at(t, x, phi))
+        return np.moveaxis(self._weight_rows(t, x, phi), 0, -1)
+
+    def _gradient(self, w_rows, s):
+        # BLAS may fuse this matmul's multiply-adds; neither a row formula
+        # nor a matmul on the transposed rows view reproduces its bits
+        w = np.ascontiguousarray(np.moveaxis(w_rows, 0, -1))
+        return w, -(w @ self._nu_cos) / s[..., None]
+
+    def gradient_and_flatness(self, t, x, phi):
+        """grad phi and the flatness h at points of the surface y = phi,
+        from one weights array."""
+        w = self._weight_rows(t, x, phi)
+        _, grad = self._gradient(w, _wave_sum(w, self._sin))
+        return grad, _flatness(w)
 
     def derivatives(self, t, x, phi=None) -> SurfaceDerivatives:
         """Implicit first and second derivatives of phi.
@@ -136,28 +169,21 @@ class ScaledSurface:
         evaluated on the surface) yields the Hessian and the mixed and
         second time derivatives below.
         """
-        x = self._as_x(x)
-        t = np.asarray(t, dtype=float)
         if phi is None:
             phi = self.solve_phi(t, x)
-        w = self.weights(t, x, phi)                      # (..., n)
-        s = np.sum(w * self._sin, axis=-1)               # (...,)
-        wsum = np.sum(w, axis=-1)
+        w_rows = self._weight_rows(t, x, phi)            # (n, ...)
+        s = _wave_sum(w_rows, self._sin)                 # (...,)
         c = self.cfg.speed
-        phi_t = c * wsum / s
-        grad = -(w @ self._nu_cos) / s[..., None]        # (..., N-1)
+        phi_t = c * _wave_sum(w_rows) / s
+        w, grad = self._gradient(w_rows, s)              # (..., n), (..., N-1)
         # on-surface spatial gradient of q_i: g_i = nu_i cos + sin * grad
         g = self._nu_cos + self._sin[:, None] * grad[..., None, :]  # (..., n, N-1)
         # on-surface time derivative of q_i
         gt = -c + self._sin * phi_t[..., None]           # (..., n)
-        ws = w * self._sin                               # (..., n)
+        # no correction term: sum_i w_i sin g_i = -s grad + s grad = 0
         hess = np.einsum("...i,...ik,...il->...kl", w, g, g) / s[..., None, None]
-        hess_corr = np.einsum("...i,...ik->...k", ws, g)  # = s*grad + ... should vanish
-        # sum_i w_i sin g_i = sum w nu cos + s grad = -s grad + s grad = 0, so no
-        # correction term survives; keep the identity as a cheap consistency probe.
         grad_t = np.einsum("...i,...i,...ik->...k", w, gt, g) / s[..., None]
         phi_tt = np.einsum("...i,...i,...i->...", w, gt, gt) / s
-        del hess_corr
         return SurfaceDerivatives(phi_t=phi_t, grad=grad, hess=hess,
                                   grad_t=grad_t, phi_tt=phi_tt)
 
@@ -167,9 +193,9 @@ class ScaledSurface:
         Vanishes where one facet dominates and peaks near ridges; it is the
         small parameter multiplying the curvature correction in barriers.
         """
-        w = self.weights(t, x, phi)
-        wsum = np.sum(w, axis=-1)
-        return wsum * wsum - np.sum(w * w, axis=-1)
+        if phi is None:
+            phi = self.solve_phi(t, x)
+        return _flatness(self._weight_rows(t, x, phi))
 
     def flatness_identity_gap(self, t, x, phi=None) -> np.ndarray:
         """|pair form - complement form| of h; a machine-precision identity
@@ -178,6 +204,21 @@ class ScaledSurface:
         pair = np.einsum("...i,...j->...", w, w) - np.sum(w * w, axis=-1)
         comp = 1.0 - np.sum(w * w, axis=-1)
         return np.abs(pair - comp)
+
+
+def _wave_sum(rows, coef=None) -> np.ndarray:
+    """sum_i coef_i rows[i] (coef_i = 1 if omitted), added left to right."""
+    if coef is not None:
+        rows = [row * c for row, c in zip(rows, coef)]
+    out = rows[0].copy()
+    for row in rows[1:]:
+        out += row
+    return out
+
+
+def _flatness(w_rows) -> np.ndarray:
+    wsum = _wave_sum(w_rows)
+    return wsum * wsum - _wave_sum(w_rows * w_rows)
 
 
 @dataclass(frozen=True)

@@ -182,3 +182,57 @@ def test_validation_report_serialises(cfg_v, profile03, nl03, params03, strict_l
     parsed = strict_loads(rep.to_json())
     assert parsed["min_residual_time"] is None
     assert parsed["worst_ridge_distance"] is None
+
+
+def _pyramid(speed):
+    nus = np.array([[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]])
+    return FrontConfiguration(3, nus, np.full(3, math.pi / 4), np.array([0.0, 0.4, -0.3]), speed)
+
+
+def _composed_eta_xi(B, t, z):
+    # the frame as it was composed from separate surface calls
+    x, y = z[..., :-1], z[..., -1]
+    a = B.params.alpha
+    phi = B.surface.solve_phi(a * t, a * x)
+    grad = B.surface.derivatives(a * t, a * x, phi=phi).grad
+    eta = y - phi / a
+    return eta, eta / np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+
+
+def _composed_upper(B, t, z):
+    x = z[..., :-1]
+    a = B.params.alpha
+    eta, xi = _composed_eta_xi(B, t, z)
+    h = B.surface.flatness(a * t, a * x, phi=B.surface.solve_phi(a * t, a * x))
+    return np.minimum(B.profile(xi) + B.params.epsilon * h * B.tail_weight(eta), 1.0)
+
+
+def _composed_time_upper(B, t, z):
+    pi_t = B.shift_time(t)
+    eta, _ = _composed_eta_xi(B, pi_t, z)
+    layer = B.params.delta * np.exp(-B.params.lam * t) * B.tail_weight(eta)
+    return np.minimum(_composed_upper(B, pi_t, z) + layer, 1.0)
+
+
+@pytest.mark.parametrize("front", ["v", "pyramid"])
+def test_single_frame_matches_composed_barriers_bitwise(front, cfg_v, profile03, nl03, params03):
+    # one surface solve per point gives the same bits as composing
+    # eta_xi, the flatness and upper at pi(t) from separate solves
+    cfg = cfg_v if front == "v" else _pyramid(profile03.speed)
+    B = BarrierSet(cfg, profile03, nl03, params03)
+    m = cfg.dimension - 1
+    a = params03.alpha
+    rng = np.random.default_rng(61)
+    t = rng.uniform(0.0, 8.0, 20000)
+    x = rng.uniform(-30.0, 30.0, (20000, m))
+    y = B.surface.solve_phi(a * t, a * x) / a + rng.uniform(-22.0, 22.0, 20000)
+    z = np.concatenate([x, y[:, None]], axis=1)
+    eta, xi = B.eta_xi(t, z)
+    ref_eta, ref_xi = _composed_eta_xi(B, t, z)
+    assert np.array_equal(eta, ref_eta)
+    assert np.array_equal(xi, ref_xi)
+    assert np.array_equal(B.upper(t, z), _composed_upper(B, t, z))
+    w = B.time_upper(t, z)
+    assert np.array_equal(w, _composed_time_upper(B, t, z))
+    # the layer is visible in these samples, so its time argument matters
+    assert np.any(w != B.upper(B.shift_time(t), z))

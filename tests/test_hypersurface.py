@@ -169,3 +169,99 @@ def test_three_wave_residual_and_ordering():
     gap = phi - S.psi(t, x)
     assert np.all(gap > 0.0)
     assert np.max(gap) <= math.log(3.0) / math.sin(math.pi / 4) + 1e-12
+
+
+# -- bit identity with the point-major formulas ------------------------------
+#
+# The surface kernel works wave-major (one contiguous row per wave) and adds
+# the rows left to right.  These are the point-major (..., n) formulas it
+# replaced; for n < 8 numpy sums a short last axis in the same order, so
+# every result must match them bit for bit.
+
+
+def _q_point_major(S, t, x, y):
+    return (x @ S._nu_cos.T + y[..., None] * S._sin
+            - S.cfg.speed * t[..., None] + S._tau)
+
+
+def _solve_phi_point_major(S, t, x):
+    t = np.broadcast_to(t, x.shape[:-1]).copy()
+    y = np.max(S.support_planes(t, x), axis=-1)
+    tol = 64.0 * np.finfo(float).eps * S.cfg.n_waves
+    for _ in range(101):
+        w = np.exp(-_q_point_major(S, t, x, y))
+        r = np.sum(w, axis=-1) - 1.0
+        m = np.sum(w * S._sin, axis=-1)
+        if not np.any(np.abs(r) > tol):
+            return y
+        y = y + r / m
+    raise AssertionError("reference Newton did not converge")
+
+
+def _derivatives_point_major(S, t, x, phi):
+    w = np.exp(-_q_point_major(S, t, x, phi))
+    s = np.sum(w * S._sin, axis=-1)
+    c = S.cfg.speed
+    phi_t = c * np.sum(w, axis=-1) / s
+    grad = -(w @ S._nu_cos) / s[..., None]
+    g = S._nu_cos + S._sin[:, None] * grad[..., None, :]
+    gt = -c + S._sin * phi_t[..., None]
+    hess = np.einsum("...i,...ik,...il->...kl", w, g, g) / s[..., None, None]
+    grad_t = np.einsum("...i,...i,...ik->...k", w, gt, g) / s[..., None]
+    phi_tt = np.einsum("...i,...i,...i->...", w, gt, gt) / s
+    wsum = np.sum(w, axis=-1)
+    h = wsum * wsum - np.sum(w * w, axis=-1)
+    return w, (phi_t, grad, hess, grad_t, phi_tt), h
+
+
+def _tilted_3d_surface():
+    nus = np.array([[1.0, 0.0], [-0.6, 0.8], [-0.28, -0.96], [0.0, 1.0]])
+    angles = np.array([1.0, 0.9, 1.2, 1.4])
+    cfg = FrontConfiguration(3, nus, angles, np.array([0.0, 0.7, -0.4, 1.3]), C)
+    return ScaledSurface(cfg, alpha=0.3)
+
+
+def _three_wave_2d_surface():
+    nus = np.array([[-1.0], [1.0], [1.0]])
+    angles = np.array([math.pi / 3, math.pi / 4, 1.2])
+    cfg = FrontConfiguration(2, nus, angles, np.array([0.0, 0.5, -1.5]), C)
+    return ScaledSurface(cfg, alpha=0.7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda cfg_v: ScaledSurface(cfg_v, alpha=0.025),
+    lambda cfg_v: _three_wave_2d_surface(),
+    lambda cfg_v: pyramid_surface(),
+    lambda cfg_v: _tilted_3d_surface(),
+], ids=["v-2d", "three-wave-2d", "pyramid-3d", "tilted-four-wave-3d"])
+def test_surface_kernel_matches_point_major_bits(make, cfg_v):
+    S = make(cfg_v)
+    m = S.cfg.dimension - 1
+    rng = np.random.default_rng(53)
+    t = rng.uniform(-6.0, 6.0, 30000) * S.alpha
+    x = rng.uniform(-30.0, 30.0, (30000, m)) * S.alpha
+    phi = S.solve_phi(t, x)
+    ref_phi = _solve_phi_point_major(S, t, x)
+    assert np.array_equal(phi, ref_phi)
+    ref_w, ref_der, ref_h = _derivatives_point_major(S, t, x, phi)
+    w = S.weights(t, x, phi)
+    assert w.shape == (30000, S.cfg.n_waves)
+    assert np.array_equal(w, ref_w)
+    der = S.derivatives(t, x, phi)
+    for got, ref in zip((der.phi_t, der.grad, der.hess, der.grad_t, der.phi_tt), ref_der):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert np.array_equal(S.flatness(t, x, phi), ref_h)
+    grad, h = S.gradient_and_flatness(t, x, phi)
+    assert np.array_equal(grad, ref_der[1])
+    assert np.array_equal(h, ref_h)
+    assert np.array_equal(S.residual(t, x, phi),
+                          np.sum(ref_w, axis=-1) - 1.0)
+    # the public point-major shapes hold for a grid of points too
+    tg = np.zeros((3, 4))
+    xg = np.zeros((3, 4, m))
+    assert S.support_planes(tg, xg).shape == (3, 4, S.cfg.n_waves)
+    assert S.weights(tg, xg).shape == (3, 4, S.cfg.n_waves)
+    assert S.flatness(tg, xg).shape == (3, 4)
+    assert S.residual(tg, xg, S.solve_phi(tg, xg)).shape == (3, 4)
+    assert S.derivatives(tg, xg).hess.shape == (3, 4, m, m)
