@@ -152,10 +152,13 @@ class BarrierSet:
         xi = eta / np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
         return eta, xi, h
 
-    def eta_xi(self, t, z):
-        """Vertical offset from the sharpened surface and its rescaling."""
-        eta, xi, _ = self._frame(t, z)
-        return eta, xi
+    def eta(self, t, z):
+        """Vertical offset y - phi / alpha from the sharpened surface: the
+        eta of _frame without the gradient and the flatness."""
+        z = np.asarray(z, dtype=float)
+        a = self.params.alpha
+        phi = self.surface.solve_phi(a * np.asarray(t, dtype=float), a * z[..., :-1])
+        return z[..., -1] - phi / a
 
     def tail_weight(self, eta):
         """U^beta(eta) w(eta) + (1 - w(eta)) in [0, 1]."""
@@ -347,8 +350,7 @@ def fit_time_term_constant(barriers: BarrierSet,
     z = np.concatenate([x, y[:, None]], axis=1)
 
     def g_field(tq, zq):
-        eta, _ = barriers.eta_xi(tq, zq)
-        return barriers.tail_weight(eta)
+        return barriers.tail_weight(barriers.eta(tq, zq))
 
     _, g_t, lap = _stencil(g_field, t, z, spec.fd_step)
     worst = float(np.min(g_t - lap))
@@ -465,7 +467,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                                     max(spec.w_t_range[0], 2.5 * spec.fd_step),
                                     spec.w_t_range[1], seed_offset=13)
         res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w, spec.fd_step)
-        eta_w, _ = barriers.eta_xi(barriers.shift_time(t_w), z_w)
+        eta_w = barriers.eta(barriers.shift_time(t_w), z_w)
         cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
         live_w = ~exc_w
         min_w = float(np.min(res_w[live_w])) if np.any(live_w) else float("nan")

@@ -15,6 +15,17 @@ positive root of mu^2 + c*mu + f'(1) = 0.  Integrating downward in U is
 contracting, so the seed error is crushed; integrating upward is unstable,
 which is why the tabulated profile is also produced by the downward pass.
 
+The speed search is a bisection on S(c) = p(theta; c) - c*theta that stops
+at the first midpoint where a full-precision shot gives |S| <= s_tol.  Its
+result is kept bit for bit, but most of its shots are skipped: cheap
+low-tolerance probes and then a secant on full shots first find the root
+of the full-precision S, and the bisection is replayed against it.  A
+midpoint farther than SIGN_GUARD * c from that root takes its sign from
+it, since |S| there exceeds the noise of a shot by thousands of times; a
+midpoint inside the guard gets a real shot.  Only a real shot ends the
+search, so a wrong root estimate makes it raise instead of returning a
+different c.
+
 For evaluation the profile is stored as three pieces: the right tail
 (closed form), log(1 - U(D)) on the computed span [d_joint, 0], and the
 exponential left tail beyond it.  On the span, a global Chebyshev fit of the
@@ -31,6 +42,7 @@ finite-difference residual checks need.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +65,23 @@ __all__ = [
 DELTA_LIN = 1e-6  # seeding offset 1 - U at the burned end of the shot
 N_PIECES = 128  # uniform pieces of the evaluation table on [d_joint, 0]
 PIECE_DEGREE = 12  # Chebyshev degree of each piece
+# find_wave_speed replays its bisection against the root of the
+# full-precision S, and a point farther than SIGN_GUARD * c from that root
+# takes its sign from it.  Near the root S' is about -0.71 at theta 0.3
+# (-0.64 to -0.82 over theta 0.2 to 0.5), while the noise of a full shot,
+# |S(rtol 1e-13) - S(rtol 1e-14)|, is at most 5e-16 there (2.5e-15 over
+# that range).  So the root is known to a few 1e-15, and |S| at the guard
+# is about 4e4 times that noise at theta 0.3, at least 4e3 times over the
+# range.
+SIGN_GUARD = 1e-10
+PROBE_RTOL = 1e-8  # the probes' S is good to about 1e-8
+# Relative step at which the secant on full shots stops.  The secant
+# converges superlinearly, so the estimate after such a step is far closer
+# than the step; 1e-15 lies under the noise of a shot for c below about 1
+# and would only let the secant wander.
+ROOT_RTOL = 1e-12
+
+_log = logging.getLogger(__name__)
 
 
 class ShootingCollapseError(RuntimeError):
@@ -104,60 +133,142 @@ def _shoot(nl: CombustionNonlinearity, c: float, t_eval=None, rtol=1e-13, atol=1
 
 
 def shoot_p(nl: CombustionNonlinearity, c: float) -> float:
-    """p(theta; c): terminal value of the phase-plane shot at U = theta."""
+    """p(theta; c): terminal value of the full-precision phase-plane shot
+    at U = theta.  A candidate above the connection speed may collapse
+    (ShootingCollapseError)."""
     if c <= 0.0:
         raise ValueError(f"wave speed candidate must be positive, got {c}")
-    _shoot(nl, c, rtol=1e-6, atol=1e-12)  # cheap probe; collapses raise here
     sol = _shoot(nl, c)
     return float(sol.y[0][-1])
 
 
-def _matching(nl: CombustionNonlinearity, c: float) -> float:
-    """S(c) = p(theta; c) - c*theta; strictly decreasing in c.  S > 0 means
-    the candidate is below the front speed, S < 0 (or a collapsed shot)
-    means above it."""
-    return shoot_p(nl, c) - c * nl.theta
+def _bracket(s, c_lo: float, c_hi: float, max_widen: int):
+    """Widen [c_lo, c_hi] until s(c_lo) > 0 >= s(c_hi): c_lo shrinks by 4
+    and c_hi doubles, up to max_widen times each.  Returns (c_lo, s(c_lo),
+    c_hi, s(c_hi))."""
+    s_lo = s(c_lo)
+    if s_lo <= 0.0:
+        for _ in range(max_widen):
+            c_lo *= 0.25
+            s_lo = s(c_lo)
+            if s_lo > 0.0:
+                break
+        else:
+            raise RuntimeError("could not bracket the wave speed from below")
+    s_hi = s(c_hi)
+    if s_hi > 0.0:
+        for _ in range(max_widen):
+            c_hi *= 2.0
+            s_hi = s(c_hi)
+            if s_hi <= 0.0:
+                break
+        else:
+            raise RuntimeError("could not bracket the wave speed from above")
+    return c_lo, s_lo, c_hi, s_hi
+
+
+def _root_estimate(s_probe, s_full, c_lo: float, s_lo: float, c_hi: float, s_hi: float) -> float:
+    """Root of the full-precision S inside a probe bracket, s_probe(c_lo) >
+    0 >= s_probe(c_hi), where a collapse reads -inf.
+
+    Probes narrow the bracket by false position with the Illinois halving
+    (bisection while the upper end has collapsed) until the bracket or the
+    step is below PROBE_RTOL relative.  A secant on full shots then starts
+    from that point and a second one PROBE_RTOL above it, and stops once
+    its relative step is below ROOT_RTOL.
+    """
+    c, side = c_lo, 0
+    for _ in range(100):  # about 30 would do by bisection alone
+        if np.isfinite(s_hi):
+            c_new = c_hi - s_hi * (c_hi - c_lo) / (s_hi - s_lo)
+        else:
+            c_new = 0.5 * (c_lo + c_hi)
+        step, c = abs(c_new - c), c_new
+        s = s_probe(c)
+        if s > 0.0:
+            c_lo, s_lo = c, s
+            if side > 0:
+                s_hi *= 0.5
+            side = 1
+        else:
+            c_hi, s_hi = c, s
+            if side < 0:
+                s_lo *= 0.5
+            side = -1
+        if min(step, c_hi - c_lo) <= PROBE_RTOL * c:
+            break
+
+    c0, c1 = c, c * (1.0 + PROBE_RTOL)
+    s0 = s_full(c0)
+    for _ in range(10):
+        s1 = s_full(c1)
+        if s1 == s0 or not np.isfinite(s1):
+            break  # at the noise floor; a wild estimate makes the replay raise
+        c0, s0, c1 = c1, s1, c1 - s1 * (c1 - c0) / (s1 - s0)
+        if abs(c1 - c0) <= ROOT_RTOL * c1:
+            break
+    return c1
 
 
 def find_wave_speed(nl: CombustionNonlinearity, c_lo: float = 1e-4, c_hi: float = 2.0,
                     s_tol: float = 1e-12, max_widen: int = 12) -> float:
     """Unique speed c with S(c) = 0, by bracketing sweep plus bisection
-    until |S| <= s_tol (or the bracket collapses to machine width)."""
-    def s_or_neg(c):
+    until |S| <= s_tol (or the bracket collapses to machine width).
+
+    S(c) = p(theta; c) - c*theta is strictly decreasing; a collapsed shot
+    counts as S < 0.  The result is, bit for bit, that of a full-precision
+    shot at every point of the sweep and the bisection, but most of those
+    shots are skipped.  _root_estimate first finds the root of the
+    full-precision S (probes narrow the bracket, then a secant on full
+    shots); the sweep and the bisection are then replayed.  A point farther
+    than SIGN_GUARD * c from that root takes its sign from it, which is
+    safe because |S| there is thousands of times the noise of a shot (see
+    SIGN_GUARD); a point inside the guard gets a real full shot.  Only a
+    real shot with |S| <= s_tol ends the search, so a wrong root estimate
+    cannot return a different c: the bracket loses the root and the search
+    raises.  The probe count, the full-shot count and the final |S| go to
+    the module logger at DEBUG.
+    """
+    theta = nl.theta
+    n_probe = n_full = 0
+
+    def s_probe(c):
+        nonlocal n_probe
+        n_probe += 1
         try:
-            return _matching(nl, c)
+            # a cheap shot, whose S is good to about 1e-8
+            return float(_shoot(nl, c, rtol=1e-6, atol=1e-12).y[0][-1]) - c * theta
         except ShootingCollapseError:
             return -np.inf
 
-    s_lo = s_or_neg(c_lo)
-    if s_lo <= 0.0:
-        for _ in range(max_widen):
-            c_lo *= 0.25
-            s_lo = s_or_neg(c_lo)
-            if s_lo > 0.0:
-                break
-        else:
-            raise RuntimeError("could not bracket the wave speed from below")
-    s_hi = s_or_neg(c_hi)
-    if s_hi > 0.0:
-        for _ in range(max_widen):
-            c_hi *= 2.0
-            s_hi = s_or_neg(c_hi)
-            if s_hi <= 0.0:
-                break
-        else:
-            raise RuntimeError("could not bracket the wave speed from above")
+    def s_full(c):
+        nonlocal n_full
+        n_full += 1
+        try:
+            return shoot_p(nl, c) - c * theta
+        except ShootingCollapseError:
+            return -np.inf
 
+    root = _root_estimate(s_probe, s_full, *_bracket(s_probe, c_lo, c_hi, max_widen))
+
+    def s_replay(c):
+        if abs(c - root) > SIGN_GUARD * root:
+            return np.inf if c < root else -np.inf
+        return s_full(c)
+
+    c_lo, _, c_hi, _ = _bracket(s_replay, c_lo, c_hi, max_widen)
     c_mid, s_mid = 0.5 * (c_lo + c_hi), np.inf
     while c_hi - c_lo > 4e-16 * max(1.0, c_hi):
         c_mid = 0.5 * (c_lo + c_hi)
-        s_mid = s_or_neg(c_mid)
+        s_mid = s_replay(c_mid)
         if abs(s_mid) <= s_tol:
-            return c_mid
+            break
         if s_mid > 0.0:
             c_lo = c_mid
         else:
             c_hi = c_mid
+    _log.debug("find_wave_speed: c = %r after %d probes and %d full shots, |S(c)| = %.3e",
+               c_mid, n_probe, n_full, abs(s_mid))
     if not abs(s_mid) <= s_tol:
         raise RuntimeError(
             f"bisection collapsed at c = {c_mid} with matching residual {s_mid:.3e} > {s_tol}")

@@ -217,7 +217,7 @@ def _composed_time_upper(B, t, z):
 @pytest.mark.parametrize("front", ["v", "pyramid"])
 def test_single_frame_matches_composed_barriers_bitwise(front, cfg_v, profile03, nl03, params03):
     # one surface solve per point gives the same bits as composing
-    # eta_xi, the flatness and upper at pi(t) from separate solves
+    # eta, xi, the flatness and upper at pi(t) from separate solves
     cfg = cfg_v if front == "v" else _pyramid(profile03.speed)
     B = BarrierSet(cfg, profile03, nl03, params03)
     m = cfg.dimension - 1
@@ -227,9 +227,10 @@ def test_single_frame_matches_composed_barriers_bitwise(front, cfg_v, profile03,
     x = rng.uniform(-30.0, 30.0, (20000, m))
     y = B.surface.solve_phi(a * t, a * x) / a + rng.uniform(-22.0, 22.0, 20000)
     z = np.concatenate([x, y[:, None]], axis=1)
-    eta, xi = B.eta_xi(t, z)
+    eta, xi, _ = B._frame(t, z)
     ref_eta, ref_xi = _composed_eta_xi(B, t, z)
     assert np.array_equal(eta, ref_eta)
+    assert np.array_equal(B.eta(t, z), ref_eta)
     assert np.array_equal(xi, ref_xi)
     assert np.array_equal(B.upper(t, z), _composed_upper(B, t, z))
     w = B.time_upper(t, z)

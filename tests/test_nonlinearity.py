@@ -37,6 +37,31 @@ def test_clamped_outside_extended_range():
     assert nl(1.1) == pytest.approx(0.8**2 * (-0.1), abs=1e-15)
 
 
+def _clip_form(nl, u):
+    """(clamp, f, f') as computed with np.clip before the min/max clamp."""
+    uu = np.asarray(u, dtype=float)
+    w = np.clip(uu, -nl.sigma, 1.0 + nl.sigma)
+    s = np.maximum(w - nl.theta, 0.0)
+    p = nl.exponent
+    f = nl.amplitude * s**p * (1.0 - w)
+    df = nl.amplitude * s ** (p - 1.0) * (p * (1.0 - w) - s)
+    return w, f, np.where((uu < -nl.sigma) | (uu > 1.0 + nl.sigma), 0.0, df)
+
+
+def test_clamp_matches_np_clip_bitwise():
+    nl = make_combustion(theta=0.3, amplitude=1.3, exponent=2.5, sigma=0.1)
+    lo, hi = -nl.sigma, 1.0 + nl.sigma
+    u = np.array([0.0, -0.0, lo, hi, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0),
+                  np.inf, -np.inf, -5.0, 7.0, 0.3, 0.65, 1.0, 1.05, np.nan])
+    for x in [u, *u.tolist()]:
+        got = (nl._clamp(np.asarray(x)), nl(x), nl.derivative(x))
+        for g, ref in zip(got, _clip_form(nl, x)):
+            assert np.array_equal(g, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(ref))
+        assert isinstance(got[1], float) == isinstance(x, float)
+        assert isinstance(got[2], float) == isinstance(x, float)
+
+
 def test_fprime_at_one():
     nl = make_combustion(theta=0.3, amplitude=1.0, exponent=2.0, sigma=0.1)
     assert nl.fprime_at_one == pytest.approx(-0.49, abs=1e-14)

@@ -1,6 +1,8 @@
-"""Planar traveling wave U(D) with speed c: shooting solver, decay rates,
-evaluator accuracy (the piecewise table against the global Chebyshev fit
+"""Planar traveling wave U(D) with speed c: shooting solver, the replayed
+bisection of the speed search, decay rates, evaluator accuracy (the piecewise table against the global Chebyshev fit
 it is resampled from), and the amplitude scaling law."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from curvedfronts import (
     shoot_p,
     tail_rates,
 )
+from curvedfronts import wave_profile
 from curvedfronts.wave_profile import (
     N_PIECES,
+    SIGN_GUARD,
     _fit_chebyshev,
     _log_one_minus_samples,
 )
@@ -32,6 +36,15 @@ SPEEDS = {
     0.3: 0.26343617168072303,
     0.5: 0.12151061635796,
 }
+# The exact floats the plain bisection, one full shot per midpoint, returns
+# for these cases (and for amplitude 4 at theta 0.3); the replayed search
+# must return the same bits.
+EXACT_SPEEDS = {
+    0.2: 0.3669938065558144,
+    0.3: 0.26343617168072303,
+    0.5: 0.12151061635796295,
+}
+EXACT_SPEED_A4 = 0.5268723433645284
 
 
 @pytest.mark.parametrize("theta", sorted(SPEEDS))
@@ -39,6 +52,39 @@ def test_wave_speed_reference_values(theta):
     nl = make_combustion(theta=theta, amplitude=1.0, exponent=2.0, sigma=0.1)
     c = find_wave_speed(nl)
     assert c == pytest.approx(SPEEDS[theta], abs=5e-11)
+    assert c == EXACT_SPEEDS[theta]
+
+
+def test_search_pays_few_full_shots(monkeypatch, caplog, nl03):
+    shots = []
+    real = wave_profile.shoot_p
+
+    def counting(nl, c):
+        shots.append(c)
+        return real(nl, c)
+
+    monkeypatch.setattr(wave_profile, "shoot_p", counting)
+    with caplog.at_level(logging.DEBUG, logger=wave_profile.__name__):
+        assert find_wave_speed(nl03) == EXACT_SPEEDS[0.3]
+    assert 0 < len(shots) <= 14  # the plain bisection pays 39
+    # the search's own telemetry reports the same count
+    (record,) = [r for r in caplog.records if r.name == wave_profile.__name__]
+    assert f"and {len(shots)} full shots" in record.getMessage()
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6, 0.3 * SIGN_GUARD * EXACT_SPEEDS[0.3]],
+                         ids=["above", "below", "inside-guard"])
+def test_wrong_root_estimate_cannot_return_silently(monkeypatch, nl03, shift):
+    # a root estimate off by more than the guard misreads midpoint signs,
+    # the bracket loses the root and the search raises; one inside the
+    # guard changes nothing
+    real = wave_profile._root_estimate
+    monkeypatch.setattr(wave_profile, "_root_estimate", lambda *args: real(*args) + shift)
+    if abs(shift) > SIGN_GUARD * EXACT_SPEEDS[0.3]:
+        with pytest.raises(RuntimeError, match="bisection collapsed"):
+            find_wave_speed(nl03)
+    else:
+        assert find_wave_speed(nl03) == EXACT_SPEEDS[0.3]
 
 
 def test_speed_matches_tail_slope(nl03, profile03):
@@ -46,6 +92,7 @@ def test_speed_matches_tail_slope(nl03, profile03):
     # slope |U'| = c theta at the ignition level
     c = profile03.speed
     assert shoot_p(nl03, c) == pytest.approx(c * nl03.theta, abs=1e-10)
+
 
 
 def test_shooting_collapses_above_connection_speed(nl03):
@@ -152,6 +199,7 @@ def test_amplitude_scaling_doubles_speed(nl03, profile03):
     nl4 = make_combustion(theta=0.3, amplitude=4.0, exponent=2.0, sigma=0.1)
     c4 = find_wave_speed(nl4)
     assert c4 == pytest.approx(2.0 * profile03.speed, rel=1e-9)
+    assert c4 == EXACT_SPEED_A4
     prof4 = build_profile(nl4, c=c4)
     D = np.linspace(-12.0, 25.0, 500)
     assert np.max(np.abs(prof4(D) - profile03(2.0 * D))) < 1e-6
