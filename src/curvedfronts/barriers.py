@@ -14,6 +14,8 @@ by pi(t) = t - rho delta e^(-lambda t) + rho delta.
 Whether a concrete parameter set actually yields a supersolution is decided
 numerically: residuals of L v = v_t - Lap v - f(v) are sampled densely with
 high-order finite differences and certified against a fixed tolerance.
+The alpha ladder of auto_parameters certifies V_up first and rejects a rung
+that fails there before fitting or checking anything else.
 """
 
 from __future__ import annotations
@@ -331,6 +333,30 @@ def v_star_schedule(profile: WaveProfile, cfg: FrontConfiguration,
     return 0.5 * min(cands)
 
 
+def _sample_points(barriers: BarrierSet, spec: BarrierSampleSpec, n: int,
+                   t_lo: float, t_hi: float, seed_offset: int = 0):
+    """n samples (t, z, eta) placed at offsets eta from the sharpened surface,
+    drawn from the stream spec.seed + seed_offset."""
+    r = np.random.default_rng(spec.seed + seed_offset)
+    t = r.uniform(t_lo, t_hi, size=n)
+    x = r.uniform(-spec.x_half_width, spec.x_half_width,
+                  size=(n, barriers.cfg.dimension - 1))
+    off = r.uniform(*spec.offset_range, size=n)
+    a = barriers.params.alpha
+    y = barriers.surface.solve_phi(a * t, a * x) / a + off
+    return t, np.concatenate([x, y[:, None]], axis=1), off
+
+
+def _upper_certificate(barriers: BarrierSet, spec: BarrierSampleSpec):
+    """Residuals of V_up on the primary sample batch: (t, z, eta, residual,
+    excluded, least live residual or NaN).  V_up reads only epsilon, alpha
+    and beta, so any BarrierSet that shares them gives the same bits."""
+    t, z, eta = _sample_points(barriers, spec, spec.n_samples, *spec.t_range)
+    res, exc = parabolic_residual(barriers.upper, barriers.nl, t, z, spec.fd_step)
+    live = ~exc
+    return t, z, eta, res, exc, float(np.min(res[live])) if np.any(live) else float("nan")
+
+
 def fit_time_term_constant(barriers: BarrierSet,
                            spec: BarrierSampleSpec, n: int = 20000) -> float:
     """Bound on -(d_t - Lap) of the tail layer, fitted by sampling.
@@ -340,14 +366,7 @@ def fit_time_term_constant(barriers: BarrierSet,
     -(d_t - Lap) g.  The time-bending factor pi'(t) stays in [1, 2] under the
     rho*delta*lam <= 1 cap, hence the factor 2 on the fitted minimum.
     """
-    rng = np.random.default_rng(spec.seed + 1)
-    m = barriers.cfg.dimension - 1
-    t = rng.uniform(*spec.t_range, size=n)
-    x = rng.uniform(-spec.x_half_width, spec.x_half_width, size=(n, m))
-    off = rng.uniform(*spec.offset_range, size=n)
-    a = barriers.params.alpha
-    y = barriers.surface.solve_phi(a * t, a * x) / a + off
-    z = np.concatenate([x, y[:, None]], axis=1)
+    t, z, _ = _sample_points(barriers, spec, n, *spec.t_range, seed_offset=1)
 
     def g_field(tq, zq):
         return barriers.tail_weight(barriers.eta(tq, zq))
@@ -381,7 +400,8 @@ def _stratify(residual, excluded, eta, x_prime, x_double_prime, tol):
 def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                         nl: CombustionNonlinearity, params: BarrierParams,
                         spec: BarrierSampleSpec | None = None,
-                        include_time_barrier: bool = True) -> ValidationReport:
+                        include_time_barrier: bool = True,
+                        upper_certificate=None) -> ValidationReport:
     """Certify a parameter set by dense residual sampling.
 
     PASS means: the parabolic residual of the upper barrier is >= -1e-8 on
@@ -389,30 +409,21 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     same holds for the time-shifted barrier on t >= 0, the upper barrier
     never drops below the lower one, and the step-halved residuals agree
     with the primary ones (the finite differences are converged).
+    upper_certificate, if given, is _upper_certificate for the same
+    epsilon, alpha, beta and spec; it is computed here otherwise.
     """
     if spec is None:
         spec = BarrierSampleSpec()
     barriers = BarrierSet(cfg, profile, nl, params)
     rng = np.random.default_rng(spec.seed)
-    m = cfg.dimension - 1
-    a = params.alpha
     max_cot = float(np.max(1.0 / np.tan(cfg.angles)))
     x_prime, x_double_prime, kappa = case_thresholds(profile, nl, params.epsilon, max_cot)
 
-    def sample_points(n, t_lo, t_hi, seed_offset=0):
-        r = np.random.default_rng(spec.seed + seed_offset)
-        t = r.uniform(t_lo, t_hi, size=n)
-        x = r.uniform(-spec.x_half_width, spec.x_half_width, size=(n, m))
-        off = r.uniform(*spec.offset_range, size=n)
-        y = barriers.surface.solve_phi(a * t, a * x) / a + off
-        return t, np.concatenate([x, y[:, None]], axis=1), off
-
     # upper barrier residuals
-    t_u, z_u, eta_u = sample_points(spec.n_samples, *spec.t_range)
-    res_u, exc_u = parabolic_residual(barriers.upper, nl, t_u, z_u, spec.fd_step)
+    t_u, z_u, eta_u, res_u, exc_u, min_u = (upper_certificate
+                                            or _upper_certificate(barriers, spec))
     cases_u = _stratify(res_u, exc_u, eta_u, x_prime, x_double_prime, RESIDUAL_TOL)
     live_u = ~exc_u
-    min_u = float(np.min(res_u[live_u])) if np.any(live_u) else float("nan")
     order = np.argsort(np.where(live_u, res_u, np.inf))
     worst_idx = order[: min(512, int(np.sum(live_u)))]
     res_half, exc_half = parabolic_residual(barriers.upper, nl, t_u[worst_idx],
@@ -429,7 +440,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     v_up = barriers.upper(t_u, z_u)
     v_lo = barriers.lower(t_u, z_u)
     sandwich_min = float(np.min(v_up - v_lo))
-    t_e, z_e, _ = sample_points(spec.n_samples // 4, *spec.t_range, seed_offset=7)
+    t_e, z_e, _ = _sample_points(barriers, spec, spec.n_samples // 4, *spec.t_range, seed_offset=7)
     z_e[:, -1] = rng.uniform(z_e[:, -1].min(), z_e[:, -1].max(), size=z_e.shape[0])
     sandwich_min = min(sandwich_min,
                        float(np.min(barriers.upper(t_e, z_e) - barriers.lower(t_e, z_e))))
@@ -463,9 +474,9 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
 
     # time-shifted barrier on t >= 0
     if include_time_barrier:
-        t_w, z_w, _ = sample_points(spec.n_samples // 2,
-                                    max(spec.w_t_range[0], 2.5 * spec.fd_step),
-                                    spec.w_t_range[1], seed_offset=13)
+        t_w, z_w, _ = _sample_points(barriers, spec, spec.n_samples // 2,
+                                     max(spec.w_t_range[0], 2.5 * spec.fd_step),
+                                     spec.w_t_range[1], seed_offset=13)
         res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w, spec.fd_step)
         eta_w = barriers.eta(barriers.shift_time(t_w), z_w)
         cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
@@ -474,7 +485,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         exc_w_count = int(np.sum(exc_w))
         # W at t=0 sits on or above the plain barrier
         t0 = np.zeros(min(4000, spec.n_samples // 8))
-        _, z0, _ = sample_points(t0.shape[0], 0.0, 0.0, seed_offset=29)
+        _, z0, _ = _sample_points(barriers, spec, t0.shape[0], 0.0, 0.0, seed_offset=29)
         w0_margin = float(np.min(barriers.time_upper(t0, z0) - barriers.upper(t0, z0)))
     else:
         cases_w = {}
@@ -522,7 +533,8 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     Fits the surface comparison constants, takes the largest admissible
     tail exponent and a conservative amplitude, then walks alpha down a
     ladder until a pilot residual certification passes, stepping one extra
-    rung for safety.  The time-shift gain follows the explicit recipe
+    rung for safety; a rung whose upper barrier alone fails is rejected
+    before the rest.  The time-shift gain follows the explicit recipe
     rho = 3 (||f'|| + lam + C*) / (lam kappa c_f) with the fitted C*, and
     delta is capped so that rho * delta * lam <= 1.
     """
@@ -538,14 +550,9 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     f_lip = nl.max_abs_derivative(0.0, 1.0)
     pilot = BarrierSampleSpec(n_samples=pilot_samples, seed=seed)
 
-    chosen = None
-    last_report = None
-    for i, alpha in enumerate(alpha_ladder):
-        c_star = fit_time_term_constant(
-            BarrierSet(cfg, profile, nl,
-                       BarrierParams(epsilon=epsilon, alpha=alpha, beta=beta,
-                                     delta=g / 8.0, lam=lam, varrho=1.0)),
-            pilot)
+    def validated(trial, upper):
+        alpha = trial.params.alpha
+        c_star = fit_time_term_constant(trial, pilot)
         varrho = 3.0 * (f_lip + lam + c_star) / (lam * kappa * c)
         delta = min(g / 8.0, 1.0 / (lam * varrho))
         cand = BarrierParams(epsilon=epsilon, alpha=alpha, beta=beta, delta=delta,
@@ -556,9 +563,18 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                              x_double_prime=x_double_prime,
                              c_hat=fit.c_hat, c1_hat=fit.c1_hat,
                              c_star_time=c_star)
-        report = validate_parameters(cfg, profile, nl, cand, pilot)
-        last_report = report
-        if report.passed:
+        return cand, validate_parameters(cfg, profile, nl, cand, pilot,
+                                         upper_certificate=upper)
+
+    chosen = report = None
+    for alpha in alpha_ladder:
+        trial = BarrierSet(cfg, profile, nl,
+                           BarrierParams(epsilon=epsilon, alpha=alpha, beta=beta,
+                                         delta=g / 8.0, lam=lam, varrho=1.0))
+        upper = _upper_certificate(trial, pilot)
+        # a failed upper certificate fails the rung whatever the rest says
+        cand, report = validated(trial, upper) if upper[-1] >= RESIDUAL_TOL else (None, None)
+        if report is not None and report.passed:
             if chosen is None:
                 chosen = cand
                 continue  # one safety rung below the first passing alpha
@@ -568,7 +584,10 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
             # the safety rung failed; keep the rung that passed
             break
     if chosen is None:
+        if alpha_ladder and report is None:
+            # the last rung failed its upper certificate; complete its report
+            report = validated(trial, upper)[1]
         raise RuntimeError(
             "no alpha on the ladder certified; last report:\n"
-            + (last_report.to_json() if last_report is not None else "none"))
+            + (report.to_json() if report is not None else "none"))
     return chosen

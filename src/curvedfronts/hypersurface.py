@@ -19,7 +19,8 @@ short last axis in that order (n < 8; longer axes it sums pairwise), so
 below eight waves the bits equal those of a point-major (..., n) kernel.
 weights and derivatives keep the (..., n) layout; gradient_and_flatness
 gives a barrier its whole frame (grad phi, h) from one solve and one
-weights array.
+weights array.  solve_phi forms x . nu_i cos theta_i and c t once per call;
+its q_at calls take them precomputed and add them in the same order.
 """
 
 from __future__ import annotations
@@ -74,21 +75,24 @@ class ScaledSurface:
             raise ValueError(f"x must have trailing dimension {m}, got {x.shape}")
         return x
 
-    def support_planes(self, t, x) -> np.ndarray:
-        """psi_i(t, x): the height at which q_i vanishes, shape (..., n)."""
-        x = self._as_x(x)
-        t = np.asarray(t, dtype=float)
-        return (self.cfg.speed * t[..., None] - x @ self._nu_cos.T - self._tau) / self._sin
+    def _project(self, t, x):
+        """(x . nu_i cos theta_i, c t): the y-free parts of q_i."""
+        return self._as_x(x) @ self._nu_cos.T, self.cfg.speed * np.asarray(t, dtype=float)
 
-    def psi(self, t, x) -> np.ndarray:
+    def support_planes(self, t, x, proj=None) -> np.ndarray:
+        """psi_i(t, x): the height at which q_i vanishes, shape (..., n).
+        proj, if given, is _project(t, x)."""
+        xn, ct = self._project(t, x) if proj is None else proj
+        return (ct[..., None] - xn - self._tau) / self._sin
+
+    def psi(self, t, x, proj=None) -> np.ndarray:
         """Support function max_i psi_i; phi - psi in (0, ln n / min sin]."""
-        return np.max(self.support_planes(t, x), axis=-1)
+        return np.max(self.support_planes(t, x, proj), axis=-1)
 
-    def q_at(self, t, x, y) -> np.ndarray:
-        """q_i(t, x, y), wave-major: shape (n, ...), one contiguous row per wave."""
-        x = self._as_x(x)
-        xn = x @ self._nu_cos.T                          # (..., n)
-        ct = self.cfg.speed * np.asarray(t, dtype=float)
+    def q_at(self, t, x, y, proj=None) -> np.ndarray:
+        """q_i(t, x, y), wave-major: shape (n, ...), one contiguous row per
+        wave.  proj, if given, is _project(t, x)."""
+        xn, ct = self._project(t, x) if proj is None else proj
         y = np.asarray(y, dtype=float)
         q = np.empty((self.cfg.n_waves,)
                      + np.broadcast_shapes(xn.shape[:-1], ct.shape, y.shape))
@@ -100,9 +104,9 @@ class ScaledSurface:
             row += self._tau[i]
         return q
 
-    def _weight_rows(self, t, x, phi) -> np.ndarray:
+    def _weight_rows(self, t, x, phi, proj=None) -> np.ndarray:
         """exp(-q_i), wave-major like q_at."""
-        q = self.q_at(t, x, phi)
+        q = self.q_at(t, x, phi, proj)
         np.negative(q, out=q)
         return np.exp(q, out=q)
 
@@ -118,14 +122,16 @@ class ScaledSurface:
         safeguarding is needed; iteration stops when every residual is
         within 64 n ulps of zero.  Raises RuntimeError, naming the largest
         |residual|, if that takes more than max_iter Newton updates.
+        One _project per call; one q_at call per Newton iteration.
         """
         x = self._as_x(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
-        y = self.psi(t, x)
+        proj = self._project(t, x)
+        y = self.psi(t, x, proj)
         n = self.cfg.n_waves
         tol = 64.0 * np.finfo(float).eps * n
         for k in range(max_iter + 1):
-            w = self._weight_rows(t, x, y)
+            w = self._weight_rows(t, x, y, proj)
             r = _wave_sum(w) - 1.0
             if not np.any(np.abs(r) > tol):
                 return y

@@ -11,8 +11,9 @@ Each step is one pass over cache-sized blocks of leading-axis rows (about
 BLOCK_CELLS cells each); with several workers the blocks run on a thread
 pool.  Every cell's update is the same sequence of elementwise
 floating-point operations whichever block computes it, and the only
-reduction (the blow-up check) is a max, which is exact, so results are
-bit-identical for any block layout and any worker count.
+reductions (the blow-up check, once per snapshot) are a min and a max,
+which are exact, so results are bit-identical for any block layout and any
+worker count.
 """
 
 from __future__ import annotations
@@ -319,8 +320,9 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
     Snapshots are taken at u0.time + k * snapshot_dt, which must tile the
     span exactly (the step size is refined to divide snapshot_dt so
     snapshot times are exact); keep_all=False retains only the first and
-    final snapshot.  Aborts if any |u| exceeds 2 (blow-up can only come
-    from a mis-set scheme or boundary; the PDE itself preserves [0,1]).
+    final snapshot.  Aborts at the first snapshot where some u is outside
+    [-2, 2] or NaN (blow-up can only come from a mis-set scheme or
+    boundary; the PDE itself preserves [0,1]).
     """
     t0 = u0.time
     span = t_end - t0
@@ -352,9 +354,10 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
                 # the last step ends exactly at the snapshot's recorded time,
                 # so a floored snapshot sits on or above floor(t_now) bit for bit
                 values = st.advance(values, t_now if j == steps_per_snap - 1 else t + dt)
-                if values.max() > 2.0 or values.min() < -2.0:
-                    raise RuntimeError(
-                        f"blow-up detected at t={t + dt:.6f}: |u| exceeded 2")
+            # written so that NaN fails it: a NaN compares False both ways
+            if not (values.min() >= -2.0 and values.max() <= 2.0):
+                raise RuntimeError(
+                    f"blow-up detected by t={t_now:.6f}: |u| exceeded 2 or is NaN")
             if keep_all or k == n_snaps - 1:
                 out.append(Field(u0.grid, values.copy(), t_now))
     finally:

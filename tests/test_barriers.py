@@ -12,12 +12,22 @@ from curvedfronts import (
     BarrierParams,
     BarrierSampleSpec,
     BarrierSet,
+    ScaledSurface,
+    auto_parameters,
+    fit_surface_constants,
     make_combustion,
     mollifier_omega,
     parabolic_residual,
     q_values,
     symmetric_v,
     validate_parameters,
+)
+from curvedfronts import barriers
+from curvedfronts.barriers import (
+    beta_star_bound,
+    case_thresholds,
+    fit_time_term_constant,
+    v_star_schedule,
 )
 from curvedfronts.front_geometry import FrontConfiguration
 
@@ -237,3 +247,106 @@ def test_single_frame_matches_composed_barriers_bitwise(front, cfg_v, profile03,
     assert np.array_equal(w, _composed_time_upper(B, t, z))
     # the layer is visible in these samples, so its time argument matters
     assert np.any(w != B.upper(B.shift_time(t), z))
+
+
+#
+# auto_parameters stops a rung at a failed upper-barrier certificate.  The
+# reference below is the ladder as it ran before: every rung fits the time
+# term and runs the full validation.  Both must pick the same parameters
+# and, when nothing certifies, report the same last rung.
+
+
+def _full_validation_ladder(cfg, profile, nl, alpha_ladder, pilot_samples):
+    fit = fit_surface_constants(ScaledSurface(cfg, 1.0))
+    max_cot = float(np.max(1.0 / np.tan(cfg.angles)))
+    beta = beta_star_bound(fit.c1_hat, max_cot)
+    g = nl.gamma_star
+    eps = g / 8.0
+    c = profile.speed
+    lam = 0.5 * min(-nl.fprime_at_one / 4.0, beta * c * c / 16.0)
+    x_prime, x_double_prime, kappa = case_thresholds(profile, nl, eps, max_cot)
+    f_lip = nl.max_abs_derivative(0.0, 1.0)
+    pilot = BarrierSampleSpec(n_samples=pilot_samples, seed=0)
+    chosen = report = None
+    for alpha in alpha_ladder:
+        trial = BarrierParams(epsilon=eps, alpha=alpha, beta=beta, delta=g / 8.0,
+                              lam=lam, varrho=1.0)
+        c_star = fit_time_term_constant(BarrierSet(cfg, profile, nl, trial), pilot)
+        varrho = 3.0 * (f_lip + lam + c_star) / (lam * kappa * c)
+        cand = BarrierParams(
+            epsilon=eps, alpha=alpha, beta=beta, delta=min(g / 8.0, 1.0 / (lam * varrho)),
+            lam=lam, varrho=varrho, beta_star=beta,
+            v_star=v_star_schedule(profile, cfg, alpha, beta, fit.c_hat, max_cot),
+            kappa=kappa, x_prime=x_prime, x_double_prime=x_double_prime,
+            c_hat=fit.c_hat, c1_hat=fit.c1_hat, c_star_time=c_star)
+        report = validate_parameters(cfg, profile, nl, cand, pilot)
+        if report.passed:
+            if chosen is None:
+                chosen = cand
+                continue
+            chosen = cand
+            break
+        if chosen is not None:
+            break
+    return chosen, report
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(barriers, name)
+    monkeypatch.setattr(barriers, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_ladder_matches_full_validation_ladder(cfg_v, profile03, nl03, params03):
+    # rungs 0.4, 0.2 and 0.1 fail on their upper residuals, 0.05 passes and
+    # 0.025 is the safety rung
+    ref, _ = _full_validation_ladder(cfg_v, profile03, nl03,
+                                     (0.4, 0.2, 0.1, 0.05, 0.025), 20000)
+    for f in dataclasses.fields(ref):
+        assert getattr(params03, f.name) == getattr(ref, f.name), f.name
+
+
+@pytest.mark.parametrize("ladder,alpha", [
+    ((0.05, 0.025, 0.0125), 0.025),   # first rung passes, so does the safety rung
+    ((0.05, 0.4), 0.05),              # the safety rung fails its upper certificate
+])
+def test_ladder_safety_rung(ladder, alpha, cfg_v, profile03, nl03, monkeypatch):
+    ref, _ = _full_validation_ladder(cfg_v, profile03, nl03, ladder, 4000)
+    validations = _count_calls(monkeypatch, "validate_parameters")
+    fits = _count_calls(monkeypatch, "fit_time_term_constant")
+    got = auto_parameters(cfg_v, profile03, nl03, alpha_ladder=ladder, pilot_samples=4000)
+    assert got == ref
+    assert got.alpha == alpha
+    # a rung whose upper certificate fails is neither fitted nor validated
+    n_validated = 2 if alpha == 0.025 else 1
+    assert len(validations) == len(fits) == n_validated
+
+
+def test_uncertified_ladder_reports_complete_last_rung(cfg_v, profile03, nl03, strict_loads):
+    _, ref = _full_validation_ladder(cfg_v, profile03, nl03, (0.4,), 4000)
+    with pytest.raises(RuntimeError, match="no alpha on the ladder certified") as err:
+        auto_parameters(cfg_v, profile03, nl03, alpha_ladder=(0.4,), pilot_samples=4000)
+    text = str(err.value).split("last report:\n", 1)[1]
+    assert text == ref.to_json()
+    last = strict_loads(text)
+    assert not last["passed"] and last["min_residual_upper"] < 0.0
+    # the report goes past the failed upper certificate
+    for name in ("min_residual_time", "sandwich_min", "c_star_fit", "richardson_gap"):
+        assert isinstance(last[name], float), name
+    assert last["cases_time"]
+
+
+def test_failing_explicit_validation_is_complete(cfg_v, profile03, nl03, params03):
+    # an explicit call that fails on its upper residuals still evaluates
+    # every other check
+    bad = dataclasses.replace(params03, alpha=0.4)
+    rep = validate_parameters(cfg_v, profile03, nl03, bad, BarrierSampleSpec(n_samples=4000, seed=0))
+    assert not rep.passed and rep.min_residual_upper < 0.0
+    for f in dataclasses.fields(rep):
+        value = getattr(rep, f.name)
+        if isinstance(value, float):
+            assert math.isfinite(value), f.name
+    assert rep.min_residual_time > 0.0
+    assert set(rep.cases_upper) == set(rep.cases_time) == {"ahead", "behind", "middle"}
+    assert len(rep.worst_point_upper) == 3

@@ -185,15 +185,17 @@ def _q_point_major(S, t, x, y):
 
 
 def _solve_phi_point_major(S, t, x):
+    # returns phi and the number of residual evaluations; x @ nu_cos.T and
+    # c t are recomputed on every one
     t = np.broadcast_to(t, x.shape[:-1]).copy()
     y = np.max(S.support_planes(t, x), axis=-1)
     tol = 64.0 * np.finfo(float).eps * S.cfg.n_waves
-    for _ in range(101):
+    for k in range(101):
         w = np.exp(-_q_point_major(S, t, x, y))
         r = np.sum(w, axis=-1) - 1.0
         m = np.sum(w * S._sin, axis=-1)
         if not np.any(np.abs(r) > tol):
-            return y
+            return y, k + 1
         y = y + r / m
     raise AssertionError("reference Newton did not converge")
 
@@ -228,12 +230,16 @@ def _three_wave_2d_surface():
     return ScaledSurface(cfg, alpha=0.7)
 
 
-@pytest.mark.parametrize("make", [
+# the three-wave 2D and the tilted 3D configs have tau != 0
+SURFACES = pytest.mark.parametrize("make", [
     lambda cfg_v: ScaledSurface(cfg_v, alpha=0.025),
     lambda cfg_v: _three_wave_2d_surface(),
     lambda cfg_v: pyramid_surface(),
     lambda cfg_v: _tilted_3d_surface(),
 ], ids=["v-2d", "three-wave-2d", "pyramid-3d", "tilted-four-wave-3d"])
+
+
+@SURFACES
 def test_surface_kernel_matches_point_major_bits(make, cfg_v):
     S = make(cfg_v)
     m = S.cfg.dimension - 1
@@ -241,7 +247,7 @@ def test_surface_kernel_matches_point_major_bits(make, cfg_v):
     t = rng.uniform(-6.0, 6.0, 30000) * S.alpha
     x = rng.uniform(-30.0, 30.0, (30000, m)) * S.alpha
     phi = S.solve_phi(t, x)
-    ref_phi = _solve_phi_point_major(S, t, x)
+    ref_phi, _ = _solve_phi_point_major(S, t, x)
     assert np.array_equal(phi, ref_phi)
     ref_w, ref_der, ref_h = _derivatives_point_major(S, t, x, phi)
     w = S.weights(t, x, phi)
@@ -265,3 +271,25 @@ def test_surface_kernel_matches_point_major_bits(make, cfg_v):
     assert S.flatness(tg, xg).shape == (3, 4)
     assert S.residual(tg, xg, S.solve_phi(tg, xg)).shape == (3, 4)
     assert S.derivatives(tg, xg).hess.shape == (3, 4, m, m)
+
+
+@SURFACES
+def test_hoisted_projection_matches_per_iteration_solve(make, cfg_v, monkeypatch):
+    # solve_phi forms x @ nu_cos.T and c t once per call; the reference
+    # recomputes them on every Newton iteration.  The bits and the number
+    # of q_at calls, one per residual evaluation, must be the same.
+    S = make(cfg_v)
+    m = S.cfg.dimension - 1
+    rng = np.random.default_rng(59)
+    t = rng.uniform(-6.0, 6.0, 20000) * S.alpha
+    x = rng.uniform(-30.0, 30.0, (20000, m)) * S.alpha
+    calls = []
+    q_at = ScaledSurface.q_at
+    monkeypatch.setattr(ScaledSurface, "q_at",
+                        lambda self, *a, **k: calls.append(1) or q_at(self, *a, **k))
+    for tq in (t, np.float64(1.5 * S.alpha)):   # per-point times and one broadcast time
+        calls.clear()
+        phi = S.solve_phi(tq, x)
+        ref_phi, ref_calls = _solve_phi_point_major(S, tq, x)
+        assert np.array_equal(phi, ref_phi)
+        assert len(calls) == ref_calls > 2

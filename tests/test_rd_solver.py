@@ -108,6 +108,17 @@ def test_blow_up_detection(small_grid, nl03, profile03):
         solve_cauchy(bad, nl03, bc, SolverConfig(), t_end=0.5, snapshot_dt=0.5)
 
 
+def test_nan_state_is_blow_up(small_grid, nl03, profile03):
+    # NaN fails both halves of a plain |u| > 2 test, so it must be caught
+    # explicitly; the error names the snapshot at which it was seen
+    cfg = planar_cfg(profile03.speed)
+    u0 = initial_field(cfg, profile03, small_grid)
+    u0.values[24, 24] = np.nan
+    bc = make_boundary("dirichlet-lower", cfg=cfg, profile=profile03)
+    with pytest.raises(RuntimeError, match=r"blow-up detected by t=0\.250000: .* NaN"):
+        solve_cauchy(u0, nl03, bc, SolverConfig(), t_end=0.5, snapshot_dt=0.25)
+
+
 def test_constant_states_are_fixed_points(small_grid, nl03):
     for const in (0.0, 1.0):
         u0 = Field(small_grid, np.full((48, 48), const), 0.0)
