@@ -400,7 +400,6 @@ def _stratify(residual, excluded, eta, x_prime, x_double_prime, tol):
 def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                         nl: CombustionNonlinearity, params: BarrierParams,
                         spec: BarrierSampleSpec | None = None,
-                        include_time_barrier: bool = True,
                         upper_certificate=None) -> ValidationReport:
     """Certify a parameter set by dense residual sampling.
 
@@ -473,29 +472,22 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         c_star_fit = float(np.max(gap) / params.epsilon) if params.epsilon > 0 else 0.0
 
     # time-shifted barrier on t >= 0
-    if include_time_barrier:
-        t_w, z_w, _ = _sample_points(barriers, spec, spec.n_samples // 2,
-                                     max(spec.w_t_range[0], 2.5 * spec.fd_step),
-                                     spec.w_t_range[1], seed_offset=13)
-        res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w, spec.fd_step)
-        eta_w = barriers.eta(barriers.shift_time(t_w), z_w)
-        cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
-        live_w = ~exc_w
-        min_w = float(np.min(res_w[live_w])) if np.any(live_w) else float("nan")
-        exc_w_count = int(np.sum(exc_w))
-        # W at t=0 sits on or above the plain barrier
-        t0 = np.zeros(min(4000, spec.n_samples // 8))
-        _, z0, _ = _sample_points(barriers, spec, t0.shape[0], 0.0, 0.0, seed_offset=29)
-        w0_margin = float(np.min(barriers.time_upper(t0, z0) - barriers.upper(t0, z0)))
-    else:
-        cases_w = {}
-        min_w = float("nan")
-        exc_w_count = 0
-        w0_margin = float("nan")
+    t_w, z_w, _ = _sample_points(barriers, spec, spec.n_samples // 2,
+                                 max(spec.w_t_range[0], 2.5 * spec.fd_step),
+                                 spec.w_t_range[1], seed_offset=13)
+    res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w, spec.fd_step)
+    eta_w = barriers.eta(barriers.shift_time(t_w), z_w)
+    cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
+    live_w = ~exc_w
+    min_w = float(np.min(res_w[live_w])) if np.any(live_w) else float("nan")
+    # W at t=0 sits on or above the plain barrier
+    t0 = np.zeros(min(4000, spec.n_samples // 8))
+    _, z0, _ = _sample_points(barriers, spec, t0.shape[0], 0.0, 0.0, seed_offset=29)
+    w0_margin = float(np.min(barriers.time_upper(t0, z0) - barriers.upper(t0, z0)))
 
     passed = bool(
         min_u >= RESIDUAL_TOL
-        and (not include_time_barrier or min_w >= RESIDUAL_TOL)
+        and min_w >= RESIDUAL_TOL
         and sandwich_min >= 0.0
         and richardson_ok
     )
@@ -507,7 +499,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         cases_upper=cases_u,
         cases_time=cases_w,
         excluded_upper=int(np.sum(exc_u)),
-        excluded_time=exc_w_count,
+        excluded_time=int(np.sum(exc_w)),
         sandwich_min=sandwich_min,
         time_vs_upper_at_zero_min=w0_margin,
         richardson_gap=richardson_gap,

@@ -7,9 +7,10 @@ and perturbation stability).  Runs land in a directory named by config
 hash + timestamp with a checksummed manifest, so sweeps stay collision
 free and reproducible.
 
-Exit codes: 0 all PASS criteria of the subcommand hold; 2 invalid config
-(field-level messages on stderr); 3 numerical failure (diagnostics path
-on stderr).
+A config is checked against one table of keys (CONFIG) before anything
+is computed.  Exit codes: 0 all PASS criteria of the subcommand hold; 2
+invalid config (field-level messages on stderr, no run directory); 3
+numerical failure (diagnostics path on stderr).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .diagnostics import (DiagnosticsReport, PerturbationSpec,
 from .front_geometry import FrontConfiguration, min_q
 from .hypersurface import ScaledSurface, fit_surface_constants
 from .jsonio import dumps
-from .nonlinearity import CombustionNonlinearity, make_combustion
+from .nonlinearity import make_combustion
 from .rd_solver import (Field, Grid, SolverConfig, entire_solution,
                         make_boundary, measure_speed_1d, solve_cauchy,
                         subsolution_floor)
@@ -45,6 +46,7 @@ __all__ = [
     "ConfigError",
     "load_config",
     "build_objects",
+    "validate_config",
     "write_snapshot",
     "read_snapshot",
     "snapshot_roundtrip",
@@ -128,18 +130,21 @@ def snapshot_roundtrip(fld: Field, path) -> Field:
     return read_snapshot(path, origin=fld.grid.origin)
 
 
+def _write_csv(path, header, rows, comment="") -> None:
+    """CSV whose cells are repr(float(value)), so every value round-trips."""
+    with open(path, "w", newline="") as fh:
+        fh.write(comment)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+
+
 def write_slice_csv(path, fld: Field, axis: int = 0) -> None:
     """1D slice through the box center along the given axis."""
     g = fld.grid
     idx = [c // 2 for c in g.counts]
-    coords = g.axis(axis)
     sl = [slice(None) if k == axis else idx[k] for k in range(g.dimension)]
-    vals = fld.values[tuple(sl)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate", "u"])
-        for x, u in zip(coords, vals):
-            writer.writerow([repr(float(x)), repr(float(u))])
+    _write_csv(path, ["coordinate", "u"], zip(g.axis(axis), fld.values[tuple(sl)]))
 
 
 # -- config parsing ----------------------------------------------------------
@@ -158,193 +163,214 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _need(block: dict, field: str, where: str, errors: list, types=(int, float)):
-    if field not in block:
-        errors.append(f"{where}.{field}: required")
-        return None
-    val = block[field]
-    if types and not isinstance(val, types):
-        errors.append(f"{where}.{field}: expected {types}, got {type(val).__name__}")
-        return None
-    return val
+REQUIRED = "required"
+FRONT_USERS = ("surface", "barriers-validate", "simulate", "entire", "verify",
+               "stability")
+SOLVER_USERS = ("simulate", "entire", "verify", "stability")
+BARRIER_USERS = ("barriers-validate", "verify", "stability")
 
 
-def parse_nonlinearity(cfg: dict, errors: list) -> CombustionNonlinearity | None:
-    block = cfg.get("nonlinearity")
-    if block is None:
-        errors.append("nonlinearity: required block")
-        return None
-    theta = _need(block, "theta", "nonlinearity", errors)
-    a = _need(block, "a", "nonlinearity", errors)
-    p = _need(block, "p", "nonlinearity", errors)
-    sigma = _need(block, "sigma", "nonlinearity", errors)
-    if None in (theta, a, p, sigma):
-        return None
-    try:
-        return make_combustion(theta=theta, amplitude=a, exponent=p, sigma=sigma)
-    except ValueError as e:
-        errors.append(f"nonlinearity: {e}")
-        return None
+class Key:
+    """One key of a config block.
+
+    kind is the JSON type as a (test, description) pair.  reads maps each
+    subcommand that reads the key to its default: REQUIRED if it has none,
+    a callable of c_f if it scales with the planar speed.  rule is a
+    (test, message) range check, for ranges no constructor checks.  table
+    is the block that an object value, or each object of a list value, is
+    checked against.
+    """
+
+    __slots__ = ("kind", "reads", "rule", "table")
+
+    def __init__(self, kind: tuple, reads: dict, rule: tuple | None = None,
+                 table: dict | None = None):
+        self.kind, self.reads, self.rule, self.table = kind, reads, rule, table
 
 
-def parse_front(cfg: dict, speed: float, errors: list) -> FrontConfiguration | None:
-    block = cfg.get("front")
-    if block is None:
-        errors.append("front: required block")
-        return None
-    dim = _need(block, "N", "front", errors, types=(int,))
-    waves = block.get("waves")
-    if not isinstance(waves, list) or not waves:
-        errors.append("front.waves: required nonempty list of (nu, theta, tau)")
-        return None
-    nus, angles, shifts = [], [], []
-    for k, w in enumerate(waves):
-        if not isinstance(w, dict):
-            errors.append(f"front.waves[{k}]: expected object")
-            return None
-        nu = w.get("nu")
-        th = _need(w, "theta", f"front.waves[{k}]", errors)
-        tau = _need(w, "tau", f"front.waves[{k}]", errors)
-        if not isinstance(nu, list):
-            errors.append(f"front.waves[{k}].nu: expected list of floats")
-            return None
-        if None in (th, tau):
-            return None
-        nus.append(nu)
-        angles.append(th)
-        shifts.append(tau)
-    if dim is None:
-        return None
-    try:
-        return FrontConfiguration(dimension=dim, nus=np.asarray(nus, dtype=float),
-                                  angles=np.asarray(angles, dtype=float),
-                                  shifts=np.asarray(shifts, dtype=float),
-                                  speed=speed)
-    except ValueError as e:
-        errors.append(f"front: {e}")
-        return None
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def parse_barriers(cfg: dict, front, profile, nl, errors: list):
-    block = cfg.get("barrier")
-    if block is None:
-        return None
-    if block == "auto":
-        return "auto"
-    if not isinstance(block, dict):
-        errors.append('barrier: expected "auto" or an object')
-        return None
-    eps = _need(block, "epsilon", "barrier", errors)
-    alpha = _need(block, "alpha", "barrier", errors)
-    beta = _need(block, "beta", "barrier", errors)
-    delta = _need(block, "delta", "barrier", errors)
-    lam = _need(block, "lambda", "barrier", errors)
-    varrho = _need(block, "varrho", "barrier", errors)
-    if None in (eps, alpha, beta, delta, lam, varrho):
-        return None
-    try:
-        return BarrierParams(epsilon=eps, alpha=alpha, beta=beta, delta=delta,
-                             lam=lam, varrho=varrho)
-    except ValueError as e:
-        errors.append(f"barrier: {e}")
-        return None
+def _is_number(v) -> bool:
+    return (_is_integer(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
-def parse_solver(cfg: dict, errors: list):
-    block = cfg.get("solver")
-    if block is None:
-        errors.append("solver: required block")
-        return None
-    dx = _need(block, "dx", "solver", errors)
-    scheme = block.get("scheme", "euler")
-    if scheme not in ("euler", "rk2"):
-        errors.append(f'solver.scheme: must be "euler" or "rk2", got {scheme!r}')
-    dt = block.get("dt", "cfl")
-    if dt != "cfl" and not isinstance(dt, (int, float)):
-        errors.append('solver.dt: must be a number or "cfl"')
-        dt = None
-    box = block.get("box")
-    grid = None
-    if not isinstance(box, dict):
-        errors.append("solver.box: required object with counts and origin")
-    elif dx is not None:
-        counts = box.get("counts")
-        origin = box.get("origin")
-        if not isinstance(counts, list) or not isinstance(origin, list):
-            errors.append("solver.box: counts and origin must be lists")
-        else:
-            try:
-                grid = Grid(tuple(int(c) for c in counts), float(dx),
-                            tuple(float(o) for o in origin))
-            except (TypeError, ValueError) as e:
-                errors.append(f"solver.box: {e}")
-    t_end = _need(block, "T", "solver", errors)
-    snap = _need(block, "snapshot_interval", "solver", errors)
-    if t_end is not None and t_end <= 0:
-        errors.append("solver.T: must be positive")
-    if snap is not None and snap <= 0:
-        errors.append("solver.snapshot_interval: must be positive")
-    if errors:
-        return None
-    config = SolverConfig(dt=None if dt == "cfl" else float(dt),
-                          scheme=scheme,
-                          cfl_safety=float(block.get("cfl_safety", 0.4)))
-    return grid, config, float(t_end), float(snap)
+def _list_of(test, what):
+    return (lambda v: isinstance(v, list) and all(map(test, v))), f"a list of {what}"
 
 
-_REQUIRED_BLOCKS = {
-    "profile": ("nonlinearity",),
-    "speed": ("nonlinearity",),
-    "surface": ("nonlinearity", "front"),
-    "barriers-validate": ("nonlinearity", "front", "barrier"),
-    "simulate": ("nonlinearity", "front", "solver"),
-    "entire": ("nonlinearity", "front", "solver"),
-    "verify": ("nonlinearity", "front", "solver"),
-    "stability": ("nonlinearity", "front", "solver"),
+NUMBER = (_is_number, "a finite number")
+INTEGER = (_is_integer, "an integer")
+STRING = (lambda v: isinstance(v, str), "a string")
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+NUMBERS = _list_of(_is_number, "finite numbers")
+POSITIVE = (lambda v: v > 0, "must be positive")
+NONEMPTY = (len, "must not be empty")
+
+
+def _required(subcommands=SUBCOMMANDS) -> dict:
+    return dict.fromkeys(subcommands, REQUIRED)
+
+
+CONFIG = {
+    "nonlinearity": Key(OBJECT, _required(), table={
+        name: Key(NUMBER, _required()) for name in ("theta", "a", "p", "sigma")}),
+    "front": Key(OBJECT, _required(FRONT_USERS), table={
+        "N": Key(INTEGER, _required(FRONT_USERS)),
+        "waves": Key(_list_of(OBJECT[0], "objects"), _required(FRONT_USERS),
+                     NONEMPTY, table={
+                         "nu": Key(NUMBERS, _required(FRONT_USERS)),
+                         "theta": Key(NUMBER, _required(FRONT_USERS)),
+                         "tau": Key(NUMBER, _required(FRONT_USERS))}),
+    }),
+    "barrier": Key(
+        (lambda v: v == "auto" or isinstance(v, dict), '"auto" or an object'),
+        {"barriers-validate": REQUIRED, "verify": "auto", "stability": None},
+        table={name: Key(NUMBER, _required(BARRIER_USERS))
+               for name in ("epsilon", "alpha", "beta", "delta", "lambda", "varrho")}),
+    "solver": Key(OBJECT, _required(SOLVER_USERS), table={
+        "dx": Key(NUMBER, _required(SOLVER_USERS)),
+        "dt": Key((lambda v: v == "cfl" or _is_number(v), 'a number or "cfl"'),
+                  dict.fromkeys(SOLVER_USERS, "cfl"),
+                  (lambda v: v == "cfl" or v > 0, "must be positive")),
+        "scheme": Key(STRING, dict.fromkeys(SOLVER_USERS, "euler")),
+        "cfl_safety": Key(NUMBER, dict.fromkeys(SOLVER_USERS, 0.4)),
+        "box": Key(OBJECT, _required(SOLVER_USERS), table={
+            "counts": Key(_list_of(_is_integer, "integers"), _required(SOLVER_USERS)),
+            "origin": Key(NUMBERS, _required(SOLVER_USERS)),
+        }),
+        "T": Key(NUMBER, _required(SOLVER_USERS), POSITIVE),
+        "snapshot_interval": Key(NUMBER, _required(SOLVER_USERS), POSITIVE),
+    }),
+    "experiment": Key(OBJECT, dict.fromkeys(SUBCOMMANDS, {}), table={
+        "alpha": Key(NUMBER, {"surface": 1.0}),
+        "n_samples": Key(INTEGER, {"surface": 20000,
+                                   "barriers-validate": 100_000}, POSITIVE),
+        "t_start": Key(NUMBER, {"simulate": 0.0}),
+        "use_floor": Key((lambda v: isinstance(v, bool), "true or false"),
+                         {"simulate": False}),
+        "n_list": Key(NUMBERS, {"entire": lambda c: [2.0 / c, 4.0 / c, 8.0 / c,
+                                                     16.0 / c]},
+                      (lambda v: v and min(v) > 0, "must be nonempty and positive")),
+        "spin_depth": Key(NUMBER, {"verify": lambda c: 8.0 / c}, POSITIVE),
+        "ridge_exclusion": Key(NUMBER, {"verify": lambda c: 10.0 / c}),
+        # None: the nonlinearity's own theta
+        "theta_list": Key(NUMBERS, {"speed": None}, NONEMPTY),
+        "kind": Key(STRING, {"stability": "bump"}),
+        "height": Key(NUMBER, {"stability": REQUIRED}),
+        "radius": Key(NUMBER, {"stability": REQUIRED}),
+        "center": Key(NUMBERS, {"stability": None}),
+    }),
 }
 
 
-def build_objects(cfg: dict, subcommand: str) -> dict:
-    """Validate the config against module invariants and construct objects.
+def validate_config(cfg: dict, subcommand: str, table=CONFIG, path="") -> list:
+    """Every message of the config table for one subcommand, each in the
+    `block.field: ...` form.  Pure: builds nothing and runs no numerics.
+    Unknown keys are errors inside a block, not at the top level."""
+    errors = [f"{path}: unknown key {k!r}" for k in cfg
+              if path and k not in table]
+    for name, key in table.items():
+        where = f"{path}.{name}" if path else name
+        if name not in cfg:
+            if key.reads.get(subcommand) == REQUIRED:
+                errors.append(f"{where}: required")
+            continue
+        value = cfg[name]
+        if not key.kind[0](value):
+            errors.append(
+                f"{where}: expected {key.kind[1]}, got {json.dumps(value)}")
+        elif key.rule is not None and not key.rule[0](value):
+            errors.append(f"{where}: {key.rule[1]}")
+        elif key.table is not None and isinstance(value, dict):
+            errors += validate_config(value, subcommand, key.table, where)
+        elif key.table is not None and isinstance(value, list):
+            for k, item in enumerate(value):
+                errors += validate_config(item, subcommand, key.table,
+                                          f"{where}[{k}]")
+    return errors
 
-    Only the blocks the subcommand needs are required; everything present
-    is validated.  Raises ConfigError with all field-level messages.
+
+def _read(block: dict, table: dict, subcommand: str) -> dict:
+    """The keys of a checked block the subcommand reads, defaults filled in,
+    nested blocks read the same way."""
+    out = {}
+    for name, key in table.items():
+        if subcommand in key.reads:
+            value = block.get(name, key.reads[subcommand])
+            nested = key.table is not None and isinstance(value, dict)
+            out[name] = _read(value, key.table, subcommand) if nested else value
+    return out
+
+
+def build_objects(cfg: dict, subcommand: str) -> dict:
+    """Check cfg against the config table, then construct the run's objects.
+
+    Raises ConfigError with every table message before anything is built,
+    then with every constructor message.  The profile is built after that,
+    then FrontConfiguration, the one constructor that needs c_f.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"subcommand: unknown {subcommand!r}")
-    errors: list = []
-    needed = _REQUIRED_BLOCKS[subcommand]
-    out: dict = {"experiment": cfg.get("experiment", {})}
-    if not isinstance(out["experiment"], dict):
-        errors.append("experiment: expected object")
-        out["experiment"] = {}
-
-    nl = None
-    if "nonlinearity" in needed or "nonlinearity" in cfg:
-        nl = parse_nonlinearity(cfg, errors)
-        out["nl"] = nl
-
-    profile = None
-    front = None
-    if nl is not None and ("front" in needed or "front" in cfg):
-        profile = build_profile(nl)
-        front = parse_front(cfg, profile.speed, errors)
-        out["profile"] = profile
-        out["front"] = front
-
-    if nl is not None and ("barrier" in needed or "barrier" in cfg):
-        if "barrier" not in cfg and "barrier" in needed:
-            errors.append("barrier: required block")
-        else:
-            out["barrier"] = parse_barriers(cfg, front, profile, nl, errors)
-
-    if "solver" in needed or "solver" in cfg:
-        solver = parse_solver(cfg, errors)
-        if solver is not None:
-            out["grid"], out["solver_config"], out["t_end"], out["snapshot_dt"] = solver
-
+    errors = validate_config(cfg, subcommand)
     if errors:
         raise ConfigError(errors)
+    blocks = _read(cfg, CONFIG, subcommand)
+    exp = blocks["experiment"]
+
+    def construct(where, build):
+        try:
+            return build()
+        except ValueError as e:
+            errors.append(f"{where}: {e}")
+
+    law = blocks["nonlinearity"]
+    rest = dict(amplitude=law["a"], exponent=law["p"], sigma=law["sigma"])
+    out = {"nl": construct("nonlinearity",
+                           lambda: make_combustion(theta=law["theta"], **rest))}
+    if subcommand == "speed":
+        thetas = exp["theta_list"]
+        out["families"] = [out["nl"]] if thetas is None else [
+            construct(f"experiment.theta_list[{k}]",
+                      lambda: make_combustion(theta=theta, **rest))
+            for k, theta in enumerate(thetas)]
+    out["barrier"] = barrier = blocks.get("barrier")
+    if isinstance(barrier, dict):
+        out["barrier"] = construct("barrier", lambda: BarrierParams(
+            epsilon=barrier["epsilon"], alpha=barrier["alpha"], beta=barrier["beta"],
+            delta=barrier["delta"], lam=barrier["lambda"], varrho=barrier["varrho"]))
+    if subcommand in SOLVER_USERS:
+        solver = blocks["solver"]
+        out["grid"] = construct("solver.box", lambda: Grid(
+            tuple(solver["box"]["counts"]), float(solver["dx"]),
+            tuple(solver["box"]["origin"])))
+        out["solver_config"] = construct("solver", lambda: SolverConfig(
+            dt=None if solver["dt"] == "cfl" else float(solver["dt"]),
+            scheme=solver["scheme"], cfl_safety=float(solver["cfl_safety"])))
+        out["t_end"] = float(solver["T"])
+        out["snapshot_dt"] = float(solver["snapshot_interval"])
+    if subcommand == "stability":
+        out["perturbation"] = construct("experiment", lambda: PerturbationSpec(
+            kind=exp["kind"], height=float(exp["height"]), radius=float(exp["radius"]),
+            center=tuple(exp["center"]) if exp["center"] else None))
+    if errors:
+        raise ConfigError(errors)
+
+    if subcommand != "speed":
+        profile = out["profile"] = build_profile(out["nl"])
+        exp = {name: v(profile.speed) if callable(v) else v for name, v in exp.items()}
+    if subcommand in FRONT_USERS:
+        waves = blocks["front"]["waves"]
+        out["front"] = construct("front", lambda: FrontConfiguration(
+            dimension=blocks["front"]["N"],
+            nus=np.asarray([w["nu"] for w in waves], dtype=float),
+            angles=np.asarray([w["theta"] for w in waves], dtype=float),
+            shifts=np.asarray([w["tau"] for w in waves], dtype=float),
+            speed=profile.speed))
+        if errors:
+            raise ConfigError(errors)
+    out["experiment"] = exp
     return out
 
 
@@ -419,17 +445,12 @@ def _write_json(run_dir, name, payload) -> str:
 
 
 def _cmd_profile(objs, run_dir, seed, threads):
-    nl = objs["nl"]
-    profile = build_profile(nl)
-    resid = ode_residual_sup(profile, nl)
-    path = os.path.join(run_dir, "profile.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# c_f={profile.speed!r} beta0={profile.beta0!r} "
-                 f"tail=theta*exp(-c_f*D) on D>=0\n")
-        writer = csv.writer(fh)
-        writer.writerow(["D", "U"])
-        for d, u in zip(profile.grid, profile.values):
-            writer.writerow([repr(float(d)), repr(float(u))])
+    profile = objs["profile"]
+    resid = ode_residual_sup(profile, objs["nl"])
+    _write_csv(os.path.join(run_dir, "profile.csv"), ["D", "U"],
+               zip(profile.grid, profile.values),
+               comment=f"# c_f={profile.speed!r} beta0={profile.beta0!r} "
+                       f"tail=theta*exp(-c_f*D) on D>=0\n")
     summary = {
         "c_f": profile.speed,
         "beta0": profile.beta0,
@@ -443,11 +464,11 @@ def _cmd_profile(objs, run_dir, seed, threads):
 def _cmd_surface(objs, run_dir, seed, threads):
     front = objs["front"]
     front.require_ridges()
-    alpha = objs["experiment"].get("alpha", 1.0)
+    alpha = objs["experiment"]["alpha"]
     surface = ScaledSurface(front, alpha)
     fit = fit_surface_constants(ScaledSurface(front, 1.0))
     rng = np.random.default_rng(seed)
-    n = int(objs["experiment"].get("n_samples", 20000))
+    n = objs["experiment"]["n_samples"]
     t = rng.uniform(-10.0, 10.0, n)
     x = rng.uniform(-40.0, 40.0, (n, front.dimension - 1))
     phi = surface.solve_phi(alpha * t, alpha * x)
@@ -455,16 +476,11 @@ def _cmd_surface(objs, run_dir, seed, threads):
     h = surface.flatness(alpha * t, alpha * x, phi=phi)
     resid = np.abs(surface.residual(alpha * t, alpha * x, phi))
     gap = phi - psi
-    path = os.path.join(run_dir, "surface.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{k}" for k in range(front.dimension - 1)]
-                        + ["phi", "h", "phi_minus_psi"])
-        for k in range(min(n, 2000)):
-            writer.writerow([repr(float(t[k]))]
-                            + [repr(float(v)) for v in np.atleast_1d(x[k])]
-                            + [repr(float(phi[k] / alpha)), repr(float(h[k])),
-                               repr(float(gap[k] / alpha))])
+    _write_csv(os.path.join(run_dir, "surface.csv"),
+               ["t"] + [f"x{k}" for k in range(front.dimension - 1)]
+               + ["phi", "h", "phi_minus_psi"],
+               ([t[k], *x[k], phi[k] / alpha, h[k], gap[k] / alpha]
+                for k in range(min(n, 2000))))
     summary = {
         "alpha": alpha,
         "c_hat": fit.c_hat,
@@ -478,16 +494,14 @@ def _cmd_surface(objs, run_dir, seed, threads):
 
 
 def _resolve_barrier_params(objs) -> BarrierParams:
-    params = objs.get("barrier")
-    if params == "auto" or params is None:
+    if objs["barrier"] == "auto":
         return auto_parameters(objs["front"], objs["profile"], objs["nl"])
-    return params
+    return objs["barrier"]
 
 
 def _cmd_barriers_validate(objs, run_dir, seed, threads):
     params = _resolve_barrier_params(objs)
-    n = int(objs["experiment"].get("n_samples", 100_000))
-    spec = BarrierSampleSpec(n_samples=n, seed=seed)
+    spec = BarrierSampleSpec(n_samples=objs["experiment"]["n_samples"], seed=seed)
     report = validate_parameters(objs["front"], objs["profile"], objs["nl"],
                                  params, spec)
     _write_json(run_dir, "validation.json", report.to_json())
@@ -499,12 +513,11 @@ def _cmd_simulate(objs, run_dir, seed, threads):
     config = replace(objs["solver_config"], workers=threads)
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
-    t_start = float(exp.get("t_start", 0.0))
+    t_start = float(exp["t_start"])
     pts = grid.points().reshape(-1, grid.dimension)
     u0 = profile(min_q(front, t_start, pts).reshape(grid.counts))
     boundary = make_boundary("dirichlet-lower", front, profile)
-    floor = subsolution_floor(front, profile, grid) if exp.get("use_floor") \
-        else None
+    floor = subsolution_floor(front, profile, grid) if exp["use_floor"] else None
     snaps = solve_cauchy(Field(grid, u0, t_start), nl, boundary, config,
                          t_start + objs["t_end"],
                          snapshot_dt=objs["snapshot_dt"], floor=floor)
@@ -530,11 +543,9 @@ def _cmd_entire(objs, run_dir, seed, threads):
     grid = objs["grid"]
     config = replace(objs["solver_config"], workers=threads)
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
-    exp = objs["experiment"]
-    c = profile.speed
-    n_list = exp.get("n_list", [2.0 / c, 4.0 / c, 8.0 / c, 16.0 / c])
     result = entire_solution(front, profile, nl, grid, config,
-                             n_list=n_list, window_end=objs["t_end"],
+                             n_list=objs["experiment"]["n_list"],
+                             window_end=objs["t_end"],
                              snapshot_dt=objs["snapshot_dt"])
     for k, vals in enumerate(result.v_hat):
         write_snapshot(os.path.join(run_dir, f"vhat_{k:04d}.cflb"),
@@ -561,7 +572,7 @@ def _cmd_verify(objs, run_dir, seed, threads):
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     c = profile.speed
-    spin_depth = float(exp.get("spin_depth", 8.0 / c))
+    spin_depth = float(exp["spin_depth"])
     boundary = make_boundary("dirichlet-lower", front, profile)
     floor = subsolution_floor(front, profile, grid)
     pts = grid.points().reshape(-1, grid.dimension)
@@ -587,9 +598,8 @@ def _cmd_verify(objs, run_dir, seed, threads):
     wg = weighted_gap_report(traj, front, profile,
                              v_rate=params.v_star or 1e-4)
     report.add("weighted_gap", wg)
-    ridge_excl = float(exp.get("ridge_exclusion", 10.0 / c))
     hl = half_level_cross_check(traj[-1], front, profile=profile,
-                                exclude_ridge_radius=ridge_excl)
+                                exclude_ridge_radius=float(exp["ridge_exclusion"]))
     report.add("half_level_cross_check", hl)
 
     speed_ok = abs(ms["gamma_hat"] - c) <= 0.02 * c
@@ -608,27 +618,19 @@ def _cmd_verify(objs, run_dir, seed, threads):
 
 
 def _cmd_speed(objs, run_dir, seed, threads):
-    nl = objs["nl"]
-    exp = objs["experiment"]
-    thetas = exp.get("theta_list", [nl.theta])
     rows = []
     passed = True
-    for theta in thetas:
-        fam = make_combustion(theta=theta, amplitude=nl.amplitude,
-                              exponent=nl.exponent, sigma=nl.sigma)
+    for fam in objs["families"]:
         c_shoot = find_wave_speed(fam)
         fit = measure_speed_1d(fam, workers=threads)
         rel = abs(fit.speed - c_shoot) / c_shoot
-        rows.append({"theta": theta, "c_shooting": c_shoot,
+        rows.append({"theta": fam.theta, "c_shooting": c_shoot,
                      "c_measured": fit.speed, "rel_err": rel})
         passed = passed and rel <= 0.01
     _write_json(run_dir, "speed.json", {"rows": rows, "passed": passed})
-    with open(os.path.join(run_dir, "speed.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "c_shooting", "c_measured", "rel_err"])
-        for r in rows:
-            writer.writerow([repr(float(r["theta"])), repr(r["c_shooting"]),
-                             repr(r["c_measured"]), repr(r["rel_err"])])
+    header = ["theta", "c_shooting", "c_measured", "rel_err"]
+    _write_csv(os.path.join(run_dir, "speed.csv"), header,
+               ([r[name] for name in header] for r in rows))
     return passed, "speed.json"
 
 
@@ -636,27 +638,14 @@ def _cmd_stability(objs, run_dir, seed, threads):
     grid = objs["grid"]
     config = replace(objs["solver_config"], workers=threads)
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
-    exp = objs["experiment"]
-    if "height" not in exp or "radius" not in exp:
-        raise ConfigError(["experiment.height: required for stability",
-                           "experiment.radius: required for stability"])
-    pert = PerturbationSpec(kind=exp.get("kind", "bump"),
-                            height=float(exp["height"]),
-                            radius=float(exp["radius"]),
-                            center=tuple(exp["center"]) if exp.get("center")
-                            else None)
     barriers = None
-    if objs.get("barrier") is not None:
+    if objs["barrier"] is not None:
         barriers = BarrierSet(front, profile, nl, _resolve_barrier_params(objs))
-    result = stability_run(front, profile, nl, grid, config, pert,
+    result = stability_run(front, profile, nl, grid, config, objs["perturbation"],
                            t_end=objs["t_end"],
                            snapshot_dt=objs["snapshot_dt"], barriers=barriers)
-    with open(os.path.join(run_dir, "stability_curve.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sup_gap"])
-        for t, v in zip(result.times, result.curve):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    _write_csv(os.path.join(run_dir, "stability_curve.csv"), ["t", "sup_gap"],
+               zip(result.times, result.curve))
     passed = result.passed and (result.domination_min is None
                                 or result.domination_min >= -1e-9)
     summary = {

@@ -38,7 +38,7 @@ __all__ = [
 
 
 def _as_snapshot_lists(trajectory):
-    """Accept a list of Field or (times, values, grid) and normalize."""
+    """Split a list of Field snapshots into times, value arrays and their grid."""
     times = np.array([f.time for f in trajectory])
     values = [f.values for f in trajectory]
     grid = trajectory[0].grid

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 BLOCK_CELLS = 32768  # cells per row block: 256 KiB per float64 array
-BOUNDS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,6 @@ class Field:
         if self.values.shape != self.grid.counts:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.counts}")
-
-    def check_bounds(self):
-        lo = float(self.values.min())
-        hi = float(self.values.max())
-        if lo < -BOUNDS_SLACK or hi > 1.0 + BOUNDS_SLACK:
-            raise ValueError(f"state outside [0,1] beyond slack: [{lo}, {hi}]")
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), self.time)

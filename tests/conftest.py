@@ -8,6 +8,7 @@ import json
 import math
 
 import pytest
+from hypothesis import settings
 
 from curvedfronts import (
     BarrierSet,
@@ -16,6 +17,12 @@ from curvedfronts import (
     make_combustion,
     symmetric_v,
 )
+
+# Property tests draw the same examples on every run and are not timed out
+# per example, so Tier-1 results do not depend on the machine's load.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -5,13 +5,19 @@ import copy
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedfronts import Field, Grid, read_snapshot, snapshot_roundtrip, write_snapshot
+from curvedfronts import cli_io
 from curvedfronts.cli_io import (
+    CONFIG,
+    SUBCOMMANDS,
     ConfigError,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -21,6 +27,7 @@ from curvedfronts.cli_io import (
     config_hash,
     load_config,
     main,
+    validate_config,
     verify_manifest,
     write_manifest,
 )
@@ -171,6 +178,82 @@ def test_build_objects_field_messages():
 def test_build_objects_rejects_unknown_subcommand():
     with pytest.raises(ConfigError, match="subcommand"):
         build_objects(copy.deepcopy(BASE), "explode")
+
+
+def test_validate_config_accepts_base():
+    for sub in SUBCOMMANDS:
+        errors = validate_config(BASE, sub)
+        if sub == "stability":
+            assert errors == ["experiment.height: required", "experiment.radius: required"]
+        else:
+            assert errors == []
+
+
+def test_validate_config_rejects_bools_nonfinite_and_unknown_keys():
+    cfg = copy.deepcopy(BASE)
+    cfg["nonlinearity"]["a"] = True
+    cfg["solver"]["T"] = math.nan
+    cfg["solver"]["box"]["count"] = [96, 96]
+    cfg["experiment"]["n_sample"] = 10
+    assert validate_config(cfg, "simulate") == [
+        "nonlinearity.a: expected a finite number, got true",
+        "solver.box: unknown key 'count'",
+        "solver.T: expected a finite number, got NaN",
+        "experiment: unknown key 'n_sample'",
+    ]
+
+
+def _table_paths(table=CONFIG, prefix=""):
+    for name, key in table.items():
+        path = f"{prefix}.{name}" if prefix else name
+        yield path
+        if key.table is not None:
+            yield from _table_paths(key.table, path)
+
+
+def _config_paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for k, v in items:
+        yield from _config_paths(v, path + (k,))
+
+
+TABLE_PATHS = set(_table_paths())
+# every field of BASE, and every experiment key, which BASE leaves unset
+FUZZ_TARGETS = [p for p in _config_paths(BASE) if p] + [
+    ("experiment", name) for name in CONFIG["experiment"].table]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+DELETE = object()
+
+
+@settings(max_examples=250)
+@given(edits=st.lists(st.tuples(st.sampled_from(FUZZ_TARGETS), JSON_VALUES | st.just(DELETE)),
+                      min_size=1, max_size=3),
+       subcommand=st.sampled_from(SUBCOMMANDS))
+def test_validate_config_fuzz(edits, subcommand):
+    cfg = copy.deepcopy(BASE)
+    # deepest edits first, so every path still leads through BASE's structure
+    for path, value in sorted(edits, key=lambda e: -len(e[0])):
+        node = cfg
+        for k in path[:-1]:
+            node = node[k]
+        if value is not DELETE:
+            node[path[-1]] = value
+        elif isinstance(node, dict):
+            node.pop(path[-1], None)
+    errors = validate_config(cfg, subcommand)
+    assert isinstance(errors, list)
+    for msg in errors:
+        assert isinstance(msg, str)
+        field = re.sub(r"\[\d+\]", "", msg.split(": ", 1)[0])
+        assert field in TABLE_PATHS, msg
 
 
 def test_config_hash_canonical():
@@ -377,6 +460,46 @@ def test_bad_config_exits_2(tmp_path, capsys):
     out = capsys.readouterr()
     assert rc == EXIT_CONFIG
     assert "config error:" in out.err
+
+
+EXP_ERRORS = [
+    ("speed", {"theta_list": ["x"]}, "experiment.theta_list"),
+    ("speed", {"theta_list": 0.3}, "experiment.theta_list"),
+    ("surface", {"alpha": "x"}, "experiment.alpha"),
+    ("simulate", {}, "solver.cfl_safety"),
+    ("surface", {"n_samples": "many"}, "experiment.n_samples"),
+    ("entire", {"n_list": "x"}, "experiment.n_list"),
+    ("stability", {"height": "x", "radius": 2.0}, "experiment.height"),
+    ("stability", {"radius": 2.0}, "experiment.height"),
+    ("speed", {"theta_list": [1.5]}, "experiment.theta_list[0]"),
+]
+
+
+@pytest.mark.parametrize("sub, experiment, field", EXP_ERRORS,
+                         ids=[f"{s}-{f}-{i}" for i, (s, _, f) in enumerate(EXP_ERRORS)])
+def test_config_error_exits_2_before_run_dir(tmp_path, capsys, sub, experiment, field):
+    cfg = copy.deepcopy(BASE)
+    cfg["experiment"] = experiment
+    if field == "solver.cfl_safety":
+        cfg["solver"]["cfl_safety"] = "x"
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main([sub, "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
+    out = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert f"config error: {field}" in out.err
+    assert os.listdir(out_dir) == []
+
+
+def test_profile_built_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = cli_io.build_profile
+    monkeypatch.setattr(cli_io, "build_profile", lambda nl: calls.append(nl) or build(nl))
+    cfg = {k: copy.deepcopy(BASE[k]) for k in ("nonlinearity", "front")}
+    rc = main(["profile", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -72,12 +72,6 @@ def test_grid_validation():
         Grid((48, 48), 0.5, (0.0,))  # origin rank mismatch
 
 
-def test_field_bounds(small_grid):
-    Field(small_grid, np.full((48, 48), 0.5), 0.0).check_bounds()
-    with pytest.raises(ValueError):
-        Field(small_grid, np.full((48, 48), 3.0), 0.0).check_bounds()
-
-
 def test_stability_cap(small_grid):
     nl = make_combustion()
     sc = SolverConfig(scheme="euler", cfl_safety=0.4)
