@@ -61,6 +61,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 SUBCOMMANDS = ("profile", "surface", "barriers-validate", "simulate",
                "entire", "verify", "speed", "stability")
 
@@ -245,8 +247,10 @@ CONFIG = {
     }),
     "experiment": Key(OBJECT, dict.fromkeys(SUBCOMMANDS, {}), table={
         "alpha": Key(NUMBER, {"surface": 1.0}),
+        # validation draws n_samples // 8 points for its t = 0 check
         "n_samples": Key(INTEGER, {"surface": 20000,
-                                   "barriers-validate": 100_000}, POSITIVE),
+                                   "barriers-validate": 100_000},
+                         (lambda v: v >= 8, "must be at least 8")),
         "t_start": Key(NUMBER, {"simulate": 0.0}),
         "use_floor": Key((lambda v: isinstance(v, bool), "true or false"),
                          {"simulate": False}),
@@ -351,9 +355,13 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
         out["t_end"] = float(solver["T"])
         out["snapshot_dt"] = float(solver["snapshot_interval"])
     if subcommand == "stability":
+        center, n = exp["center"], blocks["front"]["N"]
+        if center is not None and len(center) != n:
+            errors.append(f"experiment.center: expected {n} coordinates (front.N), "
+                          f"got {len(center)}")
         out["perturbation"] = construct("experiment", lambda: PerturbationSpec(
             kind=exp["kind"], height=float(exp["height"]), radius=float(exp["radius"]),
-            center=tuple(exp["center"]) if exp["center"] else None))
+            center=None if center is None else tuple(center)))
     if errors:
         raise ConfigError(errors)
 
@@ -416,6 +424,8 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
             json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()),
         "seed": seed,
         "threads": threads,
+        # BLAS pools sized from the machine can move the profile fit's last bits
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
         "passed": passed,
         "artifacts": artifacts,
     }

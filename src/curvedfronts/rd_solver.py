@@ -8,12 +8,14 @@ each step, so comparison arguments against the analytic barriers carry
 over to the discrete runs.
 
 Each step is one pass over cache-sized blocks of leading-axis rows (about
-BLOCK_CELLS cells each); with several workers the blocks run on a thread
-pool.  Every cell's update is the same sequence of elementwise
-floating-point operations whichever block computes it, and the only
-reductions (the blow-up check, once per snapshot) are a min and a max,
-which are exact, so results are bit-identical for any block layout and any
-worker count.
+BLOCK_CELLS cells each).  With several workers the blocks run on a thread
+pool, and a floored step first hands the pool one task that evaluates the
+floor and the boundary ring data at the step's end time: neither depends on
+the new state, so it runs beside the sweep instead of after it.  Every
+cell's update is the same sequence of elementwise floating-point operations
+whichever block or thread computes it, and the only reductions (the
+blow-up check, once per snapshot) are a min and a max, which are exact, so
+results are bit-identical for any block layout and any worker count.
 """
 
 from __future__ import annotations
@@ -199,7 +201,11 @@ class _Stepper:
     Each step is one pass over the row blocks; a block computes
     Lap u + f(u) on its interior cells and writes the update straight into
     the output buffer.  The optional floor callable t -> grid-shaped values
-    is applied as a pointwise max after each completed step.  The plain
+    is applied as a pointwise max after each completed step.  With a pool
+    (workers > 1) the blocks run on it; so does, for a floored step, the
+    evaluation of the floor and the ring data at the step's end time, queued
+    ahead of the blocks.  The calling thread then only submits, waits, sets
+    the RK2 stage ring and applies the results.  The plain
     scheme transports fronts at a slightly wrong discrete speed, so the
     subsolution is not preserved under discretization; flooring by it
     restores the comparison structure (the floored update is still a
@@ -268,26 +274,38 @@ class _Stepper:
     def _set_ring(self, values, t):
         values.ravel()[self.ring] = self.boundary(t, self.ring_points)
 
+    def _ring_and_floor(self, t):
+        """Ring data and floor values (None without a floor) at time t."""
+        ring = self.boundary(t, self.ring_points)
+        return ring, None if self.floor is None else self.floor(t)
+
     def advance(self, values: np.ndarray, t_new: float) -> np.ndarray:
         """One step of length dt ending at time t_new; returns the new state.
 
-        The ring and the floor are evaluated at t_new.  values is only
-        read.  The result is one of the stepper's two buffers, whichever
-        values is not, so it stays valid while it is fed back in and is
-        overwritten two steps later; a caller that keeps a state longer
-        must copy it.
+        The ring and the floor are evaluated at t_new.  On a pool, a floored
+        step evaluates both in one task submitted before the sweep, and they
+        are applied after it, in the same order as without a pool; the RK2
+        stage ring is still set on the calling thread between the two
+        sweeps.  values is only read.  The result is one of the stepper's
+        two buffers, whichever values is not, so it stays valid while it is
+        fed back in and is overwritten two steps later; a caller that keeps
+        a state longer must copy it.
         """
         a, b = self.buffers
         new = a if values is b else b
+        pending = None
+        if self.pool is not None and self.floor is not None:
+            pending = self.pool.submit(self._ring_and_floor, t_new)
         if self.scheme == "euler":
             self._sweep(values, new)
         else:
             self._sweep(values, self.stage, k1=self.k1)
             self._set_ring(self.stage, t_new)
             self._sweep(self.stage, new, k1=self.k1, base=values)
-        self._set_ring(new, t_new)
-        if self.floor is not None:
-            np.maximum(new, self.floor(t_new), out=new)
+        ring, floor = self._ring_and_floor(t_new) if pending is None else pending.result()
+        new.ravel()[self.ring] = ring
+        if floor is not None:
+            np.maximum(new, floor, out=new)
         return new
 
 

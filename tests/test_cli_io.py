@@ -472,12 +472,20 @@ EXP_ERRORS = [
     ("stability", {"height": "x", "radius": 2.0}, "experiment.height"),
     ("stability", {"radius": 2.0}, "experiment.height"),
     ("speed", {"theta_list": [1.5]}, "experiment.theta_list[0]"),
+    ("stability", {"height": 0.4, "radius": 2.0, "center": [0.0]}, "experiment.center"),
+    ("stability", {"height": 0.4, "radius": 2.0, "center": [0.0] * 4}, "experiment.center"),
+    ("barriers-validate", {"n_samples": 7}, "experiment.n_samples"),
 ]
 
 
 @pytest.mark.parametrize("sub, experiment, field", EXP_ERRORS,
                          ids=[f"{s}-{f}-{i}" for i, (s, _, f) in enumerate(EXP_ERRORS)])
-def test_config_error_exits_2_before_run_dir(tmp_path, capsys, sub, experiment, field):
+def test_config_error_exits_2_before_run_dir(tmp_path, capsys, monkeypatch, sub,
+                                             experiment, field):
+    def no_profile(nl):
+        raise AssertionError("profile built before the config error")
+
+    monkeypatch.setattr(cli_io, "build_profile", no_profile)
     cfg = copy.deepcopy(BASE)
     cfg["experiment"] = experiment
     if field == "solver.cfl_safety":
@@ -549,6 +557,17 @@ def test_manifest_detects_corruption(tmp_path, capsys):
     with open(os.path.join(run_dir, "profile.csv"), "a") as fh:
         fh.write("tampered\n")
     assert not verify_manifest(run_dir)
+
+
+def test_manifest_records_blas_threads(tmp_path, monkeypatch, strict_loads):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    write_manifest(str(tmp_path), {"x": 1}, "profile", True, seed=0, threads=1)
+    manifest = strict_loads((tmp_path / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {"OMP_NUM_THREADS": None,
+                                        "OPENBLAS_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": "1"}
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

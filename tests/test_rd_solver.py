@@ -1,9 +1,11 @@
 """Explicit solver for u_t = Lap u + f(u): grid plumbing, stability caps,
-order preservation, planar-wave accuracy, worker determinism, and the
-monotone entire-solution construction."""
+order preservation, planar-wave accuracy, worker determinism (the floor
+and ring evaluated on the pool included), and the monotone
+entire-solution construction."""
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from curvedfronts import (
     subsolution_floor,
     symmetric_v,
 )
+from curvedfronts import rd_solver
 from curvedfronts.rd_solver import _row_blocks
 
 C = 0.26343617168072303
@@ -166,6 +169,90 @@ def test_bit_identical_across_workers(scheme, nl03, profile03, cfg_v):
         outs.append(traj[-1].values)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
+
+
+def pyramid_cfg(speed):
+    nus = np.array([[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]])
+    return FrontConfiguration(3, nus, np.full(3, math.pi / 4), np.zeros(3), speed)
+
+
+def counted(fn, calls):
+    """fn, recording for each call whether it ran on the main thread."""
+    def wrapped(*args):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return fn(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("front", ["v-2d", "pyramid-3d"])
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_pooled_floor_and_ring_match_serial(front, scheme, nl03, profile03, cfg_v):
+    # on the pool a floored step evaluates the floor and the ring at t_new
+    # in a task beside the sweep: same calls per step, same bits
+    if front == "v-2d":
+        grid, cfg = GRID_2D, cfg_v
+    else:
+        grid, cfg = GRID_3D, pyramid_cfg(profile03.speed)
+    assert len(_row_blocks(grid.counts)) >= 2
+    u0 = initial_field(cfg, profile03, grid)
+    bc = make_boundary("dirichlet-lower", cfg=cfg, profile=profile03)
+    floor = subsolution_floor(cfg, profile03, grid)
+    runs = {}
+    for workers in (1, 2):
+        sc = SolverConfig(scheme=scheme, workers=workers)
+        floor_calls, ring_calls = [], []
+        traj = solve_cauchy(u0.copy(), nl03, counted(bc, ring_calls), sc, 1.0, 0.5,
+                            floor=counted(floor, floor_calls))
+        runs[workers] = traj, floor_calls, ring_calls
+    steps = 2 * round(0.5 / sc.resolve_dt(grid, nl03, snap_dt=0.5))
+    rings_per_step = 1 if scheme == "euler" else 2
+    for traj, floor_calls, ring_calls in runs.values():
+        assert len(floor_calls) == steps
+        assert len(ring_calls) == 1 + rings_per_step * steps
+    # serial: everything on the calling thread; pooled: the floor and the
+    # end-of-step ring in pool tasks, the initial and RK2 stage rings not
+    _, floor_calls, ring_calls = runs[1]
+    assert all(floor_calls) and all(ring_calls)
+    _, floor_calls, ring_calls = runs[2]
+    assert not any(floor_calls)
+    assert sum(ring_calls) == 1 + (rings_per_step - 1) * steps
+    for a, b in zip(runs[1][0], runs[2][0]):
+        assert a.time == b.time
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_floor_error_in_pool_task_propagates(scheme, nl03, profile03, cfg_v,
+                                             monkeypatch):
+    pools = []
+
+    class RecordingPool(rd_solver.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(rd_solver, "ThreadPoolExecutor", RecordingPool)
+    grid = GRID_2D
+    floor = subsolution_floor(cfg_v, profile03, grid)
+    err = ArithmeticError("floor failed")
+    failed_on = []
+
+    def failing_floor(t):
+        if t > 0.1:
+            failed_on.append(threading.current_thread())
+            raise err
+        return floor(t)
+
+    u0 = initial_field(cfg_v, profile03, grid)
+    bc = make_boundary("dirichlet-lower", cfg=cfg_v, profile=profile03)
+    sc = SolverConfig(scheme=scheme, workers=2)
+    with pytest.raises(ArithmeticError) as exc:
+        solve_cauchy(u0, nl03, bc, sc, t_end=0.5, snapshot_dt=0.25, floor=failing_floor)
+    assert exc.value is err
+    assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
+    assert len(pools) == 1
+    with pytest.raises(RuntimeError, match="shutdown"):
+        pools[0].submit(int)
 
 
 def reference_rhs(u, nl, inv_dx2):
