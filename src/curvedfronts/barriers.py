@@ -14,6 +14,13 @@ by pi(t) = t - rho delta e^(-lambda t) + rho delta.
 Whether a concrete parameter set actually yields a supersolution is decided
 numerically: residuals of L v = v_t - Lap v - f(v) are sampled densely with
 high-order finite differences and certified against a fixed tolerance.
+The stencils are evaluated in chunks of STENCIL_CHUNK samples, so the
+memory of a certification does not grow with the stencil copies of the
+whole batch.  The barrier fields are pointwise up to the Newton iteration
+count of each solve_phi call: on the V of the standard schedule
+(alpha = 0.025) every point converges on the same update and chunking moves
+no bit, while a chunk that converges sooner than its batch can move other
+fronts' residuals by round-off, under 1e-9.
 The alpha ladder of auto_parameters certifies V_up first and rejects a rung
 that fails there before fitting or checking anything else.
 """
@@ -49,6 +56,9 @@ RESIDUAL_TOL = -1e-8
 # 2nd-order stencils would drown the tolerance in round-off noise.
 DEFAULT_FD_STEP = 5e-3
 CLAMP_GUARD = 1.0 - 2.0**-46
+# samples per field call (53k stencil points in 2D); chunks of 1024 to 16384
+# samples run a residual equally fast, and the temporaries grow with the chunk
+STENCIL_CHUNK = 4096
 
 
 def mollifier_omega(s):
@@ -202,10 +212,12 @@ class BarrierSet:
 def _stencil(field_fn, t, z, h_fd):
     """4th-order finite differences of field_fn at the points (t, z).
 
-    Evaluates field_fn once on all 1 + 4 (N + 1) stencil points and
-    returns (vals, v_t, lap): the values, shape (1 + 4 + 4 N, npts) with
-    the centre in row 0, the time derivative and the Laplacian, from the
-    5-point weights on [-2h, -h, 0, h, 2h].
+    Walks the samples in consecutive chunks of STENCIL_CHUNK and calls
+    field_fn once per chunk, on that chunk's 1 + 4 (N + 1) stencil points
+    only (at least 1 + 4 + 4 N points per call).  Returns (vals, v_t, lap):
+    the values, shape (1 + 4 + 4 N, npts) with the centre in row 0, the
+    time derivative and the Laplacian, from the 5-point weights on
+    [-2h, -h, 0, h, 2h].
     """
     npts, ndim = z.shape
     shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * h_fd
@@ -213,19 +225,20 @@ def _stencil(field_fn, t, z, h_fd):
     d2_off = np.array([-1.0, 16.0, 16.0, -1.0]) / (12.0 * h_fd**2)
     d2_center = -30.0 / (12.0 * h_fd**2)
 
-    t_all = [t]
-    z_all = [z]
-    for s in shifts:
-        t_all.append(t + s)
-        z_all.append(z)
-    for k in range(ndim):
-        for s in shifts:
-            zk = z.copy()
-            zk[:, k] += s
-            t_all.append(t)
-            z_all.append(zk)
-    vals = field_fn(np.concatenate(t_all), np.concatenate(z_all, axis=0))
-    vals = vals.reshape(1 + 4 + 4 * ndim, npts)
+    rows = 1 + 4 + 4 * ndim
+    vals = np.empty((rows, npts))
+    for lo in range(0, npts, STENCIL_CHUNK):
+        hi = min(lo + STENCIL_CHUNK, npts)
+        tc, zc = t[lo:hi], z[lo:hi]
+        t_all = [tc] + [tc + s for s in shifts] + [tc] * (4 * ndim)
+        z_all = [zc] * 5
+        for k in range(ndim):
+            for s in shifts:
+                zk = zc.copy()
+                zk[:, k] += s
+                z_all.append(zk)
+        chunk = field_fn(np.concatenate(t_all), np.concatenate(z_all, axis=0))
+        vals[:, lo:hi] = chunk.reshape(rows, hi - lo)
 
     v_t = vals[1:5].T @ d1
     lap = np.zeros(npts)
@@ -235,17 +248,25 @@ def _stencil(field_fn, t, z, h_fd):
 
 
 def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
-                       h_fd: float = DEFAULT_FD_STEP):
+                       h_fd: float = DEFAULT_FD_STEP, values=None):
     """Sampled residual L v = v_t - Lap v - f(v) by 4th-order stencils.
 
-    field_fn(t, z) must accept arrays of shape (...,) and (..., N).
+    t has shape (npts,) and z shape (npts, N).  field_fn(t, z) is called
+    once per chunk of STENCIL_CHUNK samples, on the chunk's stencil points
+    with shapes (m,) and (m, N), and must be pointwise: a value that
+    depends on the other points of the call makes the residual depend on
+    the chunking (the barriers do so only through solve_phi's Newton count,
+    by round-off).
     Returns (residual, excluded) where excluded marks samples whose stencil
     touches the clamp v >= 1 (the min with 1 kinks the field there, so the
     finite differences are not trustworthy and the residual claim does not
-    apply anyway).
+    apply anyway).  values, if given, is an array of npts floats that
+    receives field_fn at the samples themselves.
     """
     vals, v_t, lap = _stencil(field_fn, np.asarray(t, dtype=float),
                               np.asarray(z, dtype=float), h_fd)
+    if values is not None:
+        values[...] = vals[0]
     residual = v_t - lap - nl(vals[0])
     excluded = np.max(vals, axis=0) >= CLAMP_GUARD
     return residual, excluded
@@ -348,13 +369,17 @@ def _sample_points(barriers: BarrierSet, spec: BarrierSampleSpec, n: int,
 
 
 def _upper_certificate(barriers: BarrierSet, spec: BarrierSampleSpec):
-    """Residuals of V_up on the primary sample batch: (t, z, eta, residual,
-    excluded, least live residual or NaN).  V_up reads only epsilon, alpha
-    and beta, so any BarrierSet that shares them gives the same bits."""
+    """Residuals of V_up on the primary sample batch: (t, z, eta, V_up,
+    residual, excluded, least live residual or NaN).  V_up reads only
+    epsilon, alpha and beta, so any BarrierSet that shares them gives the
+    same bits."""
     t, z, eta = _sample_points(barriers, spec, spec.n_samples, *spec.t_range)
-    res, exc = parabolic_residual(barriers.upper, barriers.nl, t, z, spec.fd_step)
+    v_up = np.empty(t.shape[0])
+    res, exc = parabolic_residual(barriers.upper, barriers.nl, t, z, spec.fd_step,
+                                  values=v_up)
     live = ~exc
-    return t, z, eta, res, exc, float(np.min(res[live])) if np.any(live) else float("nan")
+    return (t, z, eta, v_up, res, exc,
+            float(np.min(res[live])) if np.any(live) else float("nan"))
 
 
 def fit_time_term_constant(barriers: BarrierSet,
@@ -419,8 +444,8 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     x_prime, x_double_prime, kappa = case_thresholds(profile, nl, params.epsilon, max_cot)
 
     # upper barrier residuals
-    t_u, z_u, eta_u, res_u, exc_u, min_u = (upper_certificate
-                                            or _upper_certificate(barriers, spec))
+    t_u, z_u, eta_u, v_up, res_u, exc_u, min_u = (upper_certificate
+                                                  or _upper_certificate(barriers, spec))
     cases_u = _stratify(res_u, exc_u, eta_u, x_prime, x_double_prime, RESIDUAL_TOL)
     live_u = ~exc_u
     order = np.argsort(np.where(live_u, res_u, np.inf))
@@ -436,7 +461,6 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
 
     # ordering against the lower barrier, on the residual samples plus a
     # uniform-height batch for coverage away from the surface
-    v_up = barriers.upper(t_u, z_u)
     v_lo = barriers.lower(t_u, z_u)
     sandwich_min = float(np.min(v_up - v_lo))
     t_e, z_e, _ = _sample_points(barriers, spec, spec.n_samples // 4, *spec.t_range, seed_offset=7)

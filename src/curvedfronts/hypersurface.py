@@ -123,6 +123,12 @@ class ScaledSurface:
         within 64 n ulps of zero.  Raises RuntimeError, naming the largest
         |residual|, if that takes more than max_iter Newton updates.
         One _project per call; one q_at call per Newton iteration.
+
+        Converged points keep taking updates until the last point converges,
+        and such an update can still move the last bits.  So a point's phi
+        depends on the number of Newton iterations of the call, and on
+        nothing else of the batch (for batches of two or more points; in 3D
+        numpy sends a one-row projection through another BLAS kernel).
         """
         x = self._as_x(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()

@@ -4,6 +4,7 @@ failure case)."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,13 +225,20 @@ def _composed_time_upper(B, t, z):
     return np.minimum(_composed_upper(B, pi_t, z) + layer, 1.0)
 
 
-@pytest.mark.parametrize("front", ["v", "pyramid"])
+FRONTS = pytest.mark.parametrize("front", ["v", "pyramid"])
+
+
+def _front_barriers(front, cfg_v, profile03, nl03, params03):
+    cfg = cfg_v if front == "v" else _pyramid(profile03.speed)
+    return BarrierSet(cfg, profile03, nl03, params03)
+
+
+@FRONTS
 def test_single_frame_matches_composed_barriers_bitwise(front, cfg_v, profile03, nl03, params03):
     # one surface solve per point gives the same bits as composing
     # eta, xi, the flatness and upper at pi(t) from separate solves
-    cfg = cfg_v if front == "v" else _pyramid(profile03.speed)
-    B = BarrierSet(cfg, profile03, nl03, params03)
-    m = cfg.dimension - 1
+    B = _front_barriers(front, cfg_v, profile03, nl03, params03)
+    m = B.cfg.dimension - 1
     a = params03.alpha
     rng = np.random.default_rng(61)
     t = rng.uniform(0.0, 8.0, 20000)
@@ -247,6 +255,59 @@ def test_single_frame_matches_composed_barriers_bitwise(front, cfg_v, profile03,
     assert np.array_equal(w, _composed_time_upper(B, t, z))
     # the layer is visible in these samples, so its time argument matters
     assert np.any(w != B.upper(B.shift_time(t), z))
+
+
+def _certify_with_chunk(B, chunk, samples, spec, monkeypatch):
+    monkeypatch.setattr(barriers, "STENCIL_CHUNK", chunk)
+    (t, z), (tw, zw) = samples
+    return (parabolic_residual(B.upper, B.nl, t, z)
+            + parabolic_residual(B.time_upper, B.nl, tw, zw)
+            + (fit_time_term_constant(B, spec, n=t.shape[0]),))
+
+
+@FRONTS
+def test_stencil_chunking_preserves_residuals(front, cfg_v, profile03, nl03, params03, monkeypatch):
+    # _stencil calls the field once per STENCIL_CHUNK samples.  A small
+    # batch runs chunks of 1 and 7 samples, and two full default chunks
+    # plus a partial one run the default, each against a single chunk.
+    # solve_phi's bits depend on its call's Newton count: on the V every
+    # point converges on the same update, so no chunk moves a bit.  On the
+    # pyramid a chunk of a few samples can converge sooner than the batch;
+    # its residuals then move by round-off, far under RESIDUAL_TOL.
+    B = _front_barriers(front, cfg_v, profile03, nl03, params03)
+    spec = BarrierSampleSpec(seed=3)
+    default = barriers.STENCIL_CHUNK
+    for n, chunks in ((300, (1, 7)), (2 * default + 123, (default,))):
+        samples = (barriers._sample_points(B, spec, n, *spec.t_range)[:2],
+                   barriers._sample_points(B, spec, n, 0.05, 8.0, seed_offset=13)[:2])
+        ref = _certify_with_chunk(B, n, samples, spec, monkeypatch)
+        for chunk in chunks:
+            got = _certify_with_chunk(B, chunk, samples, spec, monkeypatch)
+            if front == "v" or chunk == default:
+                for a, b in zip(got, ref):
+                    assert np.array_equal(a, b), chunk
+                continue
+            res_u, exc_u, res_w, exc_w, c_star = got
+            ref_u, ref_exc_u, ref_w, ref_exc_w, ref_c_star = ref
+            bound = 0.1 * abs(barriers.RESIDUAL_TOL)
+            assert np.array_equal(exc_u, ref_exc_u) and np.array_equal(exc_w, ref_exc_w)
+            assert np.max(np.abs(res_u - ref_u)[~exc_u]) <= bound
+            assert np.max(np.abs(res_w - ref_w)[~exc_w]) <= bound
+            assert abs(c_star - ref_c_star) <= bound
+
+
+def test_residual_memory_is_bounded(barriers03, nl03):
+    # the stencil copies of one chunk, not of the batch, set the peak:
+    # 184 MB unchunked against 18 MB in chunks of 4096 samples
+    spec = BarrierSampleSpec()
+    t, z, _ = barriers._sample_points(barriers03, spec, 100_000, *spec.t_range)
+    tracemalloc.start()
+    try:
+        parabolic_residual(barriers03.upper, nl03, t, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 #

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedfronts import ScaledSurface, fit_surface_constants, symmetric_v, FrontConfiguration
 
@@ -293,3 +295,46 @@ def test_hoisted_projection_matches_per_iteration_solve(make, cfg_v, monkeypatch
         ref_phi, ref_calls = _solve_phi_point_major(S, tq, x)
         assert np.array_equal(phi, ref_phi)
         assert len(calls) == ref_calls > 2
+
+
+@SURFACES
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+       spread=st.floats(0.01, 3.0), data=st.data())
+def test_solve_phi_batch_property(make, cfg_v, seed, n, spread, data):
+    # chunked barrier certification rests on this: a point's phi depends on
+    # the rest of its batch only through the call's Newton count.  Converged
+    # points keep updating until the slowest converges, which can move their
+    # last bits, but by no more than the convergence tolerance allows.
+    S = make(cfg_v)
+    m = S.cfg.dimension - 1
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-6.0, 6.0, n) * S.alpha * spread
+    x = rng.uniform(-30.0, 30.0, (n, m)) * S.alpha * spread
+    sub = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2))))
+    phi = S.solve_phi(t, x)
+    phi_sub = S.solve_phi(t[sub], x[sub])
+    k = _solve_phi_point_major(S, t, x)[1]
+    k_sub = _solve_phi_point_major(S, t[sub], x[sub])[1]
+    n_waves = S.cfg.n_waves
+    min_sin = float(np.min(S._sin))
+    assert k_sub <= k
+    if k_sub == k:
+        assert np.array_equal(phi_sub, phi[sub])
+    else:
+        tol = 64.0 * np.finfo(float).eps * n_waves
+        assert np.all(np.abs(phi_sub - phi[sub]) <= 2.0 * tol / min_sin
+                      + 4.0 * np.spacing(np.abs(phi[sub])))
+    # psi < phi <= psi + ln n / min sin
+    planes = S.support_planes(t, x)
+    psi = np.max(planes, axis=-1)
+    gap = phi - psi
+    ulps = np.spacing(np.maximum(np.abs(psi), 1.0))
+    assert np.all(gap <= math.log(n_waves) / min_sin + 64.0 * ulps)
+    assert np.all(gap >= -8.0 * ulps)
+    # the first Newton step from psi bounds the gap below; wherever that
+    # bound is resolvable against psi, phi lies strictly above psi
+    tail = np.sum(np.exp(-S._sin * (psi[:, None] - planes)), axis=-1) - 1.0
+    first_step = tail / (np.max(S._sin) * (1.0 + tail))
+    resolvable = first_step > 64.0 * ulps
+    assert np.all(gap[resolvable] > 0.0)
