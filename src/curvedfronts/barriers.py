@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .front_geometry import FrontConfiguration, min_q, ridge_distance
+from .front_geometry import FrontConfiguration, _fold, min_q, ridge_distance
 from .hypersurface import ScaledSurface, fit_surface_constants
 from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity
@@ -161,7 +161,7 @@ class BarrierSet:
         phi = self.surface.solve_phi(at, ax)
         grad, h = self.surface.gradient_and_flatness(at, ax, phi)
         eta = y - phi / a
-        xi = eta / np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+        xi = eta / np.sqrt(1.0 + _fold(np.add, grad * grad))
         return eta, xi, h
 
     def eta(self, t, z):
@@ -482,12 +482,12 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                 clearance = float(r0)
                 break
         far = rd >= (clearance if np.isfinite(clearance) else np.median(rd))
-        slab = np.min(
+        slab = _fold(np.minimum, (
             np.asarray(z_u) @ np.concatenate([
                 (cfg.nus / np.tan(cfg.angles)[:, None]).T,
                 np.ones((1, cfg.n_waves))], axis=0)
             - (profile.speed / np.sin(cfg.angles)) * t_u[:, None]
-            + cfg.shifts / np.sin(cfg.angles), axis=1)
+            + cfg.shifts / np.sin(cfg.angles)))
         weight = np.minimum(1.0, np.exp(-2.0 * v_star * slab))
         ratio = gap / weight
         c_star_fit = float(np.max(ratio[far]) / params.epsilon) if np.any(far) else float("nan")

@@ -26,6 +26,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import scipy
 
 from .barriers import (BarrierParams, BarrierSampleSpec, BarrierSet,
                        auto_parameters, validate_parameters)
@@ -411,6 +412,7 @@ def make_run_dir(out_dir, cfg: dict) -> str:
 
 def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
                    seed: int, threads: int) -> str:
+    from . import __version__  # the package imports this module first
     artifacts = {}
     for name in sorted(os.listdir(run_dir)):
         if name == "manifest.json":
@@ -426,6 +428,9 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
         "threads": threads,
         # BLAS pools sized from the machine can move the profile fit's last bits
         "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
+        "versions": {"curvedfronts": __version__, "python": sys.version,
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "platform": sys.platform, "machine": os.uname().machine},
         "passed": passed,
         "artifacts": artifacts,
     }

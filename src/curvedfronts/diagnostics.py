@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import BarrierSet
-from .front_geometry import (FrontConfiguration, min_q, ridge_distance,
+from .front_geometry import (FrontConfiguration, _fold, min_q, ridge_distance,
                              interface_distance, sample_interface,
                              spatial_ridge_distance)
 from .jsonio import dumps
@@ -265,7 +265,7 @@ def _slab_weight(cfg: FrontConfiguration, t: float, pts: np.ndarray,
                  v_rate: float) -> np.ndarray:
     """min{1, exp(-v * min_i q_i(t, pts) / sin theta_i)} for points (P, N)."""
     q = pts @ cfg.directions.T - cfg.speed * t + cfg.shifts
-    return np.minimum(1.0, np.exp(-v_rate * (q / np.sin(cfg.angles)).min(axis=1)))
+    return np.minimum(1.0, np.exp(-v_rate * _fold(np.minimum, q / np.sin(cfg.angles))))
 
 
 def weighted_gap_report(trajectory, cfg: FrontConfiguration,

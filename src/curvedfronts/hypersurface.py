@@ -14,8 +14,9 @@ iteration started at the support function max_i psi_i converges
 monotonically from below to machine precision.
 
 The kernel is wave-major: q_at returns one contiguous row per wave, and
-Newton, the weight sums and h add those rows left to right.  np.sum adds a
-short last axis in that order (n < 8; longer axes it sums pairwise), so
+Newton, the weight sums, h and psi fold those rows left to right
+(front_geometry._fold; numpy's reductions over a short axis cost tens of
+times as much).  np.sum adds a short last axis in that order (n < 8), so
 below eight waves the bits equal those of a point-major (..., n) kernel.
 weights and derivatives keep the (..., n) layout; gradient_and_flatness
 gives a barrier its whole frame (grad phi, h) from one solve and one
@@ -30,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .front_geometry import FrontConfiguration
+from .front_geometry import FrontConfiguration, _fold
 
 __all__ = [
     "ScaledSurface",
@@ -87,7 +88,9 @@ class ScaledSurface:
 
     def psi(self, t, x, proj=None) -> np.ndarray:
         """Support function max_i psi_i; phi - psi in (0, ln n / min sin]."""
-        return np.max(self.support_planes(t, x, proj), axis=-1)
+        xn, ct = self._project(t, x) if proj is None else proj
+        return _fold(np.maximum, [(ct - xn[..., i] - self._tau[i]) / self._sin[i]
+                                  for i in range(self.cfg.n_waves)], axis=0)
 
     def q_at(self, t, x, y, proj=None) -> np.ndarray:
         """q_i(t, x, y), wave-major: shape (n, ...), one contiguous row per
@@ -220,12 +223,7 @@ class ScaledSurface:
 
 def _wave_sum(rows, coef=None) -> np.ndarray:
     """sum_i coef_i rows[i] (coef_i = 1 if omitted), added left to right."""
-    if coef is not None:
-        rows = [row * c for row, c in zip(rows, coef)]
-    out = rows[0].copy()
-    for row in rows[1:]:
-        out += row
-    return out
+    return _fold(np.add, rows if coef is None else [row * c for row, c in zip(rows, coef)], axis=0)
 
 
 def _flatness(w_rows) -> np.ndarray:
@@ -295,7 +293,7 @@ def fit_surface_constants(surface: ScaledSurface, t_range=(-10.0, 10.0),
         x = np.concatenate([x, x_corner.reshape(-1, m)], axis=0)
     phi = surface.solve_phi(t, x)
     psi_all = surface.support_planes(t, x)
-    psi = np.max(psi_all, axis=-1)
+    psi = _fold(np.maximum, psi_all)
     dom = np.argmax(psi_all, axis=-1)
     h = np.maximum(surface.flatness(t, x, phi), 1e-300)
     der = surface.derivatives(t, x, phi)
@@ -303,8 +301,8 @@ def fit_surface_constants(surface: ScaledSurface, t_range=(-10.0, 10.0),
     sin_d = np.sin(cfg.angles)[dom]
     slope_d = -(cfg.nus * np.cos(cfg.angles)[:, None])[dom] / sin_d[:, None]
     dev = (np.abs(der.phi_t - cfg.speed / sin_d)
-           + np.linalg.norm(der.grad - slope_d, axis=-1))
-    speed_excess = der.phi_t / np.sqrt(1.0 + np.sum(der.grad**2, axis=-1)) - cfg.speed
+           + np.sqrt(_fold(np.add, (der.grad - slope_d) ** 2)))
+    speed_excess = der.phi_t / np.sqrt(1.0 + _fold(np.add, der.grad**2)) - cfg.speed
     c1_hat = float(max(np.max(dev / h), np.max(speed_excess / h)))
     return SurfaceFit(c_hat=c_hat, c1_hat=c1_hat,
                       normal_speed_min=float(np.min(speed_excess)),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .front_geometry import FrontConfiguration, min_q
+from .front_geometry import FrontConfiguration, _fold, min_q
 from .nonlinearity import CombustionNonlinearity
 from .wave_profile import WaveProfile
 
@@ -157,7 +157,7 @@ def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
     paid per call.
     """
     pts = grid.points().reshape(-1, grid.dimension)
-    base = (pts @ cfg.directions.T + cfg.shifts).min(axis=1).reshape(grid.counts)
+    base = _fold(np.minimum, pts @ cfg.directions.T + cfg.shifts).reshape(grid.counts)
     c = cfg.speed
     return lambda t: profile(base - c * t)
 

@@ -7,12 +7,15 @@ import math
 import os
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvedfronts
 from curvedfronts import Field, Grid, read_snapshot, snapshot_roundtrip, write_snapshot
 from curvedfronts import cli_io
 from curvedfronts.cli_io import (
@@ -568,6 +571,17 @@ def test_manifest_records_blas_threads(tmp_path, monkeypatch, strict_loads):
     assert manifest["blas_threads"] == {"OMP_NUM_THREADS": None,
                                         "OPENBLAS_NUM_THREADS": "2",
                                         "MKL_NUM_THREADS": "1"}
+
+
+def test_manifest_records_versions(tmp_path, strict_loads):
+    write_manifest(str(tmp_path), {"x": 1}, "profile", True, seed=0, threads=1)
+    manifest = strict_loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"] == {"curvedfronts": curvedfronts.__version__,
+                                    "python": sys.version,
+                                    "numpy": np.__version__,
+                                    "scipy": scipy.__version__,
+                                    "platform": sys.platform,
+                                    "machine": os.uname().machine}
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

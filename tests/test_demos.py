@@ -1,0 +1,22 @@
+"""Smoke test of the demos that reach the geometry and surface kernels:
+each runs to the end in a fresh interpreter, as a reader would run it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ["02_front_geometry.py", "03_smoothed_interface.py",
+         "04_barrier_certificate.py", "06_front_diagnostics.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -6,12 +6,14 @@ relevant sets, so failures localise to the projection logic.
 """
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from curvedfronts import (
     FrontConfiguration,
+    Grid,
     boundary_distance,
     classify_region,
     interface_distance,
@@ -20,9 +22,12 @@ from curvedfronts import (
     ridge_distance,
     sample_interface,
     spatial_ridge_distance,
+    subsolution_floor,
     subsolution_lower,
     symmetric_v,
 )
+from curvedfronts.diagnostics import _slab_weight
+from curvedfronts.front_geometry import _fold
 
 C = 0.26343617168072303
 SIN60 = math.sin(math.pi / 3)
@@ -249,3 +254,156 @@ def test_invalid_configurations_rejected():
         FrontConfiguration(2, np.array([[1.0]]), ang, np.zeros(1), -C)
     with pytest.raises(ValueError):
         FrontConfiguration(2, np.array([[1.0]]), ang, np.zeros(2), C)
+
+
+# -- column folds against numpy's reductions --------------------------------
+# _fold takes extrema and sums over a short last axis one column at a time.
+# It must give the reductions' bits: values, NaN, and the sign of a zero.
+# The one stated exception: np.sum starts from +0.0, so a row of -0.0 alone
+# sums to +0.0 there and to -0.0 in the fold.
+
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25)
+
+
+def _same_bits(got, ref):
+    # equal values, NaN where NaN, and equal sign bits off NaN: numpy's
+    # min and max reductions do not keep the sign bit of a NaN
+    number = ~np.isnan(ref)
+    return (np.shape(got) == np.shape(ref) and np.array_equal(got, ref, equal_nan=True)
+            and np.array_equal(np.signbit(got)[number], np.signbit(ref)[number]))
+
+
+def _fold_cases():
+    rng = np.random.default_rng(71)
+    for n in range(1, 6):
+        # every ordered pair of specials in the first two columns
+        pairs = np.array(list(product(SPECIALS, repeat=min(n, 2))))
+        rest = rng.standard_normal((len(pairs), n - pairs.shape[1]))
+        yield np.concatenate([pairs, rest], axis=1)
+        for shape in ((), (7,), (3, 4)):
+            for _ in range(20):
+                a = rng.standard_normal(shape + (n,)) * 10.0 ** rng.integers(-3, 4, shape + (n,))
+                special = rng.random(a.shape) < 0.3
+                a[special] = rng.choice(SPECIALS, size=int(special.sum()))
+                yield a
+
+
+@np.errstate(invalid="ignore")             # inf - inf in the sums
+def test_fold_matches_numpy_reductions_bitwise():
+    for a in _fold_cases():
+        for op, reduce in ((np.minimum, np.min), (np.maximum, np.max)):
+            got, ref = _fold(op, a), reduce(a, axis=-1)
+            assert _same_bits(got, ref), (op, a)
+            assert type(got) is type(ref)
+            # the same columns as wave-major rows, as a list or an array
+            rows = np.moveaxis(a, -1, 0)
+            assert _same_bits(_fold(op, rows, axis=0), ref)
+            assert _same_bits(_fold(op, list(rows), axis=0), ref)
+        negative_zeros = np.all((a == 0.0) & np.signbit(a), axis=-1)
+        ref = np.where(negative_zeros, -0.0, np.sum(a, axis=-1))
+        got = _fold(np.add, a)
+        assert _same_bits(got, ref), a
+        assert type(got) is type(np.sum(a, axis=-1))
+
+
+def test_fold_sum_of_negative_zeros_keeps_its_sign():
+    a = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])
+    assert np.array_equal(np.signbit(_fold(np.add, a)), [True, False, False])
+    assert not np.any(np.signbit(np.sum(a, axis=-1)))
+
+
+# in-test copies of the reductions the folds replaced
+
+def _min_q_reference(cfg, t, z):
+    return np.min(q_values(cfg, t, z), axis=-1)
+
+
+def _face_distance_reference(normals, offsets, pts, min_active, feas_tol=1e-9):
+    best = np.full(pts.shape[0], np.inf)
+    scale = 1.0 + np.max(np.abs(pts))
+    for r in range(min_active, normals.shape[0] + 1):
+        for subset in combinations(range(normals.shape[0]), r):
+            b = normals[list(subset)]
+            pinv = np.linalg.pinv(b)
+            cand = pts - (pts @ b.T + offsets[list(subset)]) @ pinv.T
+            consistent = np.max(np.abs(cand @ b.T + offsets[list(subset)]), axis=1) <= feas_tol * scale
+            feasible = np.min(cand @ normals.T + offsets, axis=1) >= -feas_tol * scale
+            ok = consistent & feasible
+            if np.any(ok):
+                best = np.where(ok, np.minimum(best, np.linalg.norm(pts - cand, axis=1)), best)
+    return best
+
+
+def _sample_interface_reference(cfg, t, n_points, half_width, rng):
+    offsets = cfg.shifts - cfg.speed * t
+    pts = []
+    per_facet = max(64, int(np.ceil(n_points / cfg.n_waves)))
+    for i in range(cfg.n_waves):
+        e = cfg.directions[i]
+        basis = np.linalg.svd(np.eye(cfg.dimension) - np.outer(e, e))[0][:, : cfg.dimension - 1]
+        s = rng.uniform(-half_width, half_width, size=(per_facet, cfg.dimension - 1))
+        cand = -offsets[i] * e + s @ basis.T
+        pts.append(cand[np.min(cand @ cfg.directions.T + offsets, axis=1) >= -1e-9])
+    return np.concatenate(pts, axis=0)
+
+
+def _shifted_three_wave():
+    return FrontConfiguration(2, np.array([[-1.0], [1.0], [1.0]]),
+                              np.array([math.pi / 3, math.pi / 4, 1.2]),
+                              np.array([0.0, 0.5, -1.5]), C)
+
+
+GEOMETRIES = pytest.mark.parametrize("make_cfg", [
+    lambda: symmetric_v(math.pi / 3, C),
+    _shifted_three_wave,
+    pyramid,
+], ids=["v-2d", "three-wave-2d", "pyramid-3d"])
+
+
+@GEOMETRIES
+def test_folded_sites_match_reductions_bitwise(make_cfg):
+    cfg = make_cfg()
+    rng = np.random.default_rng(73)
+    z = rng.uniform(-20.0, 20.0, (4000, cfg.dimension))
+    t = rng.uniform(-5.0, 5.0, 4000)
+    # the apex at t = +-0, and points where q_i is inf in one column and
+    # inf - inf = NaN in another, so NaN and signed zeros reach the folds
+    z[:4] = 0.0
+    z[2:4, 0] = np.inf
+    t[:4] = (0.0, -0.0, np.inf, -np.inf)
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(min_q(cfg, t, z), _min_q_reference(cfg, t, z))
+        q = z @ cfg.directions.T - cfg.speed * 0.7 + cfg.shifts
+        ref = np.minimum(1.0, np.exp(-0.4 * (q / np.sin(cfg.angles)).min(axis=1)))
+        assert _same_bits(_slab_weight(cfg, 0.7, z, 0.4), ref)
+    assert _same_bits(min_q(cfg, 1.0, z[5]), _min_q_reference(cfg, 1.0, z[5]))
+    assert type(min_q(cfg, 1.0, z[5])) is np.float64
+    zs = z[4:404]
+    ts = t[4:404]
+    w = np.concatenate([ts[:, None], zs], axis=1)
+    offsets = cfg.shifts - cfg.speed * 1.5
+    for min_active in (1, 2):
+        ref = _face_distance_reference(cfg.spacetime_normals(), cfg.shifts, w, min_active)
+        got = (boundary_distance if min_active == 1 else ridge_distance)(cfg, ts, zs)
+        assert _same_bits(got, ref)
+        ref = _face_distance_reference(cfg.directions, offsets, zs, min_active)
+        got = (interface_distance if min_active == 1 else spatial_ridge_distance)(cfg, 1.5, zs)
+        assert _same_bits(got, ref)
+    for half_width in (5.0, 60.0):
+        got = sample_interface(cfg, 2.0, n_points=900, half_width=half_width,
+                               rng=np.random.default_rng(5))
+        ref = _sample_interface_reference(cfg, 2.0, 900, half_width, np.random.default_rng(5))
+        assert _same_bits(got, ref)
+
+
+@GEOMETRIES
+def test_folded_floor_matches_reduction_bitwise(make_cfg, profile03):
+    cfg = make_cfg()
+    cfg = FrontConfiguration(cfg.dimension, cfg.nus, cfg.angles, cfg.shifts, profile03.speed)
+    counts = (40, 48) if cfg.dimension == 2 else (16, 20, 24)
+    grid = Grid(counts, 0.5, tuple(-0.25 * c for c in counts))
+    pts = grid.points().reshape(-1, grid.dimension)
+    base = (pts @ cfg.directions.T + cfg.shifts).min(axis=1).reshape(grid.counts)
+    floor = subsolution_floor(cfg, profile03, grid)
+    for t in (-20.0, 0.0, 3.5):
+        assert _same_bits(floor(t), profile03(base - cfg.speed * t))

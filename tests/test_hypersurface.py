@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedfronts import ScaledSurface, fit_surface_constants, symmetric_v, FrontConfiguration
+from curvedfronts import (BarrierSet, FrontConfiguration, ScaledSurface, fit_surface_constants,
+                          symmetric_v)
 
 C = 0.26343617168072303
 SIN60 = math.sin(math.pi / 3)
@@ -338,3 +339,63 @@ def test_solve_phi_batch_property(make, cfg_v, seed, n, spread, data):
     first_step = tail / (np.max(S._sin) * (1.0 + tail))
     resolvable = first_step > 64.0 * ulps
     assert np.all(gap[resolvable] > 0.0)
+
+
+def _same_bits(got, ref):
+    # equal values, NaN where NaN, and equal sign bits off NaN: numpy's
+    # min and max reductions do not keep the sign bit of a NaN
+    number = ~np.isnan(ref)
+    return (np.shape(got) == np.shape(ref) and np.array_equal(got, ref, equal_nan=True)
+            and np.array_equal(np.signbit(got)[number], np.signbit(ref)[number]))
+
+
+@SURFACES
+def test_folded_psi_matches_reduction_bitwise(make, cfg_v):
+    # psi folds its wave-major rows with np.maximum; the reduction it
+    # replaced is np.max over support_planes' last axis
+    S = make(cfg_v)
+    m = S.cfg.dimension - 1
+    rng = np.random.default_rng(79)
+    t = rng.uniform(-6.0, 6.0, 20000) * S.alpha
+    x = rng.uniform(-30.0, 30.0, (20000, m)) * S.alpha
+    # the apex at t = +-0, and inf - inf = NaN in some rows at infinite points
+    x[:4] = np.array([0.0, 0.0, np.inf, -np.inf])[:, None]
+    t[:4] = (0.0, -0.0, np.inf, np.inf)
+    cases = ((t, x), (np.float64(1.5), x), (t[7], x[7]), (0.0, np.zeros(m)),
+             (t[:12].reshape(3, 4), x[:12].reshape(3, 4, m)))
+    for tq, xq in cases:
+        with np.errstate(invalid="ignore"):
+            got = S.psi(tq, xq)
+            ref = np.max(S.support_planes(tq, xq), axis=-1)
+        assert _same_bits(got, ref)
+        assert type(got) is type(ref)
+    # a given projection: the computed one, then one of signed zeros,
+    # infinities and NaN, so psi_i = +0 meets psi_j = -0 and NaN meets numbers
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0])
+    crafted = (rng.choice(specials, (2000, S.cfg.n_waves)), rng.choice(specials, 2000))
+    with np.errstate(invalid="ignore"):
+        for proj in (S._project(t, x), crafted):
+            assert _same_bits(S.psi(t, x, proj),
+                              np.max(S.support_planes(t, x, proj), axis=-1))
+
+
+@pytest.mark.parametrize("front", ["v", "pyramid"])
+def test_folded_frame_matches_reduction_bitwise(front, cfg_v, profile03, nl03, params03):
+    # BarrierSet._frame folds |grad phi|^2 over the columns of grad
+    cfg = cfg_v if front == "v" else pyramid_surface().cfg
+    cfg = FrontConfiguration(cfg.dimension, cfg.nus, cfg.angles, cfg.shifts, profile03.speed)
+    B = BarrierSet(cfg, profile03, nl03, params03)
+    m = cfg.dimension - 1
+    a = params03.alpha
+    rng = np.random.default_rng(83)
+    t = rng.uniform(0.0, 8.0, 5000)
+    z = rng.uniform(-30.0, 30.0, (5000, m + 1))
+    for tq, zq in ((t, z), (t[3], z[3])):
+        eta, xi, h = B._frame(tq, zq)
+        at, ax = a * np.asarray(tq), a * zq[..., :-1]
+        phi = B.surface.solve_phi(at, ax)
+        grad, ref_h = B.surface.gradient_and_flatness(at, ax, phi)
+        ref_eta = zq[..., -1] - phi / a
+        ref_xi = ref_eta / np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+        for got, ref in ((eta, ref_eta), (xi, ref_xi), (h, ref_h)):
+            assert _same_bits(got, ref)
