@@ -26,7 +26,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import scipy
 
 from .barriers import (BarrierParams, BarrierSampleSpec, BarrierSet,
                        auto_parameters, validate_parameters)
@@ -50,7 +49,6 @@ __all__ = [
     "validate_config",
     "write_snapshot",
     "read_snapshot",
-    "snapshot_roundtrip",
     "run",
     "main",
 ]
@@ -126,11 +124,6 @@ def read_snapshot(path, origin=None) -> Field:
         origin = tuple(0.0 for _ in counts)
     return Field(Grid(tuple(int(c) for c in counts), dx, tuple(origin)),
                  values.astype(float), t)
-
-
-def snapshot_roundtrip(fld: Field, path) -> Field:
-    write_snapshot(path, fld)
-    return read_snapshot(path, origin=fld.grid.origin)
 
 
 def _write_csv(path, header, rows, comment="") -> None:
@@ -412,7 +405,12 @@ def make_run_dir(out_dir, cfg: dict) -> str:
 
 def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
                    seed: int, threads: int) -> str:
+    from importlib import metadata  # not at module level: it adds a few ms to the import
     from . import __version__  # the package imports this module first
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
     artifacts = {}
     for name in sorted(os.listdir(run_dir)):
         if name == "manifest.json":
@@ -429,7 +427,7 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
         # BLAS pools sized from the machine can move the profile fit's last bits
         "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
         "versions": {"curvedfronts": __version__, "python": sys.version,
-                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "numpy": np.__version__, "scipy": scipy_version,
                      "platform": sys.platform, "machine": os.uname().machine},
         "passed": passed,
         "artifacts": artifacts,

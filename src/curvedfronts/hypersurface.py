@@ -212,14 +212,6 @@ class ScaledSurface:
             phi = self.solve_phi(t, x)
         return _flatness(self._weight_rows(t, x, phi))
 
-    def flatness_identity_gap(self, t, x, phi=None) -> np.ndarray:
-        """|pair form - complement form| of h; a machine-precision identity
-        when phi is solved exactly."""
-        w = self.weights(t, x, phi)
-        pair = np.einsum("...i,...j->...", w, w) - np.sum(w * w, axis=-1)
-        comp = 1.0 - np.sum(w * w, axis=-1)
-        return np.abs(pair - comp)
-
 
 def _wave_sum(rows, coef=None) -> np.ndarray:
     """sum_i coef_i rows[i] (coef_i = 1 if omitted), added left to right."""

@@ -70,9 +70,6 @@ class CombustionNonlinearity:
             return float(out)
         return out
 
-    def value_and_derivative(self, u):
-        return self(u), self.derivative(u)
-
     def max_abs_derivative(self, lo: float | None = None, hi: float | None = None) -> float:
         """sup |f'| over [lo, hi] (defaults to the full clamped domain),
         estimated on a dense grid; used for explicit-step Lipschitz caps."""

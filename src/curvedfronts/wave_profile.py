@@ -14,6 +14,10 @@ seeded near U = 1 by the linearization p = mu * (1 - U) where mu is the
 positive root of mu^2 + c*mu + f'(1) = 0.  Integrating downward in U is
 contracting, so the seed error is crushed; integrating upward is unstable,
 which is why the tabulated profile is also produced by the downward pass.
+The shots use DOP853 (Hairer, Nørsett and Wanner, *Solving Ordinary
+Differential Equations I*, §II.10) from _dop853, a numpy port of scipy's
+solve_ivp that the tests check against it bit for bit: the same steps and
+rounding, so the same c_f, without importing scipy.
 
 The speed search is a bisection on S(c) = p(theta; c) - c*theta that stops
 at the first midpoint where a full-precision shot gives |S| <= s_tol.  Its
@@ -47,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.integrate import solve_ivp
 
+from ._dop853 import dop853
 from .nonlinearity import CombustionNonlinearity
 
 __all__ = [
@@ -120,16 +124,13 @@ def _shoot(nl: CombustionNonlinearity, c: float, t_eval=None, rtol=1e-13, atol=1
     def hit_floor(u, y):
         return y[0] - floor_amp * (1.0 - u)
 
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-
-    sol = solve_ivp(rhs, (u_start, nl.theta), (p_start, 0.0), method="DOP853",
-                    t_eval=t_eval, rtol=rtol, atol=atol, events=hit_floor, dense_output=False)
-    if sol.status == 1 or sol.t[-1] > nl.theta + 1e-12:
+    t, y, _, status = dop853(rhs, u_start, (p_start, 0.0), nl.theta, rtol, atol,
+                             t_eval=t_eval, event=hit_floor)
+    if status == 1:
         raise ShootingCollapseError(f"trajectory hit p = 0 before U = theta at c = {c}")
-    if not sol.success:
-        raise RuntimeError(f"phase-plane integration failed at c = {c}: {sol.message}")
-    return sol
+    if status == -1:
+        raise RuntimeError(f"phase-plane integration failed at c = {c}: step below 10 ulps")
+    return t, y
 
 
 def shoot_p(nl: CombustionNonlinearity, c: float) -> float:
@@ -138,8 +139,7 @@ def shoot_p(nl: CombustionNonlinearity, c: float) -> float:
     (ShootingCollapseError)."""
     if c <= 0.0:
         raise ValueError(f"wave speed candidate must be positive, got {c}")
-    sol = _shoot(nl, c)
-    return float(sol.y[0][-1])
+    return float(_shoot(nl, c)[1][0][-1])
 
 
 def _bracket(s, c_lo: float, c_hi: float, max_widen: int):
@@ -237,7 +237,7 @@ def find_wave_speed(nl: CombustionNonlinearity, c_lo: float = 1e-4, c_hi: float 
         n_probe += 1
         try:
             # a cheap shot, whose S is good to about 1e-8
-            return float(_shoot(nl, c, rtol=1e-6, atol=1e-12).y[0][-1]) - c * theta
+            return float(_shoot(nl, c, rtol=1e-6, atol=1e-12)[1][0][-1]) - c * theta
         except ShootingCollapseError:
             return -np.inf
 
@@ -400,11 +400,6 @@ class WaveProfile:
         return 0.5 * (lo + hi)
 
 
-def ode_second_derivative(profile: WaveProfile, nl: CombustionNonlinearity, d):
-    """U''(D) = -c U'(D) - f(U(D))."""
-    return -profile.speed * profile.derivative(d) - nl(profile(d))
-
-
 def _fit_chebyshev(d_samples, g_samples, tol=3e-12, max_deg=1600):
     lo, hi = float(d_samples[0]), float(d_samples[-1])
     deg = 128
@@ -450,16 +445,14 @@ def _log_one_minus_samples(nl: CombustionNonlinearity, c: float):
     w = np.exp(np.linspace(np.log(DELTA_LIN), np.log(1.0 - theta), n_pass))
     u_eval = 1.0 - w
     u_eval[-1] = theta
-    sol = _shoot(nl, c, t_eval=u_eval)
-    p_vals = sol.y[0]
-    d_raw = sol.y[1]
+    u_pass, (p_vals, d_raw) = _shoot(nl, c, t_eval=u_eval)
     mismatch = abs(p_vals[-1] - c * theta)
     if mismatch > 1e-9:
         raise RuntimeError(
             f"phase-plane matching residual {mismatch:.3e}; speed candidate is not converged")
 
     d_samples = d_raw - d_raw[-1]  # now D(theta) = 0, D <= 0 along the pass
-    g_samples = np.log(1.0 - sol.t)  # log(1 - U)
+    g_samples = np.log(1.0 - u_pass)  # log(1 - U)
     order = np.argsort(d_samples)
     return d_samples[order], g_samples[order]
 

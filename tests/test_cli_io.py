@@ -7,6 +7,7 @@ import math
 import os
 import re
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvedfronts
-from curvedfronts import Field, Grid, read_snapshot, snapshot_roundtrip, write_snapshot
+from curvedfronts import Field, Grid, read_snapshot, write_snapshot
 from curvedfronts import cli_io
 from curvedfronts.cli_io import (
     CONFIG,
@@ -81,7 +82,8 @@ def run_dir_of(stdout):
 
 def test_snapshot_roundtrip(tmp_path):
     fld = sample_field()
-    back = snapshot_roundtrip(fld, tmp_path / "f.cflb")
+    write_snapshot(tmp_path / "f.cflb", fld)
+    back = read_snapshot(tmp_path / "f.cflb", origin=fld.grid.origin)
     assert np.array_equal(back.values, fld.values)
     assert back.grid.counts == fld.grid.counts
     assert back.grid.dx == fld.grid.dx
@@ -582,6 +584,17 @@ def test_manifest_records_versions(tmp_path, strict_loads):
                                     "scipy": scipy.__version__,
                                     "platform": sys.platform,
                                     "machine": os.uname().machine}
+
+
+def test_import_leaves_scipy_out():
+    # the CLI shoots with the numpy DOP853 port and reads scipy's version
+    # from the package metadata, so importing it loads no scipy module
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, curvedfronts.cli_io; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

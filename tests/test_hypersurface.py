@@ -127,7 +127,9 @@ def test_weights_and_flatness(surf):
     assert np.allclose(h, 1.0 - np.sum(w**2, axis=1), atol=1e-12)
     assert np.all(h >= 0.0)
     assert np.all(h <= 0.5 + 1e-12)
-    assert np.max(np.abs(surf.flatness_identity_gap(t, x))) < 1e-12
+    # the pair form sum_{i != j} w_i w_j agrees with the complement form
+    pair = np.einsum("...i,...j->...", w, w) - np.sum(w * w, axis=-1)
+    assert np.max(np.abs(pair - (1.0 - np.sum(w * w, axis=-1)))) < 1e-12
     # equal weights on the symmetry axis, single-facet dominance far out
     assert surf.flatness(np.array([0.0]), np.zeros((1, 1)))[0] == pytest.approx(0.5, abs=1e-13)
     assert surf.flatness(np.array([0.0]), np.array([[200.0]]))[0] < 1e-40

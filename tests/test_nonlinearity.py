@@ -79,14 +79,6 @@ def test_derivative_matches_finite_differences():
     assert np.max(np.abs(nl.derivative(u) - fd)) < 5e-9
 
 
-def test_value_and_derivative_consistent():
-    nl = make_combustion()
-    u = np.linspace(-0.2, 1.2, 57)
-    f, df = nl.value_and_derivative(u)
-    assert np.array_equal(f, nl(u))
-    assert np.array_equal(df, nl.derivative(u))
-
-
 def test_lipschitz_bound():
     nl = make_combustion(theta=0.25, amplitude=1.0, exponent=2.0, sigma=0.1)
     L = nl.max_abs_derivative()

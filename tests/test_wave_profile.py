@@ -1,11 +1,14 @@
-"""Planar traveling wave U(D) with speed c: shooting solver, the replayed
+"""Planar traveling wave U(D) with speed c: shooting solver (the numpy
+DOP853 port against scipy's solve_ivp, bit for bit), the replayed
 bisection of the speed search, decay rates, evaluator accuracy (the piecewise table against the global Chebyshev fit
 it is resampled from), and the amplitude scaling law."""
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, solve_ivp
 
 from curvedfronts import (
     Field,
@@ -22,7 +25,7 @@ from curvedfronts import (
     shoot_p,
     tail_rates,
 )
-from curvedfronts import wave_profile
+from curvedfronts import _dop853, wave_profile
 from curvedfronts.wave_profile import (
     N_PIECES,
     SIGN_GUARD,
@@ -100,6 +103,126 @@ def test_shooting_collapses_above_connection_speed(nl03):
         shoot_p(nl03, 0.5)
 
 
+# -- the numpy DOP853 port against scipy's solve_ivp -------------------------
+
+# The nonlinearities on which the speed search was checked bit for bit, with
+# their connection speeds, as (theta, amplitude, exponent, sigma): c_f.
+PORT_CASES = {
+    (0.2, 1.0, 2.0, 0.1): EXACT_SPEEDS[0.2],
+    (0.3, 1.0, 2.0, 0.1): EXACT_SPEEDS[0.3],
+    (0.5, 1.0, 2.0, 0.1): EXACT_SPEEDS[0.5],
+    (0.3, 4.0, 2.0, 0.1): EXACT_SPEED_A4,
+    (0.1, 2.0, 3.0, 0.1): 0.46996823773188545,
+    (0.4, 0.5, 2.5, 0.05): 0.09704935639914636,
+    (0.05, 1.0, 2.0, 0.1): 0.5927088951058981,
+    (0.9, 1.0, 2.0, 0.1): 0.004204095243470602,
+    (0.7, 10.0, 2.0, 0.1): 0.12780130231148967,
+    (0.3, 0.01, 2.0, 0.1): 0.026343617168572107,
+    (0.3, 300.0, 2.0, 0.1): 4.562848339045765,
+}
+# shots at and near c_f, and far above (where most collapse) and below it
+PORT_FACTORS = (1.0, 1.0 + 1e-9, 1.0 - 1e-7, 1.3, 3.0, 0.5, 0.01)
+
+
+def _pass_points(theta):
+    """The 24001 output points of the profile pass (_log_one_minus_samples)."""
+    w = np.exp(np.linspace(np.log(wave_profile.DELTA_LIN), np.log(1.0 - theta), 24001))
+    u = 1.0 - w
+    u[-1] = theta
+    return u
+
+
+def _scipy_shot(nl, c, t_eval, rtol, atol):
+    """The shot as solve_ivp takes it: status 1 is a collapse."""
+    mu = decay_rate_into_burned(nl, c)
+    a, theta, expo = nl.amplitude, nl.theta, nl.exponent
+
+    def rhs(u, y):
+        fu = a * (u - theta) ** expo * (1.0 - u) if u > theta else 0.0
+        return (c - fu / y[0], -1.0 / y[0])
+
+    floor_amp = 0.05 * min(c * theta, mu * (1.0 - theta)) / (1.0 - theta)
+
+    def hit_floor(u, y):
+        return y[0] - floor_amp * (1.0 - u)
+
+    hit_floor.terminal = True
+    hit_floor.direction = -1
+    return solve_ivp(rhs, (1.0 - wave_profile.DELTA_LIN, theta), (mu * wave_profile.DELTA_LIN, 0.0),
+                     method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, events=hit_floor)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["falling", "rising"])
+def test_port_event_fires_where_solve_ivp_stops(sign):
+    # y = 1 - t integrated from t = 1 down to 0: 1/2 - y falls through 0
+    def event(t, y):
+        return sign * (0.5 - y[0])
+
+    event.terminal, event.direction = True, -1
+    ref = solve_ivp(lambda t, y: (-1.0,), (1.0, 0.0), (0.0,), method="DOP853", events=event)
+    status = _dop853.dop853(lambda t, y: (-1.0,), 1.0, (0.0,), 0.0, 1e-3, 1e-6, event=event)[3]
+    assert status == ref.status == (1 if sign > 0 else 0)
+
+
+@pytest.mark.parametrize("params", sorted(PORT_CASES), ids=str)
+def test_port_replays_solve_ivp(monkeypatch, params):
+    # every kind of shot _shoot takes: full precision, probe and profile pass
+    # (the pass only at c_f and 3 c_f, to keep this quick).  The shots at
+    # 3 c_f collapse for theta < 0.7, those at 1.3 c_f for theta 0.05 and 0.1
+    nl = make_combustion(*params)
+    runs = []
+    real = wave_profile.dop853
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(wave_profile, "dop853", recording)
+    for factor in PORT_FACTORS:
+        c = PORT_CASES[params] * factor
+        shots = [(None, 1e-13, 1e-16), (None, 1e-6, 1e-12)]
+        if factor in (1.0, 3.0):
+            shots.append((_pass_points(nl.theta), 1e-13, 1e-16))
+        for t_eval, rtol, atol in shots:
+            ref = _scipy_shot(nl, c, t_eval, rtol, atol)
+            assert ref.status in (0, 1)
+            try:
+                t, y = wave_profile._shoot(nl, c, t_eval=t_eval, rtol=rtol, atol=atol)
+            except ShootingCollapseError:
+                assert ref.status == 1
+                continue
+            assert ref.status == 0
+            assert np.array_equal(t, ref.t) and np.array_equal(y, ref.y)
+            assert runs[-1][2] == ref.nfev
+
+
+def test_port_tableau_is_scipys():
+    assert np.array_equal(_dop853.A[:12, :12], DOP853.A)
+    assert np.array_equal(_dop853.A[13:], DOP853.A_EXTRA)
+    assert np.array_equal(_dop853.B, DOP853.B)
+    assert np.array_equal(_dop853.C[:12], DOP853.C)
+    assert np.array_equal(_dop853.C[13:], DOP853.C_EXTRA)
+    for name in ("E3", "E5", "D"):
+        assert np.array_equal(getattr(_dop853, name), getattr(DOP853, name)), name
+
+
+def test_port_fails_where_solve_ivp_fails():
+    # NaN below t = 0.5: every step across it is rejected until the step
+    # falls below ten ulps of t
+    def rhs(t, y):
+        return (-y[0] if t > 0.5 else np.nan, 1.0)
+
+    ref = solve_ivp(rhs, (1.0, 0.0), (1.0, 0.0), method="DOP853", rtol=1e-13, atol=1e-16)
+    t, y, nfev, status = _dop853.dop853(rhs, 1.0, (1.0, 0.0), 0.0, 1e-13, 1e-16)
+    assert ref.status == status == -1
+    assert np.array_equal(t, ref.t) and np.array_equal(y, ref.y) and nfev == ref.nfev
+    # a NaN from the first call fails at once (solve_ivp would loop forever)
+    assert _dop853.dop853(lambda t, y: (np.nan,), 1.0, (1.0,), 0.0, 1e-13, 1e-16)[3] == -1
+    nan_nl = SimpleNamespace(theta=0.3, amplitude=np.nan, exponent=2.0, fprime_at_one=-0.49)
+    with pytest.raises(RuntimeError, match="phase-plane integration failed"):
+        shoot_p(nan_nl, 0.3)
+
+
 def test_anchor_and_range(profile03):
     assert profile03(0.0) == pytest.approx(0.3, abs=1e-12)
     D = np.linspace(profile03.grid[0], profile03.grid[-1], 2000)
@@ -140,14 +263,14 @@ def test_derivative_matches_finite_differences(profile03):
 
 
 def test_second_derivative_matches_finite_differences(nl03, profile03):
-    from curvedfronts.wave_profile import ode_second_derivative
-
     D = np.linspace(-20.0, 20.0, 400)
     # keep clear of the ignition kink at D = 0 where U'' jumps
     D = D[np.abs(D) > 0.05]
     h = 1e-4
     fd = (profile03(D + h) - 2 * profile03(D) + profile03(D - h)) / h**2
-    assert np.max(np.abs(ode_second_derivative(profile03, nl03, D) - fd)) < 1e-6
+    # U'' = -c U' - f(U), from the ODE
+    upp = -profile03.speed * profile03.derivative(D) - nl03(profile03(D))
+    assert np.max(np.abs(upp - fd)) < 1e-6
 
 
 def test_derivative_strictly_negative(profile03):
