@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .front_geometry import FrontConfiguration, _fold, min_q, ridge_distance
+from .front_geometry import (FrontConfiguration, _fold, _slab_weight, ridge_distance,
+                             subsolution_lower)
 from .hypersurface import ScaledSurface, fit_surface_constants
 from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity
@@ -179,7 +180,7 @@ class BarrierSet:
 
     def lower(self, t, z):
         """Subsolution: max of the planar fronts, U(min_i q_i)."""
-        return self.profile(min_q(self.cfg, t, z))
+        return subsolution_lower(self.cfg, self.profile, t, z)
 
     def upper(self, t, z):
         """Supersolution V_up (clamped at 1)."""
@@ -482,14 +483,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                 clearance = float(r0)
                 break
         far = rd >= (clearance if np.isfinite(clearance) else np.median(rd))
-        slab = _fold(np.minimum, (
-            np.asarray(z_u) @ np.concatenate([
-                (cfg.nus / np.tan(cfg.angles)[:, None]).T,
-                np.ones((1, cfg.n_waves))], axis=0)
-            - (profile.speed / np.sin(cfg.angles)) * t_u[:, None]
-            + cfg.shifts / np.sin(cfg.angles)))
-        weight = np.minimum(1.0, np.exp(-2.0 * v_star * slab))
-        ratio = gap / weight
+        ratio = gap / _slab_weight(cfg, t_u, z_u, 2.0 * v_star)
         c_star_fit = float(np.max(ratio[far]) / params.epsilon) if np.any(far) else float("nan")
     else:
         clearance = 0.0

@@ -33,7 +33,7 @@ from .diagnostics import (DiagnosticsReport, PerturbationSpec,
                           extract_interface_and_Meps, half_level_cross_check,
                           mean_speed_estimate, sandwich_and_monotonicity,
                           stability_run, weighted_gap_report)
-from .front_geometry import FrontConfiguration, min_q
+from .front_geometry import FrontConfiguration
 from .hypersurface import ScaledSurface, fit_surface_constants
 from .jsonio import dumps
 from .nonlinearity import make_combustion
@@ -442,7 +442,8 @@ def verify_manifest(run_dir) -> bool:
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     for name, digest in manifest["artifacts"].items():
-        if _sha256_file(os.path.join(run_dir, name)) != digest:
+        path = os.path.join(run_dir, name)
+        if not os.path.isfile(path) or _sha256_file(path) != digest:
             return False
     return True
 
@@ -527,13 +528,11 @@ def _cmd_simulate(objs, run_dir, seed, threads):
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     t_start = float(exp["t_start"])
-    pts = grid.points().reshape(-1, grid.dimension)
-    u0 = profile(min_q(front, t_start, pts).reshape(grid.counts))
-    boundary = make_boundary("dirichlet-lower", front, profile)
-    floor = subsolution_floor(front, profile, grid) if exp["use_floor"] else None
-    snaps = solve_cauchy(Field(grid, u0, t_start), nl, boundary, config,
-                         t_start + objs["t_end"],
-                         snapshot_dt=objs["snapshot_dt"], floor=floor)
+    floor = subsolution_floor(front, profile, grid)
+    snaps = solve_cauchy(Field(grid, floor(t_start), t_start), nl,
+                         make_boundary(front, profile), config,
+                         t_start + objs["t_end"], snapshot_dt=objs["snapshot_dt"],
+                         floor=floor if exp["use_floor"] else None)
     for k, fld in enumerate(snaps):
         write_snapshot(os.path.join(run_dir, f"snapshot_{k:04d}.cflb"), fld)
     write_slice_csv(os.path.join(run_dir, "final_slice.csv"), snaps[-1],
@@ -586,12 +585,10 @@ def _cmd_verify(objs, run_dir, seed, threads):
     exp = objs["experiment"]
     c = profile.speed
     spin_depth = float(exp["spin_depth"])
-    boundary = make_boundary("dirichlet-lower", front, profile)
+    boundary = make_boundary(front, profile)
     floor = subsolution_floor(front, profile, grid)
-    pts = grid.points().reshape(-1, grid.dimension)
-    u0 = profile(min_q(front, -spin_depth, pts).reshape(grid.counts))
-    spin = solve_cauchy(Field(grid, u0, -spin_depth), nl, boundary, config,
-                        0.0, snapshot_dt=spin_depth, floor=floor,
+    spin = solve_cauchy(Field(grid, floor(-spin_depth), -spin_depth), nl, boundary,
+                        config, 0.0, snapshot_dt=spin_depth, floor=floor,
                         keep_all=False)
     traj = solve_cauchy(spin[-1], nl, boundary, config, objs["t_end"],
                         snapshot_dt=objs["snapshot_dt"], floor=floor)
@@ -720,7 +717,13 @@ def main(argv=None) -> int:
 
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("CFL_THREADS", "1"))
+        env = os.environ.get("CFL_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            print(f"config error: threads: CFL_THREADS must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     if threads < 1:
         print("config error: threads: must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

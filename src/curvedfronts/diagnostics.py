@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barriers import BarrierSet
-from .front_geometry import (FrontConfiguration, _fold, min_q, ridge_distance,
-                             interface_distance, sample_interface,
-                             spatial_ridge_distance)
+from .front_geometry import (FrontConfiguration, _slab_weight, min_q,
+                             ridge_distance, interface_distance,
+                             sample_interface, spatial_ridge_distance)
 from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity
 from .rd_solver import (Grid, Field, SolverConfig, solve_cauchy, make_boundary,
@@ -131,8 +131,8 @@ def extract_interface_and_Meps(fld: Field, cfg: FrontConfiguration,
     return out
 
 
-def _half_level_points(fld: Field, level: float = 0.5) -> np.ndarray:
-    """Linear-interpolated level-set crossings along grid lines (2D)."""
+def _half_level_points(fld: Field) -> np.ndarray:
+    """Linear-interpolated crossings of u = 1/2 along grid lines (2D)."""
     g = fld.grid
     if g.dimension != 2:
         raise ValueError("half-level extraction implemented for 2D fields")
@@ -143,7 +143,7 @@ def _half_level_points(fld: Field, level: float = 0.5) -> np.ndarray:
     for axis in (0, 1):
         a = u if axis == 0 else u.T
         c0, c1 = (x, y) if axis == 0 else (y, x)
-        sgn = a - level
+        sgn = a - 0.5
         hit = sgn[:-1, :] * sgn[1:, :] < 0
         i, j = np.nonzero(hit)
         frac = sgn[i, j] / (sgn[i, j] - sgn[i + 1, j])
@@ -151,8 +151,6 @@ def _half_level_points(fld: Field, level: float = 0.5) -> np.ndarray:
         coord1 = c1[j]
         p = np.stack([coord0, coord1], axis=-1)
         pts.append(p if axis == 0 else p[:, ::-1])
-    if not pts:
-        return np.empty((0, 2))
     return np.concatenate(pts, axis=0)
 
 
@@ -259,13 +257,6 @@ def mean_speed_estimate(cfg: FrontConfiguration, times,
         "far_pair_speed_min": float(speeds[far].min()) if far.any() else None,
         "far_pair_speed_max": float(speeds[far].max()) if far.any() else None,
     }
-
-
-def _slab_weight(cfg: FrontConfiguration, t: float, pts: np.ndarray,
-                 v_rate: float) -> np.ndarray:
-    """min{1, exp(-v * min_i q_i(t, pts) / sin theta_i)} for points (P, N)."""
-    q = pts @ cfg.directions.T - cfg.speed * t + cfg.shifts
-    return np.minimum(1.0, np.exp(-v_rate * _fold(np.minimum, q / np.sin(cfg.angles))))
 
 
 def weighted_gap_report(trajectory, cfg: FrontConfiguration,
@@ -431,7 +422,7 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
     if not adm["ok"]:
         raise ValueError(f"inadmissible perturbation: {adm}")
 
-    boundary = make_boundary("dirichlet-lower", cfg, profile)
+    boundary = make_boundary(cfg, profile)
     twin = solve_cauchy(Field(grid, vlow0, 0.0), nl, boundary, config, t_end,
                         snapshot_dt=snapshot_dt, floor=floor)
     pert_run = solve_cauchy(Field(grid, u0, 0.0), nl, boundary, config, t_end,

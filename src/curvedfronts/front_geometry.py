@@ -145,6 +145,13 @@ def subsolution_lower(cfg: FrontConfiguration, profile: WaveProfile, t, z) -> np
     return profile(min_q(cfg, t, z))
 
 
+def _slab_weight(cfg: FrontConfiguration, t, z, v_rate: float) -> np.ndarray:
+    """min{1, exp(-v * min_i q_i(t, z) / sin theta_i)}: 1 on the burned side,
+    decaying ahead of the front.  t is one time or one per point."""
+    q = q_values(cfg, t, z)
+    return np.minimum(1.0, np.exp(-v_rate * _fold(np.minimum, q / np.sin(cfg.angles))))
+
+
 def classify_region(cfg: FrontConfiguration, t, z, tol: float = 1e-12) -> np.ndarray:
     """+1 ahead of the front (min q > tol), -1 behind (min q < -tol),
     0 on the interface band |min q| <= tol."""

@@ -40,6 +40,10 @@ __all__ = [
     "fit_surface_constants",
 ]
 
+FIT_T_RANGE = (-10.0, 10.0)  # the sampling box of fit_surface_constants
+FIT_X_HALF_WIDTH = 30.0
+FIT_SAMPLES = 4000
+
 
 @dataclass(frozen=True)
 class SurfaceDerivatives:
@@ -262,25 +266,24 @@ def _ridge_corner_samples(surface: ScaledSurface, t_range, n_times: int = 33):
     return np.array(ts), np.array(xs)
 
 
-def fit_surface_constants(surface: ScaledSurface, t_range=(-10.0, 10.0),
-                          x_half_width: float = 30.0, n_samples: int = 4000,
-                          rng=None) -> SurfaceFit:
+def fit_surface_constants(surface: ScaledSurface) -> SurfaceFit:
     """Estimate the comparison constants of the graph by sampling.
 
-    Over a box of scaled coordinates this measures the ratio of the gap
+    Over the box FIT_T_RANGE x [-FIT_X_HALF_WIDTH, FIT_X_HALF_WIDTH]^(N-1) of
+    scaled coordinates (FIT_SAMPLES uniform points from a fixed seed, plus
+    the ridge corners) this measures the ratio of the gap
     phi - psi to the flatness h, the deviation of (phi_t, grad) from the
     dominant facet's slope against h, and the excess of the normal speed
     phi_t / sqrt(1 + |grad|^2) over the planar speed c (positive for a
     strictly convex graph, vanishing toward facet interiors).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     cfg = surface.cfg
     m = cfg.dimension - 1
-    t = rng.uniform(t_range[0], t_range[1], size=n_samples)
-    x = rng.uniform(-x_half_width, x_half_width, size=(n_samples, m))
+    t = rng.uniform(*FIT_T_RANGE, size=FIT_SAMPLES)
+    x = rng.uniform(-FIT_X_HALF_WIDTH, FIT_X_HALF_WIDTH, size=(FIT_SAMPLES, m))
     if cfg.n_waves >= 2:
-        t_corner, x_corner = _ridge_corner_samples(surface, t_range)
+        t_corner, x_corner = _ridge_corner_samples(surface, FIT_T_RANGE)
         t = np.concatenate([t, t_corner])
         x = np.concatenate([x, x_corner.reshape(-1, m)], axis=0)
     phi = surface.solve_phi(t, x)
@@ -298,4 +301,4 @@ def fit_surface_constants(surface: ScaledSurface, t_range=(-10.0, 10.0),
     c1_hat = float(max(np.max(dev / h), np.max(speed_excess / h)))
     return SurfaceFit(c_hat=c_hat, c1_hat=c1_hat,
                       normal_speed_min=float(np.min(speed_excess)),
-                      h_max=float(np.max(h)), n_samples=n_samples)
+                      h_max=float(np.max(h)), n_samples=FIT_SAMPLES)

@@ -2,10 +2,12 @@
 
 Supports 1D/2D/3D uniform grids, explicit Euler and Heun (RK2) stepping
 under a CFL rule that also caps dt by the reaction Lipschitz constant so
-the discrete maximum principle keeps states inside [0, 1].  Dirichlet
-boundary data come from a policy callable evaluated on the boundary ring
-each step, so comparison arguments against the analytic barriers carry
-over to the discrete runs.
+the discrete maximum principle keeps states inside [0, 1].  The
+subsolution max_i U(q_i) of the planar waves is the one object the runs
+are compared against: subsolution_floor gives its grid values (the floor
+and each run's initial state) and make_boundary its values on the
+boundary ring (the Dirichlet data, evaluated each step), so comparison
+arguments against the analytic barriers carry over to the discrete runs.
 
 Each step is one pass over cache-sized blocks of leading-axis rows (about
 BLOCK_CELLS cells each).  With several workers the blocks run on a thread
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .front_geometry import FrontConfiguration, _fold, min_q
+from .front_geometry import FrontConfiguration, _fold, subsolution_lower
 from .nonlinearity import CombustionNonlinearity
 from .wave_profile import WaveProfile
 
@@ -36,7 +38,6 @@ __all__ = [
     "SolverConfig",
     "make_boundary",
     "subsolution_floor",
-    "step",
     "solve_cauchy",
     "entire_solution",
     "EntireSolutionResult",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 BLOCK_CELLS = 32768  # cells per row block: 256 KiB per float64 array
+SPEED_MAX_TIME = 20000.0  # model time after which measure_speed_1d gives up
 
 
 @dataclass(frozen=True)
@@ -162,29 +164,10 @@ def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
     return lambda t: profile(base - c * t)
 
 
-def make_boundary(policy: str, cfg: FrontConfiguration | None = None,
-                  profile: WaveProfile | None = None, upper=None):
-    """Boundary data callable (t, points) -> values for a named policy.
-
-    dirichlet-lower uses the subsolution max_i U(q_i); dirichlet-upper uses
-    a supplied upper-barrier callable; dirichlet-exact-planar uses the
-    first direction's planar front alone.
-    """
-    if policy == "dirichlet-lower":
-        if cfg is None or profile is None:
-            raise ValueError("dirichlet-lower needs cfg and profile")
-        return lambda t, pts: profile(min_q(cfg, np.full(pts.shape[0], t), pts))
-    if policy == "dirichlet-upper":
-        if upper is None:
-            raise ValueError("dirichlet-upper needs an upper-barrier callable")
-        return lambda t, pts: upper(np.full(pts.shape[0], t), pts)
-    if policy == "dirichlet-exact-planar":
-        if cfg is None or profile is None:
-            raise ValueError("dirichlet-exact-planar needs cfg and profile")
-        e = cfg.directions[0]
-        tau = cfg.shifts[0]
-        return lambda t, pts: profile(pts @ e - cfg.speed * t + tau)
-    raise ValueError(f"unknown boundary policy {policy!r}")
+def make_boundary(cfg: FrontConfiguration, profile: WaveProfile):
+    """Dirichlet data callable (t, points) -> max_i U(q_i(t, points)): the
+    subsolution on the boundary ring, through subsolution_lower."""
+    return lambda t, pts: subsolution_lower(cfg, profile, np.full(pts.shape[0], t), pts)
 
 
 def _row_blocks(counts: tuple):
@@ -309,19 +292,6 @@ class _Stepper:
         return new
 
 
-def step(fld: Field, nl: CombustionNonlinearity, config: SolverConfig,
-         boundary, floor=None) -> Field:
-    """Single-step convenience wrapper around the blocked stepper."""
-    dt = config.resolve_dt(fld.grid, nl)
-    st = _Stepper(fld.grid, nl, dt, config.scheme, boundary, config.workers,
-                  floor=floor)
-    try:
-        new = st.advance(fld.values, fld.time + dt)
-    finally:
-        st.close()
-    return Field(fld.grid, new, fld.time + dt)
-
-
 def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
                  config: SolverConfig, t_end: float,
                  snapshot_dt: float | None = None, floor=None,
@@ -394,26 +364,23 @@ class EntireSolutionResult:
 def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
                     nl: CombustionNonlinearity, grid: Grid,
                     config: SolverConfig, n_list, window_end: float,
-                    snapshot_dt: float | None = None,
-                    boundary=None, use_floor: bool = True) -> EntireSolutionResult:
+                    snapshot_dt: float | None = None) -> EntireSolutionResult:
     """Monotone approximation of the entire solution on [0, window_end].
 
-    Each run starts at t = -n from the subsolution max_i U(q_i) with
-    lower-barrier Dirichlet data and is marched into the common window.
-    The subsolution floor is kept enforced (use_floor): the plain discrete
-    front speed is slightly off c_f, so without the floor a deeper run can
-    drop below max_i U(q_i) by O(dx^2 * elapsed) and the runs would not be
-    ordered; with it, run n_{k+1} dominates the floor at t = -n_k, which is
-    exactly run n_k's initial state, and ordering on the window follows
-    from monotonicity of the floored update map.
+    Each run starts at t = -n from the subsolution floor max_i U(q_i), with
+    the subsolution as Dirichlet data, and is marched into the common
+    window.  The floor stays enforced: the plain discrete front speed is
+    slightly off c_f, so without it a deeper run can drop below
+    max_i U(q_i) by O(dx^2 * elapsed) and the runs would not be ordered;
+    with it, run n_{k+1} dominates the floor at t = -n_k, which is exactly
+    run n_k's initial state, and ordering on the window follows from
+    monotonicity of the floored update map.
     """
     n_list = sorted(float(n) for n in n_list)
-    if boundary is None:
-        boundary = make_boundary("dirichlet-lower", cfg, profile)
+    boundary = make_boundary(cfg, profile)
     if snapshot_dt is None:
         snapshot_dt = window_end if window_end > 0 else 1.0
-    pts = grid.points().reshape(-1, grid.dimension)
-    floor = subsolution_floor(cfg, profile, grid) if use_floor else None
+    floor = subsolution_floor(cfg, profile, grid)
 
     # one explicit dt for every run: the run-vs-run ordering argument needs
     # the exact same update map on the shared time range
@@ -424,10 +391,8 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
     runs = {}
     times = None
     for n in n_list:
-        q0 = min_q(cfg, np.full(pts.shape[0], -n), pts)
-        u0 = Field(grid, profile(q0).reshape(grid.counts), -n)
         # march to the window start, then snapshot through the window
-        to_zero = solve_cauchy(u0, nl, boundary, config, 0.0,
+        to_zero = solve_cauchy(Field(grid, floor(-n), -n), nl, boundary, config, 0.0,
                                snapshot_dt=snapshot_dt, floor=floor,
                                keep_all=False)
         at_zero = to_zero[-1]
@@ -450,15 +415,14 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
     for va, vb, ta, tb in zip(v_hat[:-1], v_hat[1:], times[:-1], times[1:]):
         dudt_min = min(dudt_min, float(np.min((vb - va) / (tb - ta))))
 
-    # evaluate the lower bound through the same floor code path; elsewhere
-    # 1-ulp evaluation differences would show up as fake violations
-    ref_floor = floor if floor is not None else subsolution_floor(cfg, profile, grid)
+    # the lower bound is the floor itself: any other evaluation order of
+    # max_i U(q_i) could differ by an ulp and show up as a fake violation
     lower_gap = np.inf
     strict_gap = np.inf
     below_one = 0.0
     max_value = 0.0
     for tk, vk in zip(times, v_hat):
-        vlow = ref_floor(tk)
+        vlow = floor(tk)
         gap = vk - vlow
         lower_gap = min(lower_gap, float(gap.min()))
         # strict inequalities are only meaningful away from values that
@@ -495,57 +459,53 @@ class SpeedFit:
     positions: np.ndarray
 
 
-def _half_level_position(x: np.ndarray, u: np.ndarray, level: float = 0.5) -> float:
-    """Rightmost downward crossing of the level, linearly interpolated."""
-    above = u >= level
+def _half_level_position(x: np.ndarray, u: np.ndarray) -> float:
+    """Rightmost downward crossing of u = 1/2, linearly interpolated."""
+    above = u >= 0.5
     if not above.any() or above.all():
         raise ValueError("level set not inside the domain")
     idx = np.nonzero(above[:-1] & ~above[1:])[0]
     if idx.size == 0:
         raise ValueError("no downward crossing of the level")
     i = int(idx[-1])
-    frac = (u[i] - level) / (u[i] - u[i + 1])
+    frac = (u[i] - 0.5) / (u[i] - u[i + 1])
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
 def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
-                     length: float = 300.0, cfl_safety: float = 0.4,
-                     sample_dt: float = 2.0, max_time: float = 20000.0,
-                     u0_height: float = 1.0, workers: int = 1) -> SpeedFit:
+                     length: float = 300.0, sample_dt: float = 2.0,
+                     workers: int = 1) -> SpeedFit:
     """Empirical front speed from a 1D ignition run.
 
-    Starts from step data (u0_height on the left quarter), tracks the
-    half-level crossing, discards the first half of the samples as
-    transient, and fits position against time by least squares.  The run
-    stops once the front has crossed three quarters of the domain, so no
-    reference speed is needed up front.  Sub-ignition data (u0_height < θ)
-    just diffuses away and the fit is rejected.
+    Starts from step data (1 on the left quarter, 0 elsewhere), keeps the
+    left end burned, tracks the half-level crossing every sample_dt,
+    discards the first half of the samples as transient, and fits position
+    against time by least squares.  The run stops once the front has
+    crossed three quarters of the domain, so no reference speed is needed
+    up front, and fails if that takes longer than SPEED_MAX_TIME.
     """
     n = int(round(length / dx)) + 1
     grid = Grid(counts=(n,), dx=dx, origin=(0.0,))
     x = grid.axis(0)
-    u0 = np.where(x <= length / 4.0, u0_height, 0.0)
-    config = SolverConfig(scheme="euler", cfl_safety=cfl_safety, workers=workers)
+    u0 = np.where(x <= length / 4.0, 1.0, 0.0)
+    config = SolverConfig(scheme="euler", workers=workers)
     dt = config.resolve_dt(grid, nl, snap_dt=sample_dt)
     steps = int(round(sample_dt / dt))
     dt = sample_dt / steps
-    # igniting data keeps the left end burned; sub-ignition data decays to 0
-    left = 1.0 if u0_height >= nl.theta else 0.0
-    boundary = lambda t, pts: np.where(pts[:, 0] < length / 2.0, left, 0.0)
+    boundary = lambda t, pts: np.where(pts[:, 0] < length / 2.0, 1.0, 0.0)
     st = _Stepper(grid, nl, dt, "euler", boundary, workers)
     times = []
     positions = []
     stop_at = 0.75 * length
-    level = 0.5 * u0_height
     try:
         values = u0
         t = 0.0
-        while t < max_time:
+        while t < SPEED_MAX_TIME:
             for _ in range(steps):
                 values = st.advance(values, t + dt)
                 t += dt
             try:
-                pos = _half_level_position(x, values, level=level)
+                pos = _half_level_position(x, values)
             except ValueError as exc:
                 raise ValueError(f"speed fit rejected: {exc}") from exc
             times.append(t)
@@ -553,7 +513,8 @@ def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
             if pos >= stop_at:
                 break
         else:
-            raise RuntimeError("front did not cross the domain within max_time")
+            raise RuntimeError(
+                f"front did not cross the domain within t = {SPEED_MAX_TIME}")
     finally:
         st.close()
     times = np.asarray(times)

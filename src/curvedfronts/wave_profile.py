@@ -20,7 +20,7 @@ solve_ivp that the tests check against it bit for bit: the same steps and
 rounding, so the same c_f, without importing scipy.
 
 The speed search is a bisection on S(c) = p(theta; c) - c*theta that stops
-at the first midpoint where a full-precision shot gives |S| <= s_tol.  Its
+at the first midpoint where a full-precision shot gives |S| <= S_TOL.  Its
 result is kept bit for bit, but most of its shots are skipped: cheap
 low-tolerance probes and then a secant on full shots first find the root
 of the full-precision S, and the bisection is replayed against it.  A
@@ -62,11 +62,15 @@ __all__ = [
     "shoot_p",
     "find_wave_speed",
     "build_profile",
-    "tail_rates",
     "ode_residual_sup",
 ]
 
 DELTA_LIN = 1e-6  # seeding offset 1 - U at the burned end of the shot
+GRID_STEP = 0.005  # spacing of the tabulation grid/values
+FIT_TOL = 3e-12  # residual at which _fit_chebyshev stops doubling the degree
+FIT_MAX_DEGREE = 1600
+C_LO, C_HI, MAX_WIDEN = 1e-4, 2.0, 12  # find_wave_speed's first bracket, widenings
+S_TOL = 1e-12  # |S| at which find_wave_speed's bisection stops
 N_PIECES = 128  # uniform pieces of the evaluation table on [d_joint, 0]
 PIECE_DEGREE = 12  # Chebyshev degree of each piece
 # find_wave_speed replays its bisection against the root of the
@@ -142,13 +146,14 @@ def shoot_p(nl: CombustionNonlinearity, c: float) -> float:
     return float(_shoot(nl, c)[1][0][-1])
 
 
-def _bracket(s, c_lo: float, c_hi: float, max_widen: int):
-    """Widen [c_lo, c_hi] until s(c_lo) > 0 >= s(c_hi): c_lo shrinks by 4
-    and c_hi doubles, up to max_widen times each.  Returns (c_lo, s(c_lo),
+def _bracket(s):
+    """Widen [C_LO, C_HI] until s(c_lo) > 0 >= s(c_hi): c_lo shrinks by 4
+    and c_hi doubles, up to MAX_WIDEN times each.  Returns (c_lo, s(c_lo),
     c_hi, s(c_hi))."""
+    c_lo, c_hi = C_LO, C_HI
     s_lo = s(c_lo)
     if s_lo <= 0.0:
-        for _ in range(max_widen):
+        for _ in range(MAX_WIDEN):
             c_lo *= 0.25
             s_lo = s(c_lo)
             if s_lo > 0.0:
@@ -157,7 +162,7 @@ def _bracket(s, c_lo: float, c_hi: float, max_widen: int):
             raise RuntimeError("could not bracket the wave speed from below")
     s_hi = s(c_hi)
     if s_hi > 0.0:
-        for _ in range(max_widen):
+        for _ in range(MAX_WIDEN):
             c_hi *= 2.0
             s_hi = s(c_hi)
             if s_hi <= 0.0:
@@ -210,10 +215,9 @@ def _root_estimate(s_probe, s_full, c_lo: float, s_lo: float, c_hi: float, s_hi:
     return c1
 
 
-def find_wave_speed(nl: CombustionNonlinearity, c_lo: float = 1e-4, c_hi: float = 2.0,
-                    s_tol: float = 1e-12, max_widen: int = 12) -> float:
+def find_wave_speed(nl: CombustionNonlinearity) -> float:
     """Unique speed c with S(c) = 0, by bracketing sweep plus bisection
-    until |S| <= s_tol (or the bracket collapses to machine width).
+    until |S| <= S_TOL (or the bracket collapses to machine width).
 
     S(c) = p(theta; c) - c*theta is strictly decreasing; a collapsed shot
     counts as S < 0.  The result is, bit for bit, that of a full-precision
@@ -224,7 +228,7 @@ def find_wave_speed(nl: CombustionNonlinearity, c_lo: float = 1e-4, c_hi: float 
     than SIGN_GUARD * c from that root takes its sign from it, which is
     safe because |S| there is thousands of times the noise of a shot (see
     SIGN_GUARD); a point inside the guard gets a real full shot.  Only a
-    real shot with |S| <= s_tol ends the search, so a wrong root estimate
+    real shot with |S| <= S_TOL ends the search, so a wrong root estimate
     cannot return a different c: the bracket loses the root and the search
     raises.  The probe count, the full-shot count and the final |S| go to
     the module logger at DEBUG.
@@ -249,19 +253,19 @@ def find_wave_speed(nl: CombustionNonlinearity, c_lo: float = 1e-4, c_hi: float 
         except ShootingCollapseError:
             return -np.inf
 
-    root = _root_estimate(s_probe, s_full, *_bracket(s_probe, c_lo, c_hi, max_widen))
+    root = _root_estimate(s_probe, s_full, *_bracket(s_probe))
 
     def s_replay(c):
         if abs(c - root) > SIGN_GUARD * root:
             return np.inf if c < root else -np.inf
         return s_full(c)
 
-    c_lo, _, c_hi, _ = _bracket(s_replay, c_lo, c_hi, max_widen)
+    c_lo, _, c_hi, _ = _bracket(s_replay)
     c_mid, s_mid = 0.5 * (c_lo + c_hi), np.inf
     while c_hi - c_lo > 4e-16 * max(1.0, c_hi):
         c_mid = 0.5 * (c_lo + c_hi)
         s_mid = s_replay(c_mid)
-        if abs(s_mid) <= s_tol:
+        if abs(s_mid) <= S_TOL:
             break
         if s_mid > 0.0:
             c_lo = c_mid
@@ -269,9 +273,9 @@ def find_wave_speed(nl: CombustionNonlinearity, c_lo: float = 1e-4, c_hi: float 
             c_hi = c_mid
     _log.debug("find_wave_speed: c = %r after %d probes and %d full shots, |S(c)| = %.3e",
                c_mid, n_probe, n_full, abs(s_mid))
-    if not abs(s_mid) <= s_tol:
+    if not abs(s_mid) <= S_TOL:
         raise RuntimeError(
-            f"bisection collapsed at c = {c_mid} with matching residual {s_mid:.3e} > {s_tol}")
+            f"bisection collapsed at c = {c_mid} with matching residual {s_mid:.3e} > {S_TOL}")
     return c_mid
 
 
@@ -326,41 +330,34 @@ class WaveProfile:
             out[left] = self._log_one_minus_at_joint + self.beta0 * (d[left] - self._d_joint)
         return out
 
-    def one_minus(self, d):
-        """1 - U(D), computed without cancellation on the burned side."""
+    def _by_tail(self, d, right, left):
+        """right(D) on D >= 0 and left(D, log(1 - U(D))) on D < 0, for a
+        scalar or an array of D."""
         d = np.asarray(d, dtype=float)
         scalar = d.ndim == 0
         d = np.atleast_1d(d)
         out = np.empty_like(d)
-        right = d >= 0.0
-        out[right] = -np.expm1(np.log(self.anchor) - self.speed * d[right])
-        neg = ~right
-        out[neg] = np.exp(self._log_one_minus(d[neg]))
+        pos = d >= 0.0
+        out[pos] = right(d[pos])
+        neg = ~pos
+        dn = d[neg]
+        out[neg] = left(dn, self._log_one_minus(dn))
         return float(out[0]) if scalar else out
+
+    def one_minus(self, d):
+        """1 - U(D), computed without cancellation on the burned side."""
+        return self._by_tail(d, lambda dp: -np.expm1(np.log(self.anchor) - self.speed * dp),
+                             lambda dn, g: np.exp(g))
 
     def __call__(self, d):
         """U(D) for any real D."""
-        d = np.asarray(d, dtype=float)
-        scalar = d.ndim == 0
-        d = np.atleast_1d(d)
-        out = np.empty_like(d)
-        right = d >= 0.0
-        out[right] = self.anchor * np.exp(-self.speed * d[right])
-        neg = ~right
-        out[neg] = 1.0 - np.exp(self._log_one_minus(d[neg]))
-        return float(out[0]) if scalar else out
+        return self._by_tail(d, lambda dp: self.anchor * np.exp(-self.speed * dp),
+                             lambda dn, g: 1.0 - np.exp(g))
 
     def log_u(self, d):
         """log U(D), stable in both tails."""
-        d = np.asarray(d, dtype=float)
-        scalar = d.ndim == 0
-        d = np.atleast_1d(d)
-        out = np.empty_like(d)
-        right = d >= 0.0
-        out[right] = np.log(self.anchor) - self.speed * d[right]
-        neg = ~right
-        out[neg] = np.log1p(-np.exp(self._log_one_minus(d[neg])))
-        return float(out[0]) if scalar else out
+        return self._by_tail(d, lambda dp: np.log(self.anchor) - self.speed * dp,
+                             lambda dn, g: np.log1p(-np.exp(g)))
 
     def u_pow(self, d, beta: float):
         """U(D)**beta evaluated in the log domain."""
@@ -369,16 +366,9 @@ class WaveProfile:
 
     def derivative(self, d):
         """U'(D) < 0."""
-        d = np.asarray(d, dtype=float)
-        scalar = d.ndim == 0
-        d = np.atleast_1d(d)
-        out = np.empty_like(d)
-        right = d >= 0.0
-        out[right] = -self.speed * self.anchor * np.exp(-self.speed * d[right])
-        neg = ~right
-        dn = d[neg]
-        out[neg] = -self._log_one_minus(dn, slope=True) * np.exp(self._log_one_minus(dn))
-        return float(out[0]) if scalar else out
+        return self._by_tail(
+            d, lambda dp: -self.speed * self.anchor * np.exp(-self.speed * dp),
+            lambda dn, g: -self._log_one_minus(dn, slope=True) * np.exp(g))
 
     def inverse(self, u: float) -> float:
         """D with U(D) = u, for u in (0, 1); bisection on the evaluator."""
@@ -400,13 +390,15 @@ class WaveProfile:
         return 0.5 * (lo + hi)
 
 
-def _fit_chebyshev(d_samples, g_samples, tol=3e-12, max_deg=1600):
+def _fit_chebyshev(d_samples, g_samples):
+    """(fit, residual) of a least-squares Chebyshev fit, degree 128 doubled
+    until the residual is FIT_TOL or the degree FIT_MAX_DEGREE."""
     lo, hi = float(d_samples[0]), float(d_samples[-1])
     deg = 128
     while True:
         fit = chebyshev.Chebyshev.fit(d_samples, g_samples, deg, domain=[lo, hi])
         resid = np.max(np.abs(fit(d_samples) - g_samples))
-        if resid <= tol or deg >= max_deg:
+        if resid <= FIT_TOL or deg >= FIT_MAX_DEGREE:
             return fit, resid
         deg *= 2
 
@@ -457,9 +449,9 @@ def _log_one_minus_samples(nl: CombustionNonlinearity, c: float):
     return d_samples[order], g_samples[order]
 
 
-def build_profile(nl: CombustionNonlinearity, c: float | None = None,
-                  domain_half_width: float | None = None, step: float = 0.005) -> WaveProfile:
-    """Solve for the profile and tabulate it on [-W, W] at the given step.
+def build_profile(nl: CombustionNonlinearity, c: float | None = None) -> WaveProfile:
+    """Solve for the profile and tabulate it on [-W, W] at GRID_STEP, with
+    W = max(16 / c, 16 / beta0, |d_joint| + 4).
 
     The downward phase-plane pass supplies (U, D) samples; D is anchored by
     shifting so that U(0) = theta exactly.
@@ -476,10 +468,9 @@ def build_profile(nl: CombustionNonlinearity, c: float | None = None,
     d_joint = float(d_samples[0])
     table, slope_table, centres, width = _piece_tables(fit)
 
-    if domain_half_width is None:
-        domain_half_width = max(16.0 / c, 16.0 / beta0, abs(d_joint) + 4.0)
-    half_n = int(np.ceil(domain_half_width / step))
-    grid = step * np.arange(-half_n, half_n + 1)
+    half_width = max(16.0 / c, 16.0 / beta0, abs(d_joint) + 4.0)
+    half_n = int(np.ceil(half_width / GRID_STEP))
+    grid = GRID_STEP * np.arange(-half_n, half_n + 1)
 
     profile = WaveProfile(
         speed=c, beta0=beta0, anchor=theta, grid=grid, values=np.empty(0),
@@ -499,14 +490,6 @@ def build_profile(nl: CombustionNonlinearity, c: float | None = None,
     l3, l4 = float(np.max(r_left)), float(np.min(r_left))
     object.__setattr__(profile, "tail_constants", (l1, l2, l3, l4))
     return profile
-
-
-def tail_rates(profile: WaveProfile) -> tuple:
-    """(c, beta0, L1, L2, L3, L4): decay rates and the tightest exponential
-    envelopes over the tabulated grid (L1 e^{-cD} <= U <= L2 e^{-cD} on
-    D > 0; L4 e^{b0 D} <= 1 - U <= L3 e^{b0 D} on D < 0)."""
-    l1, l2, l3, l4 = profile.tail_constants
-    return (profile.speed, profile.beta0, l1, l2, l3, l4)
 
 
 def ode_residual_sup(profile: WaveProfile, nl: CombustionNonlinearity) -> float:

@@ -531,6 +531,17 @@ def test_invalid_threads_exits_2(tmp_path, capsys):
     assert "threads" in out.err
 
 
+def test_invalid_env_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CFL_THREADS", "abc")
+    cfg = {"nonlinearity": dict(BASE["nonlinearity"])}
+    out_dir = tmp_path / "runs"
+    rc = main(["profile", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: threads: CFL_THREADS must be an integer, got 'abc'\n")
+    assert not out_dir.exists()
+
+
 def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CFL_THREADS", "3")
     cfg = {"nonlinearity": dict(BASE["nonlinearity"])}
@@ -561,6 +572,9 @@ def test_manifest_detects_corruption(tmp_path, capsys):
     assert verify_manifest(run_dir)
     with open(os.path.join(run_dir, "profile.csv"), "a") as fh:
         fh.write("tampered\n")
+    assert not verify_manifest(run_dir)
+    # a listed artifact that was deleted fails the check instead of raising
+    os.remove(os.path.join(run_dir, "profile.csv"))
     assert not verify_manifest(run_dir)
 
 

@@ -26,8 +26,7 @@ from curvedfronts import (
     subsolution_lower,
     symmetric_v,
 )
-from curvedfronts.diagnostics import _slab_weight
-from curvedfronts.front_geometry import _fold
+from curvedfronts.front_geometry import _fold, _slab_weight
 
 C = 0.26343617168072303
 SIN60 = math.sin(math.pi / 3)

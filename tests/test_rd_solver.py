@@ -21,7 +21,6 @@ from curvedfronts import (
     measure_speed_1d,
     min_q,
     solve_cauchy,
-    step,
     subsolution_floor,
     symmetric_v,
 )
@@ -92,7 +91,7 @@ def test_stability_cap(small_grid):
 def test_snapshot_span_must_tile(small_grid, nl03, profile03):
     cfg = planar_cfg(profile03.speed)
     u0 = initial_field(cfg, profile03, small_grid)
-    bc = make_boundary("dirichlet-lower", cfg=cfg, profile=profile03)
+    bc = make_boundary(cfg, profile03)
     with pytest.raises(ValueError):
         solve_cauchy(u0, nl03, bc, SolverConfig(), t_end=1.0, snapshot_dt=0.3)
 
@@ -100,7 +99,7 @@ def test_snapshot_span_must_tile(small_grid, nl03, profile03):
 def test_blow_up_detection(small_grid, nl03, profile03):
     cfg = planar_cfg(profile03.speed)
     bad = Field(small_grid, np.full((48, 48), 2.5), 0.0)
-    bc = make_boundary("dirichlet-lower", cfg=cfg, profile=profile03)
+    bc = make_boundary(cfg, profile03)
     with pytest.raises(RuntimeError):
         solve_cauchy(bad, nl03, bc, SolverConfig(), t_end=0.5, snapshot_dt=0.5)
 
@@ -111,7 +110,7 @@ def test_nan_state_is_blow_up(small_grid, nl03, profile03):
     cfg = planar_cfg(profile03.speed)
     u0 = initial_field(cfg, profile03, small_grid)
     u0.values[24, 24] = np.nan
-    bc = make_boundary("dirichlet-lower", cfg=cfg, profile=profile03)
+    bc = make_boundary(cfg, profile03)
     with pytest.raises(RuntimeError, match=r"blow-up detected by t=0\.250000: .* NaN"):
         solve_cauchy(u0, nl03, bc, SolverConfig(), t_end=0.5, snapshot_dt=0.25)
 
@@ -119,7 +118,7 @@ def test_nan_state_is_blow_up(small_grid, nl03, profile03):
 def test_constant_states_are_fixed_points(small_grid, nl03):
     for const in (0.0, 1.0):
         u0 = Field(small_grid, np.full((48, 48), const), 0.0)
-        bc = make_boundary("dirichlet-upper", upper=lambda t, pts, c=const: np.full(len(pts), c))
+        bc = lambda t, pts, c=const: np.full(len(pts), c)
         out = solve_cauchy(u0, nl03, bc, SolverConfig(), t_end=1.0, snapshot_dt=1.0)
         assert np.array_equal(out[-1].values, u0.values)
 
@@ -132,7 +131,8 @@ def test_order_preservation(small_grid, nl03, profile03):
     lo = np.clip(base - rng.uniform(0.0, 0.05, base.shape), 0.0, 1.0)
     hi = np.clip(base + rng.uniform(0.0, 0.05, base.shape), 0.0, 1.0)
     hi = np.maximum(lo, hi)
-    bc = make_boundary("dirichlet-exact-planar", cfg=cfg, profile=profile03)
+    # Dirichlet data of the exact planar wave
+    bc = lambda t, pts: profile03(pts @ cfg.directions[0] - cfg.speed * t + cfg.shifts[0])
     sc = SolverConfig(scheme="euler")
     out_lo = solve_cauchy(Field(small_grid, lo, 0.0), nl03, bc, sc, 2.0, 2.0)
     out_hi = solve_cauchy(Field(small_grid, hi, 0.0), nl03, bc, sc, 2.0, 2.0)
@@ -143,7 +143,7 @@ def test_planar_wave_speed_and_shape(small_grid, nl03, profile03):
     # floored run tracks the exact traveling wave on a coarse grid
     cfg = planar_cfg(profile03.speed)
     u0 = initial_field(cfg, profile03, small_grid)
-    bc = make_boundary("dirichlet-lower", cfg=cfg, profile=profile03)
+    bc = make_boundary(cfg, profile03)
     floor = subsolution_floor(cfg, profile03, small_grid)
     traj = solve_cauchy(u0, nl03, bc, SolverConfig(), t_end=10.0, snapshot_dt=2.0, floor=floor)
     exact = initial_field(cfg, profile03, small_grid, t=10.0)
@@ -160,7 +160,7 @@ def test_bit_identical_across_workers(scheme, nl03, profile03, cfg_v):
     grid = GRID_2D
     assert len(_row_blocks(grid.counts)) >= 2
     u0 = initial_field(cfg_v, profile03, grid)
-    bc = make_boundary("dirichlet-lower", cfg=cfg_v, profile=profile03)
+    bc = make_boundary(cfg_v, profile03)
     floor = subsolution_floor(cfg_v, profile03, grid)
     outs = []
     for workers in (1, 4, 8):
@@ -195,7 +195,7 @@ def test_pooled_floor_and_ring_match_serial(front, scheme, nl03, profile03, cfg_
         grid, cfg = GRID_3D, pyramid_cfg(profile03.speed)
     assert len(_row_blocks(grid.counts)) >= 2
     u0 = initial_field(cfg, profile03, grid)
-    bc = make_boundary("dirichlet-lower", cfg=cfg, profile=profile03)
+    bc = make_boundary(cfg, profile03)
     floor = subsolution_floor(cfg, profile03, grid)
     runs = {}
     for workers in (1, 2):
@@ -244,7 +244,7 @@ def test_floor_error_in_pool_task_propagates(scheme, nl03, profile03, cfg_v,
         return floor(t)
 
     u0 = initial_field(cfg_v, profile03, grid)
-    bc = make_boundary("dirichlet-lower", cfg=cfg_v, profile=profile03)
+    bc = make_boundary(cfg_v, profile03)
     sc = SolverConfig(scheme=scheme, workers=2)
     with pytest.raises(ArithmeticError) as exc:
         solve_cauchy(u0, nl03, bc, sc, t_end=0.5, snapshot_dt=0.25, floor=failing_floor)
@@ -325,25 +325,14 @@ def test_stepping_leaves_input_untouched(scheme, nl03, profile03, cfg_v):
     grid = GRID_2D
     u0 = initial_field(cfg_v, profile03, grid)
     before = u0.values.copy()
-    bc = make_boundary("dirichlet-lower", cfg=cfg_v, profile=profile03)
+    bc = make_boundary(cfg_v, profile03)
     floor = subsolution_floor(cfg_v, profile03, grid)
     sc = SolverConfig(scheme=scheme, workers=2)
-    step(u0, nl03, sc, bc, floor=floor)
     traj = solve_cauchy(u0, nl03, bc, sc, t_end=0.5, snapshot_dt=0.25, floor=floor)
     assert np.array_equal(u0.values, before)
     # snapshots are copies, not views of the stepper's two buffers
     arrays = [u0.values] + [f.values for f in traj]
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
-
-
-def test_single_step_matches_solve(small_grid, nl03, profile03, cfg_v):
-    u0 = initial_field(cfg_v, profile03, small_grid)
-    bc = make_boundary("dirichlet-lower", cfg=cfg_v, profile=profile03)
-    sc = SolverConfig(dt=0.02, scheme="euler")
-    stepped = step(u0.copy(), nl03, sc, bc)
-    assert stepped.time == pytest.approx(0.02, abs=1e-15)
-    traj = solve_cauchy(u0.copy(), nl03, bc, sc, t_end=0.02, snapshot_dt=0.02)
-    assert np.array_equal(stepped.values, traj[-1].values)
 
 
 def test_measured_1d_speed_matches_shooting(nl03, profile03):
@@ -377,6 +366,61 @@ def test_entire_solution_monotone(nl03, profile03, cfg_v):
     assert len(res.v_hat) == len(res.times)
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(1.0 / c, rel=1e-12)
+
+
+def test_entire_solution_starts_each_run_from_the_floor(nl03, profile03, monkeypatch):
+    # tau != 0: evaluated in another order, max_i U(q_i) differs from the
+    # floor by an ulp on some cells, and run n_k's initial state must be
+    # exactly the floor that run n_{k+1} is held above at t = -n_k
+    c = profile03.speed
+    cfg = symmetric_v(math.pi / 3, c, shift=0.01)
+    grid = Grid((64, 64), 0.5, (-16.0, -20.0))
+    starts = []
+    solve = rd_solver.solve_cauchy
+
+    def recording(u0, *args, **kwargs):
+        starts.append(u0.copy())
+        return solve(u0, *args, **kwargs)
+
+    monkeypatch.setattr(rd_solver, "solve_cauchy", recording)
+    n_list = [2.0 / c, 4.0 / c]
+    entire_solution(cfg, profile03, nl03, grid, SolverConfig(), n_list=n_list,
+                    window_end=1.0 / c, snapshot_dt=1.0 / c)
+    floor = subsolution_floor(cfg, profile03, grid)
+    run_starts = [u0 for u0 in starts if u0.time < 0.0]
+    assert [u0.time for u0 in run_starts] == [-n for n in n_list]
+    for u0 in run_starts:
+        assert np.array_equal(u0.values, floor(u0.time))
+
+
+def three_wave_cfg(speed):
+    nus = np.array([[-1.0], [1.0], [1.0]])
+    angles = np.array([math.pi / 3, math.pi / 4, 1.2])
+    return FrontConfiguration(2, nus, angles, np.array([0.0, 0.5, -1.5]), speed)
+
+
+@pytest.mark.parametrize("front", ["v-2d", "pyramid-3d", "three-wave-2d"])
+def test_ring_data_match_the_floor(front, profile03, cfg_v):
+    # the ring data (subsolution_lower on the ring points) and the floor
+    # evaluate max_i U(q_i) in two orders: the same bits where every tau_i
+    # is 0, within an ulp otherwise
+    c = profile03.speed
+    if front == "v-2d":
+        cfg, grid = cfg_v, Grid((160, 160), 0.379598592562289, (-30.0, -35.0))
+    elif front == "pyramid-3d":
+        cfg, grid = pyramid_cfg(c), Grid((32, 32, 32), 1.0, (-16.0, -16.0, -12.0))
+    else:
+        cfg, grid = three_wave_cfg(c), Grid((96, 96), 0.5, (-24.0, -24.0))
+    floor = subsolution_floor(cfg, profile03, grid)
+    ring = grid.ring_indices()
+    ring_points = grid.points().reshape(-1, grid.dimension)[ring]
+    bc = make_boundary(cfg, profile03)
+    for t in np.linspace(-20.0, 20.0, 81):
+        got, want = bc(t, ring_points), floor(t).ravel()[ring]
+        if front == "three-wave-2d":
+            assert np.max(np.abs(got - want)) <= 2.3e-16
+        else:
+            assert np.array_equal(got, want)
 
 
 def test_entire_solution_shift_continuity(nl03, profile03):

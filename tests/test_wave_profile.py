@@ -23,7 +23,6 @@ from curvedfronts import (
     ode_residual_sup,
     sandwich_and_monotonicity,
     shoot_p,
-    tail_rates,
 )
 from curvedfronts import _dop853, wave_profile
 from curvedfronts.wave_profile import (
@@ -293,15 +292,15 @@ def test_one_minus_accuracy_in_burned_tail(profile03):
     D = np.linspace(-60.0, -30.0, 100)
     om = profile03.one_minus(D)
     assert np.all(om > 0.0)
-    c, b0, L1, L2, L3, L4 = tail_rates(profile03)
-    env = np.exp(b0 * D)
+    L1, L2, L3, L4 = profile03.tail_constants
+    env = np.exp(profile03.beta0 * D)
     assert np.all(om <= L3 * env * (1 + 1e-9))
     assert np.all(om >= L4 * env * (1 - 1e-9))
 
 
 def test_tail_rate_envelopes(profile03):
-    c, b0, L1, L2, L3, L4 = tail_rates(profile03)
-    assert c == profile03.speed
+    c = profile03.speed
+    L1, L2, L3, L4 = profile03.tail_constants
     assert 0 < L1 <= L2
     assert 0 < L4 <= L3
     D = np.linspace(0.0, 30.0, 200)
