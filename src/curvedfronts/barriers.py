@@ -16,9 +16,9 @@ numerically: residuals of L v = v_t - Lap v - f(v) are sampled densely with
 high-order finite differences and certified against a fixed tolerance.
 The stencils are evaluated in chunks of STENCIL_CHUNK samples, so the
 memory of a certification does not grow with the stencil copies of the
-whole batch.  The barrier fields are pointwise up to the Newton iteration
-count of each solve_phi call: on the V of the standard schedule
-(alpha = 0.025) every point converges on the same update and chunking moves
+whole batch.  The barrier fields are pointwise up to the Newton count of
+each solve_phi call: on the V of the standard schedule (alpha = 0.025)
+every point converges on the second residual evaluation and chunking moves
 no bit, while a chunk that converges sooner than its batch can move other
 fronts' residuals by round-off, under 1e-9.
 The alpha ladder of auto_parameters certifies V_up first and rejects a rung
@@ -317,8 +317,8 @@ class ValidationReport:
     fd_step: float = DEFAULT_FD_STEP
     notes: str = ""
 
-    def to_json(self, indent: int = 2) -> str:
-        return dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return dumps(asdict(self), indent=2)
 
 
 def case_thresholds(profile: WaveProfile, nl: CombustionNonlinearity,
@@ -537,7 +537,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
 def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                     nl: CombustionNonlinearity,
                     alpha_ladder=(0.4, 0.2, 0.1, 0.05, 0.025),
-                    pilot_samples: int = 20000, seed: int = 0) -> BarrierParams:
+                    pilot_samples: int = 20000) -> BarrierParams:
     """Concrete certified barrier parameters for a configuration.
 
     Fits the surface comparison constants, takes the largest admissible
@@ -558,7 +558,7 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     lam = 0.5 * min(-nl.fprime_at_one / 4.0, beta * c * c / 16.0)
     x_prime, x_double_prime, kappa = case_thresholds(profile, nl, epsilon, max_cot)
     f_lip = nl.max_abs_derivative(0.0, 1.0)
-    pilot = BarrierSampleSpec(n_samples=pilot_samples, seed=seed)
+    pilot = BarrierSampleSpec(n_samples=pilot_samples)
 
     def validated(trial, upper):
         alpha = trial.params.alpha

@@ -36,6 +36,10 @@ __all__ = [
     "DiagnosticsReport",
 ]
 
+HALF_LEVEL_MARGIN = 5.0  # half-level points this close to the box edge are dropped
+PAIR_POINTS, PAIR_HALF_WIDTH = 10000, 60.0  # interface_pair_distance's samples per time, their box
+ADMISSIBLE_SAMPLES = 1000  # far points check_admissibility draws for the weighted ratio
+
 
 def _as_snapshot_lists(trajectory):
     """Split a list of Field snapshots into times, value arrays and their grid."""
@@ -47,21 +51,19 @@ def _as_snapshot_lists(trajectory):
 
 def sandwich_and_monotonicity(trajectory, cfg: FrontConfiguration,
                               profile: WaveProfile,
-                              barriers: BarrierSet | None = None,
-                              rho_list=None) -> dict:
+                              barriers: BarrierSet | None = None) -> dict:
     """Barrier sandwich and time-monotonicity section.
 
     Reports max of (V_lower - u)+ and (u - V_upper)+ over all snapshots,
     the global min of the discrete du/dt, and the ridge-tube floors
-    k_hat(rho).  The lower bound is evaluated through the same code path
+    k_hat(rho) at rho = 2/c, 5/c and 10/c.  The lower bound is evaluated through the same code path
     the solver floor uses, so an exactly floored run reports a zero lower
     violation.
     """
     times, values, grid = _as_snapshot_lists(trajectory)
     pts = grid.points().reshape(-1, grid.dimension)
     floor = subsolution_floor(cfg, profile, grid)
-    if rho_list is None:
-        rho_list = [2.0 / cfg.speed, 5.0 / cfg.speed, 10.0 / cfg.speed]
+    rho_list = [2.0 / cfg.speed, 5.0 / cfg.speed, 10.0 / cfg.speed]
 
     lower_viol = 0.0
     upper_viol = 0.0
@@ -156,7 +158,6 @@ def _half_level_points(fld: Field) -> np.ndarray:
 
 def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
                            profile: WaveProfile | None = None,
-                           interior_margin: float = 5.0,
                            exclude_ridge_radius: float | None = None) -> dict:
     """Discrepancy between the {u = 1/2} level set and the geometric one.
 
@@ -170,8 +171,8 @@ def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
     if pts.shape[0] == 0:
         raise ValueError("no half-level crossings inside the box")
     g = fld.grid
-    lo = [g.origin[k] + interior_margin for k in range(2)]
-    hi = [g.origin[k] + (g.counts[k] - 1) * g.dx - interior_margin
+    lo = [g.origin[k] + HALF_LEVEL_MARGIN for k in range(2)]
+    hi = [g.origin[k] + (g.counts[k] - 1) * g.dx - HALF_LEVEL_MARGIN
           for k in range(2)]
     keep = ((pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
             & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1]))
@@ -194,9 +195,7 @@ def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
     return out
 
 
-def interface_pair_distance(cfg: FrontConfiguration, t: float, s: float,
-                            n_points: int = 10000, half_width: float = 60.0,
-                            rng=None) -> float:
+def interface_pair_distance(cfg: FrontConfiguration, t: float, s: float, rng=None) -> float:
     """Nearest-pair distance between the exact interfaces at times t and s.
 
     Dense boundary samples on one interface paired with the exact
@@ -206,18 +205,14 @@ def interface_pair_distance(cfg: FrontConfiguration, t: float, s: float,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    a = sample_interface(cfg, t, n_points=n_points, half_width=half_width,
-                         rng=rng)
-    b = sample_interface(cfg, s, n_points=n_points, half_width=half_width,
-                         rng=rng)
+    a = sample_interface(cfg, t, n_points=PAIR_POINTS, half_width=PAIR_HALF_WIDTH, rng=rng)
+    b = sample_interface(cfg, s, n_points=PAIR_POINTS, half_width=PAIR_HALF_WIDTH, rng=rng)
     d_ab = interface_distance(cfg, s, a).min()
     d_ba = interface_distance(cfg, t, b).min()
     return float(max(d_ab, d_ba))
 
 
-def mean_speed_estimate(cfg: FrontConfiguration, times,
-                        n_points: int = 10000, half_width: float = 60.0,
-                        seed: int = 0) -> dict:
+def mean_speed_estimate(cfg: FrontConfiguration, times) -> dict:
     """Global mean speed from pairwise interface distances.
 
     Fits d(Gamma_t, Gamma_s)/|t-s| against 1/|t-s| and reports the
@@ -230,19 +225,16 @@ def mean_speed_estimate(cfg: FrontConfiguration, times,
     if span < 10.0 / cfg.speed:
         raise ValueError(
             f"snapshot span {span:.3g} shorter than 10/c_f = {10.0 / cfg.speed:.3g}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # one stream over all pairs
     pairs = []
     for i in range(len(times)):
         for j in range(i + 1, len(times)):
             dt = times[j] - times[i]
             if dt == 0:
                 continue
-            d = interface_pair_distance(cfg, times[i], times[j],
-                                        n_points=n_points,
-                                        half_width=half_width, rng=rng)
+            d = interface_pair_distance(cfg, times[i], times[j], rng=rng)
             pairs.append((dt, d / dt))
-    gaps = np.array([p[0] for p in pairs])
-    speeds = np.array([p[1] for p in pairs])
+    gaps, speeds = np.array(pairs).T
     coeffs = np.polyfit(1.0 / gaps, speeds, 1)
     gamma_hat = float(coeffs[1])
     resid = float(np.max(np.abs(np.polyval(coeffs, 1.0 / gaps) - speeds)))
@@ -251,7 +243,7 @@ def mean_speed_estimate(cfg: FrontConfiguration, times,
         "gamma_hat": gamma_hat,
         "fit_residual": resid,
         "n_pairs": len(pairs),
-        "sampling_points": n_points,
+        "sampling_points": PAIR_POINTS,
         "pair_gaps": gaps.tolist(),
         "pair_speeds": speeds.tolist(),
         "far_pair_speed_min": float(speeds[far].min()) if far.any() else None,
@@ -342,8 +334,7 @@ def perturbation_values(spec: PerturbationSpec, cfg: FrontConfiguration,
 
 def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
                         profile: WaveProfile, grid: Grid, v_rate: float,
-                        rho0: float, n_samples: int = 1000,
-                        ratio_tol: float = 0.1, seed: int = 0) -> dict:
+                        rho0: float, ratio_tol: float = 0.1) -> dict:
     """Initial-data admissibility: above the subsolution, inside [0,1],
     and weighted-small beyond ridge distance rho0."""
     floor = subsolution_floor(cfg, profile, grid)
@@ -351,14 +342,14 @@ def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
     below = float((vlow - u0).max())
     out_of_range = float(max(-u0.min(), u0.max() - 1.0))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts_all = grid.points().reshape(-1, grid.dimension)
     pert = (u0 - vlow).reshape(-1)
     t0 = np.zeros(pts_all.shape[0])
     d = ridge_distance(cfg, t0, pts_all)
     far = np.nonzero(d > rho0)[0]
-    if far.size > n_samples:
-        far = rng.choice(far, size=n_samples, replace=False)
+    if far.size > ADMISSIBLE_SAMPLES:
+        far = rng.choice(far, size=ADMISSIBLE_SAMPLES, replace=False)
     weight = _slab_weight(cfg, 0.0, pts_all[far], v_rate)
     worst_ratio = float((pert[far] / weight).max()) if far.size else 0.0
 
@@ -487,9 +478,9 @@ class DiagnosticsReport:
     def add(self, name: str, section) -> None:
         self.sections[name] = section
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Strict JSON; non-finite values become null."""
-        return dumps(self.sections, indent=indent)
+        return dumps(self.sections, indent=2)
 
     def write_csv_curves(self, out_dir) -> list:
         """One flat CSV per curve-like section entry; returns paths."""

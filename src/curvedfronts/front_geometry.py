@@ -39,6 +39,9 @@ __all__ = [
     "polyhedron_face_distance",
 ]
 
+REGION_TOL = 1e-12     # half-width of classify_region's interface band
+FACE_FEAS_TOL = 1e-9   # polyhedron_face_distance's slack, relative to 1 + max |point|
+
 
 @dataclass(frozen=True)
 class FrontConfiguration:
@@ -152,18 +155,17 @@ def _slab_weight(cfg: FrontConfiguration, t, z, v_rate: float) -> np.ndarray:
     return np.minimum(1.0, np.exp(-v_rate * _fold(np.minimum, q / np.sin(cfg.angles))))
 
 
-def classify_region(cfg: FrontConfiguration, t, z, tol: float = 1e-12) -> np.ndarray:
-    """+1 ahead of the front (min q > tol), -1 behind (min q < -tol),
-    0 on the interface band |min q| <= tol."""
+def classify_region(cfg: FrontConfiguration, t, z) -> np.ndarray:
+    """+1 ahead of the front (min q > REGION_TOL), -1 behind (min q < -REGION_TOL), else 0."""
     m = min_q(cfg, t, z)
-    return np.where(m > tol, 1, np.where(m < -tol, -1, 0)).astype(int)
+    return np.where(m > REGION_TOL, 1, np.where(m < -REGION_TOL, -1, 0)).astype(int)
 
 
 # -- polyhedral face projections ------------------------------------------
 
 
 def polyhedron_face_distance(normals: np.ndarray, offsets: np.ndarray, points: np.ndarray,
-                             min_active: int = 1, feas_tol: float = 1e-9) -> np.ndarray:
+                             min_active: int = 1) -> np.ndarray:
     """Distance from each point to the union of faces of {q >= 0} with at
     least min_active active constraints, where q_i(w) = normals[i].w +
     offsets[i].
@@ -184,7 +186,7 @@ def polyhedron_face_distance(normals: np.ndarray, offsets: np.ndarray, points: n
         raise ValueError(f"need at least {min_active} constraints, have {n}")
 
     best = np.full(pts.shape[0], np.inf)
-    tol = feas_tol * (1.0 + np.max(np.abs(pts)))
+    tol = FACE_FEAS_TOL * (1.0 + np.max(np.abs(pts)))
     for r in range(min_active, n + 1):
         for subset in combinations(range(n), r):
             b = normals[list(subset)]

@@ -9,9 +9,9 @@ and shifts tau_i, the graph is defined implicitly by
 where alpha >= 1 is a sharpness factor (the same surface evaluated at
 (alpha t, alpha x) and divided by alpha sharpens toward the polytope as
 alpha grows; folding alpha into the shifts keeps that scaling exact).
-The left side is strictly decreasing and convex in y, so a Newton
-iteration started at the support function max_i psi_i converges
-monotonically from below to machine precision.
+Newton runs on log sum_i exp(-q_i) = 0, decreasing and convex in y like the
+sum, so from the support function max_i psi_i it rises monotonically; it is
+linear in y where all sin theta_i are equal, and one update is exact there.
 
 The kernel is wave-major: q_at returns one contiguous row per wave, and
 Newton, the weight sums, h and psi fold those rows left to right
@@ -43,6 +43,7 @@ __all__ = [
 FIT_T_RANGE = (-10.0, 10.0)  # the sampling box of fit_surface_constants
 FIT_X_HALF_WIDTH = 30.0
 FIT_SAMPLES = 4000
+FIT_RIDGE_TIMES = 33  # times of the ridge-corner samples
 
 
 @dataclass(frozen=True)
@@ -122,39 +123,45 @@ class ScaledSurface:
         return _wave_sum(self._weight_rows(t, x, y)) - 1.0
 
     def solve_phi(self, t, x, max_iter: int = 100) -> np.ndarray:
-        """Solve sum exp(-q_i) = 1 for y by damped-free Newton.
+        """Solve sum exp(-q_i) = 1 for y by Newton on log sum_i w_i, w_i = exp(-q_i).
 
-        Started at the lower bracket y = psi the iterates increase
-        monotonically (the residual is convex decreasing in y), so no
-        safeguarding is needed; iteration stops when every residual is
-        within 64 n ulps of zero.  Raises RuntimeError, naming the largest
-        |residual|, if that takes more than max_iter Newton updates.
-        One _project per call; one q_at call per Newton iteration.
-
-        Converged points keep taking updates until the last point converges,
-        and such an update can still move the last bits.  So a point's phi
-        depends on the number of Newton iterations of the call, and on
-        nothing else of the batch (for batches of two or more points; in 3D
-        numpy sends a one-row projection through another BLAS kernel).
+        From y = psi the update y += log1p(r) sum_i w_i / sum_i w_i sin theta_i,
+        r = sum_i w_i - 1 (exact), rises monotonically, and it is exact at once
+        where all sin theta_i are equal.  The loop stops when every |r| is
+        within 64 n ulps or, after the first update, within twice the rounding
+        of forming the q_i, sum_i w_i (|x . nu_i cos theta_i + tau_i| + |c t| +
+        |y| sin theta_i) ulps, which rules far from the origin; past max_iter
+        updates it raises RuntimeError.  One _project per call, one q_at call
+        per residual.  Converged points update until the last one converges,
+        which can move their last bits: phi depends on the batch through the
+        call's Newton count alone (for two or more points; in 3D numpy sends a
+        one-row projection through another BLAS kernel).
         """
         x = self._as_x(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
         proj = self._project(t, x)
         y = self.psi(t, x, proj)
-        n = self.cfg.n_waves
-        tol = 64.0 * np.finfo(float).eps * n
+        eps = np.finfo(float).eps
+        tol = floor = 64.0 * eps * self.cfg.n_waves
         for k in range(max_iter + 1):
             w = self._weight_rows(t, x, y, proj)
-            r = _wave_sum(w) - 1.0
-            if not np.any(np.abs(r) > tol):
+            s = _wave_sum(w)
+            r = s - 1.0
+            a = np.abs(r)
+            if k and np.any(a > floor):  # a tol kept from an earlier pass is >= floor too
+                xn, ct = proj
+                size = [np.abs(xn[..., i] + self._tau[i]) + np.abs(ct) + np.abs(y) * self._sin[i]
+                        for i in range(self.cfg.n_waves)]
+                tol = np.maximum(floor, 2.0 * eps * _wave_sum(w * size))
+            if not np.any(a > tol):
                 return y
             if k == max_iter:
                 break
-            m = _wave_sum(w, self._sin)  # -d residual / dy > 0
-            y = y + r / m
-        raise RuntimeError(
-            f"solve_phi did not converge in {max_iter} Newton steps: "
-            f"max |residual| {np.max(np.abs(r)):.3e} > {tol:.3e}")
+            y = y + np.log1p(r) * s / _wave_sum(w, self._sin)
+        i = np.argmax(a - tol)  # the point furthest beyond its tolerance
+        tol = np.broadcast_to(tol, a.shape)
+        raise RuntimeError(f"solve_phi did not converge in {max_iter} Newton steps: max |residual| "
+                           f"beyond its tolerance {a.flat[i]:.3e} > {tol.flat[i]:.3e}")
 
     def weights(self, t, x, phi=None) -> np.ndarray:
         """w_i = exp(-q_i) on the surface, shape (..., n); sums to 1 there."""
@@ -238,7 +245,7 @@ class SurfaceFit:
     n_samples: int
 
 
-def _ridge_corner_samples(surface: ScaledSurface, t_range, n_times: int = 33):
+def _ridge_corner_samples(surface: ScaledSurface, t_range):
     """Deterministic (t, x) samples on the ridge of psi.
 
     The ratios (phi - psi) / h and the facet-deviation / h peak where the
@@ -249,11 +256,9 @@ def _ridge_corner_samples(surface: ScaledSurface, t_range, n_times: int = 33):
     sin = np.sin(cfg.angles)
     slopes = -(cfg.nus * np.cos(cfg.angles)[:, None]) / sin[:, None]
     ts, xs = [], []
-    for t in np.linspace(t_range[0], t_range[1], n_times):
+    for t in np.linspace(t_range[0], t_range[1], FIT_RIDGE_TIMES):
         b = (cfg.speed * t - surface._tau) / sin
-        rows = slopes[1:] - slopes[0]
-        rhs = b[0] - b[1:]
-        x_all, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        x_all, *_ = np.linalg.lstsq(slopes[1:] - slopes[0], b[0] - b[1:], rcond=None)
         ts.append(t)
         xs.append(x_all)
         for i, j in combinations(range(cfg.n_waves), 2):

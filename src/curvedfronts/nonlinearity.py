@@ -19,6 +19,9 @@ import numpy as np
 
 __all__ = ["CombustionNonlinearity", "make_combustion", "gamma_star"]
 
+GAMMA_TOL = 1e-10       # bisection width of gamma_star
+SANDWICH_CHECKS = 2001  # samples of f' across the derivative window
+
 
 @dataclass(frozen=True)
 class CombustionNonlinearity:
@@ -81,17 +84,15 @@ class CombustionNonlinearity:
         return float(np.max(np.abs(self.derivative(grid))))
 
 
-def _derivative_sandwich_holds(nl: CombustionNonlinearity, gamma: float, n_check: int = 2001) -> bool:
+def _derivative_sandwich_holds(nl: CombustionNonlinearity, gamma: float) -> bool:
     if gamma <= 0.0:
         return True
     lo, hi = 1.0 - 2.0 * gamma, 1.0 + 2.0 * gamma
-    fp = nl.derivative(np.linspace(lo, hi, n_check))
-    upper = 0.5 * nl.fprime_at_one
-    lower = 1.5 * nl.fprime_at_one
-    return bool(np.all(fp <= upper) and np.all(fp >= lower))
+    fp = nl.derivative(np.linspace(lo, hi, SANDWICH_CHECKS))
+    return bool(np.all(fp <= 0.5 * nl.fprime_at_one) and np.all(fp >= 1.5 * nl.fprime_at_one))
 
 
-def gamma_star(nl: CombustionNonlinearity, tol: float = 1e-10) -> float:
+def gamma_star(nl: CombustionNonlinearity) -> float:
     """Largest gamma <= min{theta/4, (1-theta)/2, sigma/4} such that
     (3/2) f'(1) <= f'(u) <= (1/2) f'(1) on [1 - 2*gamma, 1 + 2*gamma].
 
@@ -102,7 +103,7 @@ def gamma_star(nl: CombustionNonlinearity, tol: float = 1e-10) -> float:
     if _derivative_sandwich_holds(nl, cap):
         return cap
     lo, hi = 0.0, cap  # predicate true at 0+, false at cap
-    while hi - lo > tol:
+    while hi - lo > GAMMA_TOL:
         mid = 0.5 * (lo + hi)
         if _derivative_sandwich_holds(nl, mid):
             lo = mid

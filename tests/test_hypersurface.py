@@ -37,10 +37,10 @@ def test_apex_value(surf):
 
 
 def test_solve_phi_reports_non_convergence(surf):
-    # at the apex the start y = psi has residual 1; one Newton step cannot
-    # bring it to machine precision, and the loop must say so
-    with pytest.raises(RuntimeError, match=r"did not converge in 1 Newton steps: max \|residual\|"):
-        surf.solve_phi(np.array([0.0]), np.zeros((1, 1)), max_iter=1)
+    # at the apex the start y = psi has residual 1; with no Newton update
+    # allowed the loop must say so (one update is exact on the V)
+    with pytest.raises(RuntimeError, match=r"did not converge in 0 Newton steps: max \|residual\|"):
+        surf.solve_phi(np.array([0.0]), np.zeros((1, 1)), max_iter=0)
     phi = surf.solve_phi(np.array([0.0]), np.zeros((1, 1)), max_iter=20)
     assert phi[0] == pytest.approx(math.log(2.0) / SIN60, abs=1e-12)
 
@@ -191,17 +191,23 @@ def _q_point_major(S, t, x, y):
 
 def _solve_phi_point_major(S, t, x):
     # returns phi and the number of residual evaluations; x @ nu_cos.T and
-    # c t are recomputed on every one
+    # c t are recomputed on every one, and the rounding-scaled tolerance
+    # on every one after the first update
     t = np.broadcast_to(t, x.shape[:-1]).copy()
     y = np.max(S.support_planes(t, x), axis=-1)
-    tol = 64.0 * np.finfo(float).eps * S.cfg.n_waves
+    eps = np.finfo(float).eps
+    floor = 64.0 * eps * S.cfg.n_waves
     for k in range(101):
         w = np.exp(-_q_point_major(S, t, x, y))
-        r = np.sum(w, axis=-1) - 1.0
+        s = np.sum(w, axis=-1)
+        r = s - 1.0
         m = np.sum(w * S._sin, axis=-1)
+        size = (np.abs(x @ S._nu_cos.T + S._tau) + np.abs(S.cfg.speed * t)[..., None]
+                + np.abs(y)[..., None] * S._sin)
+        tol = np.maximum(floor, 2.0 * eps * np.sum(w * size, axis=-1)) if k else floor
         if not np.any(np.abs(r) > tol):
             return y, k + 1
-        y = y + r / m
+        y = y + np.log1p(r) * s / m
     raise AssertionError("reference Newton did not converge")
 
 
@@ -297,7 +303,55 @@ def test_hoisted_projection_matches_per_iteration_solve(make, cfg_v, monkeypatch
         phi = S.solve_phi(tq, x)
         ref_phi, ref_calls = _solve_phi_point_major(S, tq, x)
         assert np.array_equal(phi, ref_phi)
-        assert len(calls) == ref_calls > 2
+        assert len(calls) == ref_calls >= 2
+
+
+@SURFACES
+def test_newton_work_per_config(make, cfg_v, monkeypatch):
+    # Newton on log sum exp(-q_i) is exact in one update where all sin
+    # theta_i are equal (the V, the pyramid): two residual evaluations.
+    # Elsewhere four.  Each point's iterates rise until its own residual is
+    # within tolerance; once there, later updates move it by round-off only.
+    S = make(cfg_v)
+    m = S.cfg.dimension - 1
+    rng = np.random.default_rng(53)
+    t = rng.uniform(-6.0, 6.0, 30000) * S.alpha
+    x = rng.uniform(-30.0, 30.0, (30000, m)) * S.alpha
+    ys = []
+    q_at = ScaledSurface.q_at
+    monkeypatch.setattr(ScaledSurface, "q_at",
+                        lambda self, t, x, y, proj=None: ys.append(y) or q_at(self, t, x, y, proj))
+    phi = S.solve_phi(t, x)
+    monkeypatch.undo()
+    assert len(ys) <= (2 if np.all(S._sin == S._sin[0]) else 4)
+    assert ys[-1] is phi
+    tol = 64.0 * np.finfo(float).eps * S.cfg.n_waves
+    res = [np.abs(S.residual(t, x, y)) for y in ys]
+    assert np.all(res[-1] <= tol)
+    for y0, y1, r0, r1 in zip(ys, ys[1:], res, res[1:]):
+        step = y1 - y0
+        live = r0 > tol
+        last = live & (r1 <= tol)
+        assert np.all(step[live & ~last] > 0.0)
+        assert np.all(step[last] >= -4.0 * np.spacing(np.abs(y0[last])))
+        assert np.all(np.abs(step[~live]) <= 2.0 * tol / np.min(S._sin))
+
+
+def test_solve_phi_converges_far_from_the_origin(cfg_v):
+    # at t = 1000 and |x| up to 750 the terms that form q_i reach |c t| =
+    # 263 and |y| sin theta = 640; their rounding alone exceeds 64 n ulps
+    # of 1, so the tolerance scales with it
+    S = ScaledSurface(cfg_v, alpha=0.025)
+    x = np.random.default_rng(1).uniform(-750.0, 750.0, 20000)
+    t = np.full(20000, 1000.0)
+    phi = S.solve_phi(t, x)
+    ref_phi, k = _solve_phi_point_major(S, t, x[:, None])
+    assert np.array_equal(phi, ref_phi) and k == 2
+    assert np.max(np.abs(S.residual(t, x, phi))) < 1e-12
+    psi = S.psi(t, x)
+    ulps = np.spacing(np.abs(psi))
+    assert np.all(phi - psi >= -8.0 * ulps)
+    assert np.all(phi - psi <= math.log(2.0) / SIN60 + 64.0 * ulps)
 
 
 @SURFACES
