@@ -29,7 +29,7 @@ def main():
     cfg = symmetric_v(math.pi / 3, c)
 
     grid = Grid(counts=(64, 64), dx=0.5, origin=(-16.0, -20.0))
-    config = SolverConfig(scheme="euler", cfl_safety=0.4)
+    config = SolverConfig()
     n_list = [2.0 / c, 4.0 / c, 8.0 / c]
 
     res = entire_solution(cfg, profile, nl, grid, config,

@@ -30,7 +30,7 @@ def main():
     params = auto_parameters(cfg, profile, nl)
     barriers = BarrierSet(cfg, profile, nl, params)
     grid = Grid(counts=(96, 96), dx=0.5, origin=(-24.0, -28.0))
-    config = SolverConfig(scheme="euler", cfl_safety=0.4)
+    config = SolverConfig()
 
     # Bump of height gamma*/2 centered on the ridge, well inside the
     # admissible class; gamma* is the burned-plateau disturbance budget.

@@ -37,9 +37,9 @@ from .front_geometry import FrontConfiguration
 from .hypersurface import ScaledSurface, fit_surface_constants
 from .jsonio import dumps
 from .nonlinearity import make_combustion
-from .rd_solver import (Field, Grid, SolverConfig, entire_solution,
-                        make_boundary, measure_speed_1d, solve_cauchy,
-                        subsolution_floor)
+from .rd_solver import (Field, Grid, SolverConfig, _snapshot_count,
+                        entire_solution, make_boundary, measure_speed_1d,
+                        solve_cauchy, subsolution_floor)
 from .wave_profile import build_profile, find_wave_speed, ode_residual_sup
 
 __all__ = [
@@ -230,8 +230,8 @@ CONFIG = {
         "dt": Key((lambda v: v == "cfl" or _is_number(v), 'a number or "cfl"'),
                   dict.fromkeys(SOLVER_USERS, "cfl"),
                   (lambda v: v == "cfl" or v > 0, "must be positive")),
-        "scheme": Key(STRING, dict.fromkeys(SOLVER_USERS, "euler")),
-        "cfl_safety": Key(NUMBER, dict.fromkeys(SOLVER_USERS, 0.4)),
+        "scheme": Key(STRING, dict.fromkeys(SOLVER_USERS, "euler"),
+                      (lambda v: v == "euler", 'must be "euler"')),
         "box": Key(OBJECT, _required(SOLVER_USERS), table={
             "counts": Key(_list_of(_is_integer, "integers"), _required(SOLVER_USERS)),
             "origin": Key(NUMBERS, _required(SOLVER_USERS)),
@@ -306,8 +306,9 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
     """Check cfg against the config table, then construct the run's objects.
 
     Raises ConfigError with every table message before anything is built,
-    then with every constructor message.  The profile is built after that,
-    then FrontConfiguration, the one constructor that needs c_f.
+    then with every constructor and cross-field message.  The profile is
+    built after that, then FrontConfiguration and the default n_list, the
+    two that need c_f.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"subcommand: unknown {subcommand!r}")
@@ -338,18 +339,31 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
         out["barrier"] = construct("barrier", lambda: BarrierParams(
             epsilon=barrier["epsilon"], alpha=barrier["alpha"], beta=barrier["beta"],
             delta=barrier["delta"], lam=barrier["lambda"], varrho=barrier["varrho"]))
+
+    def tile_n_list():  # each entire run marches from -n to 0 in snapshots
+        for k, n in enumerate(exp["n_list"]):
+            construct(f"experiment.n_list[{k}]", lambda: _snapshot_count(n, snap))
+
     if subcommand in SOLVER_USERS:
-        solver = blocks["solver"]
-        out["grid"] = construct("solver.box", lambda: Grid(
-            tuple(solver["box"]["counts"]), float(solver["dx"]),
-            tuple(solver["box"]["origin"])))
-        out["solver_config"] = construct("solver", lambda: SolverConfig(
-            dt=None if solver["dt"] == "cfl" else float(solver["dt"]),
-            scheme=solver["scheme"], cfl_safety=float(solver["cfl_safety"])))
-        out["t_end"] = float(solver["T"])
-        out["snapshot_dt"] = float(solver["snapshot_interval"])
+        solver, n = blocks["solver"], blocks["front"]["N"]
+        counts = solver["box"]["counts"]
+        if len(counts) != n:
+            errors.append(f"solver.box.counts: expected {n} axes (front.N), "
+                          f"got {len(counts)}")
+        grid = out["grid"] = construct("solver.box", lambda: Grid(
+            tuple(counts), float(solver["dx"]), tuple(solver["box"]["origin"])))
+        config = out["solver_config"] = SolverConfig(
+            dt=None if solver["dt"] == "cfl" else float(solver["dt"]))
+        t_end = out["t_end"] = float(solver["T"])
+        snap = out["snapshot_dt"] = float(solver["snapshot_interval"])
+        construct("solver.T", lambda: _snapshot_count(t_end, snap))
+        if grid is not None and out["nl"] is not None:
+            construct("solver.dt", lambda: config.resolve_dt(grid, out["nl"], snap))
+    default_n_list = subcommand == "entire" and callable(exp["n_list"])
+    if subcommand == "entire" and not default_n_list:
+        tile_n_list()
     if subcommand == "stability":
-        center, n = exp["center"], blocks["front"]["N"]
+        center = exp["center"]
         if center is not None and len(center) != n:
             errors.append(f"experiment.center: expected {n} coordinates (front.N), "
                           f"got {len(center)}")
@@ -370,6 +384,8 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
             angles=np.asarray([w["theta"] for w in waves], dtype=float),
             shifts=np.asarray([w["tau"] for w in waves], dtype=float),
             speed=profile.speed))
+        if default_n_list:
+            tile_n_list()
         if errors:
             raise ConfigError(errors)
     out["experiment"] = exp
@@ -632,7 +648,7 @@ def _cmd_speed(objs, run_dir, seed, threads):
     passed = True
     for fam in objs["families"]:
         c_shoot = find_wave_speed(fam)
-        fit = measure_speed_1d(fam, workers=threads)
+        fit = measure_speed_1d(fam)
         rel = abs(fit.speed - c_shoot) / c_shoot
         rows.append({"theta": fam.theta, "c_shooting": c_shoot,
                      "c_measured": fit.speed, "rel_err": rel})
@@ -740,7 +756,3 @@ def main(argv=None) -> int:
     if code != EXIT_OK:
         print(f"numerical failure: see {detail}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,13 +1,14 @@
 """Explicit finite-difference solver for u_t - Lap u = f(u) on boxes.
 
-Supports 1D/2D/3D uniform grids, explicit Euler and Heun (RK2) stepping
-under a CFL rule that also caps dt by the reaction Lipschitz constant so
-the discrete maximum principle keeps states inside [0, 1].  The
-subsolution max_i U(q_i) of the planar waves is the one object the runs
-are compared against: subsolution_floor gives its grid values (the floor
-and each run's initial state) and make_boundary its values on the
-boundary ring (the Dirichlet data, evaluated each step), so comparison
-arguments against the analytic barriers carry over to the discrete runs.
+Supports 1D/2D/3D uniform grids and one update, forward Euler under a CFL
+rule that also caps dt by the reaction Lipschitz constant, so the discrete
+maximum principle keeps states inside [0, 1]; as dt = O(dx^2), its O(dt)
+error is the stencil's O(dx^2).  The subsolution max_i U(q_i) of the
+planar waves is the one object the runs are compared against:
+subsolution_floor gives its grid values (the floor and each run's initial
+state) and make_boundary its values on the boundary ring (the Dirichlet
+data, evaluated each step), so comparison arguments against the analytic
+barriers carry over to the discrete runs.
 
 Each step is one pass over cache-sized blocks of leading-axis rows (about
 BLOCK_CELLS cells each).  With several workers the blocks run on a thread
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 BLOCK_CELLS = 32768  # cells per row block: 256 KiB per float64 array
+CFL_SAFETY = 0.4  # fraction of the diffusion and reaction step limits
 SPEED_MAX_TIME = 20000.0  # model time after which measure_speed_1d gives up
 
 
@@ -116,38 +118,44 @@ class Field:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepping controls; dt = None picks the largest stable step."""
+    """Stepping controls: a cap on dt (None: the stability cap), pool size."""
 
     dt: float | None = None
-    scheme: str = "euler"
-    cfl_safety: float = 0.4
     workers: int = 1
 
     def __post_init__(self):
-        if self.scheme not in ("euler", "rk2"):
-            raise ValueError(f"scheme must be 'euler' or 'rk2', got {self.scheme!r}")
-        if not 0 < self.cfl_safety < 1:
-            raise ValueError("cfl_safety must lie in (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
     def stable_dt(self, grid: Grid, nl: CombustionNonlinearity) -> float:
-        diff_cap = self.cfl_safety * grid.dx**2 / (2.0 * grid.dimension)
+        diff_cap = CFL_SAFETY * grid.dx**2 / (2.0 * grid.dimension)
         lip = nl.max_abs_derivative(-nl.sigma, 1.0 + nl.sigma)
-        react_cap = self.cfl_safety / lip if lip > 0 else np.inf
+        react_cap = CFL_SAFETY / lip if lip > 0 else np.inf
         return min(diff_cap, react_cap)
 
     def resolve_dt(self, grid: Grid, nl: CombustionNonlinearity,
-                   snap_dt: float | None = None) -> float:
+                   snap_dt: float) -> float:
+        """The largest dt that splits snap_dt into whole steps and exceeds
+        neither the stability cap nor a set dt, which must lie under it."""
         cap = self.stable_dt(grid, nl)
         if self.dt is not None:
             if self.dt > cap * (1.0 + 1e-12):
                 raise ValueError(f"dt={self.dt} violates the stability cap {cap}")
-            return self.dt
-        if snap_dt is None:
-            return cap
-        # snap_dt must be an integer number of steps so snapshots land exactly
-        return snap_dt / int(np.ceil(snap_dt / cap))
+            cap = self.dt
+        # round, not ceil: snap_dt / cap can be a whole number plus an ulp
+        steps = max(1, round(snap_dt / cap))
+        if snap_dt / steps > cap:
+            steps += 1
+        return snap_dt / steps
+
+
+def _snapshot_count(span: float, snapshot_dt: float) -> int:
+    """Snapshot intervals in span; a ValueError unless they tile it."""
+    n = round(span / snapshot_dt)
+    if abs(n * snapshot_dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError(
+            f"span {span} is not an integer multiple of snapshot_dt {snapshot_dt}")
+    return n
 
 
 def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
@@ -183,12 +191,11 @@ class _Stepper:
 
     Each step is one pass over the row blocks; a block computes
     Lap u + f(u) on its interior cells and writes the update straight into
-    the output buffer.  The optional floor callable t -> grid-shaped values
-    is applied as a pointwise max after each completed step.  With a pool
-    (workers > 1) the blocks run on it; so does, for a floored step, the
-    evaluation of the floor and the ring data at the step's end time, queued
-    ahead of the blocks.  The calling thread then only submits, waits, sets
-    the RK2 stage ring and applies the results.  The plain
+    the output buffer, out = u + dt * (Lap u + f(u)).  The optional floor
+    callable t -> grid-shaped values is applied as a pointwise max after
+    each completed step.  With a pool (workers > 1) the blocks run on it;
+    so does, for a floored step, the evaluation of the floor and the ring
+    data at the step's end time, queued ahead of the blocks.  The plain
     scheme transports fronts at a slightly wrong discrete speed, so the
     subsolution is not preserved under discretization; flooring by it
     restores the comparison structure (the floored update is still a
@@ -196,10 +203,9 @@ class _Stepper:
     """
 
     def __init__(self, grid: Grid, nl: CombustionNonlinearity, dt: float,
-                 scheme: str, boundary, workers: int = 1, floor=None):
+                 boundary, workers: int = 1, floor=None):
         self.nl = nl
         self.dt = dt
-        self.scheme = scheme
         self.boundary = boundary
         self.floor = floor
         self.inv_dx2 = 1.0 / grid.dx**2
@@ -208,22 +214,14 @@ class _Stepper:
         self.blocks = _row_blocks(grid.counts)
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
         self.buffers = (np.empty(grid.counts), np.empty(grid.counts))
-        if scheme == "rk2":
-            self.stage = np.empty(grid.counts)
-            self.k1 = np.empty(grid.counts)
 
     def close(self):
         if self.pool is not None:
             self.pool.shutdown(wait=True)
             self.pool = None
 
-    def _block(self, lo, hi, u, out, k1=None, base=None):
-        """Update interior rows lo:hi of out from u in one pass.
-
-        With base None: out = u + dt * (Lap u + f(u)), also storing the
-        slope in k1 if given.  Otherwise the Heun corrector:
-        out = base + dt/2 * (k1 + Lap u + f(u)).
-        """
+    def _block(self, lo, hi, u, out):
+        """out = u + dt * (Lap u + f(u)) on interior rows lo:hi, one pass."""
         dim = u.ndim
         rest = (slice(1, -1),) * (dim - 1)
         inner = (slice(lo, hi),) + rest
@@ -235,27 +233,17 @@ class _Stepper:
         rhs -= 2.0 * dim * ui
         rhs *= self.inv_dx2
         rhs += self.nl(ui)
-        if base is None:
-            if k1 is not None:
-                k1[inner] = rhs
-            rhs *= self.dt
-            np.add(ui, rhs, out=out[inner])
-        else:
-            rhs += k1[inner]
-            rhs *= 0.5 * self.dt
-            np.add(base[inner], rhs, out=out[inner])
+        rhs *= self.dt
+        np.add(ui, rhs, out=out[inner])
 
-    def _sweep(self, *args, **kwargs):
+    def _sweep(self, u, out):
         if self.pool is None:
             for lo, hi in self.blocks:
-                self._block(lo, hi, *args, **kwargs)
+                self._block(lo, hi, u, out)
         else:
-            for f in [self.pool.submit(self._block, lo, hi, *args, **kwargs)
+            for f in [self.pool.submit(self._block, lo, hi, u, out)
                       for lo, hi in self.blocks]:
                 f.result()
-
-    def _set_ring(self, values, t):
-        values.ravel()[self.ring] = self.boundary(t, self.ring_points)
 
     def _ring_and_floor(self, t):
         """Ring data and floor values (None without a floor) at time t."""
@@ -267,24 +255,18 @@ class _Stepper:
 
         The ring and the floor are evaluated at t_new.  On a pool, a floored
         step evaluates both in one task submitted before the sweep, and they
-        are applied after it, in the same order as without a pool; the RK2
-        stage ring is still set on the calling thread between the two
-        sweeps.  values is only read.  The result is one of the stepper's
-        two buffers, whichever values is not, so it stays valid while it is
-        fed back in and is overwritten two steps later; a caller that keeps
-        a state longer must copy it.
+        are applied after it, in the same order as without a pool.  values
+        is only read.  The result is one of the stepper's two buffers,
+        whichever values is not, so it stays valid while it is fed back in
+        and is overwritten two steps later; a caller that keeps a state
+        longer must copy it.
         """
         a, b = self.buffers
         new = a if values is b else b
         pending = None
         if self.pool is not None and self.floor is not None:
             pending = self.pool.submit(self._ring_and_floor, t_new)
-        if self.scheme == "euler":
-            self._sweep(values, new)
-        else:
-            self._sweep(values, self.stage, k1=self.k1)
-            self._set_ring(self.stage, t_new)
-            self._sweep(self.stage, new, k1=self.k1, base=values)
+        self._sweep(values, new)
         ring, floor = self._ring_and_floor(t_new) if pending is None else pending.result()
         new.ravel()[self.ring] = ring
         if floor is not None:
@@ -293,39 +275,31 @@ class _Stepper:
 
 
 def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
-                 config: SolverConfig, t_end: float,
-                 snapshot_dt: float | None = None, floor=None,
+                 config: SolverConfig, t_end: float, snapshot_dt: float, floor=None,
                  keep_all: bool = True) -> list:
     """March from u0.time to t_end, returning snapshots.
 
     Snapshots are taken at u0.time + k * snapshot_dt, which must tile the
-    span exactly (the step size is refined to divide snapshot_dt so
+    span exactly (resolve_dt picks a step that divides snapshot_dt, so
     snapshot times are exact); keep_all=False retains only the first and
     final snapshot.  Aborts at the first snapshot where some u is outside
-    [-2, 2] or NaN (blow-up can only come from a mis-set scheme or
+    [-2, 2] or NaN (blow-up can only come from a mis-set step or
     boundary; the PDE itself preserves [0,1]).
     """
     t0 = u0.time
     span = t_end - t0
     if span <= 0:
         return [u0.copy()]
-    if snapshot_dt is None:
-        snapshot_dt = span
-    n_snaps = int(round(span / snapshot_dt))
-    if abs(n_snaps * snapshot_dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(
-            f"span {span} is not an integer multiple of snapshot_dt {snapshot_dt}")
-    dt = config.resolve_dt(u0.grid, nl, snap_dt=snapshot_dt)
-    steps_per_snap = int(round(snapshot_dt / dt))
-    dt = snapshot_dt / steps_per_snap
+    n_snaps = _snapshot_count(span, snapshot_dt)
+    dt = config.resolve_dt(u0.grid, nl, snapshot_dt)
+    steps_per_snap = round(snapshot_dt / dt)
 
-    st = _Stepper(u0.grid, nl, dt, config.scheme, boundary, config.workers,
-                  floor=floor)
+    st = _Stepper(u0.grid, nl, dt, boundary, config.workers, floor=floor)
     try:
         # advance never writes into its input, so this copy can be kept;
         # later states live in the stepper's buffers and are copied out
         values = u0.values.copy()
-        st._set_ring(values, t0)
+        values.ravel()[st.ring] = boundary(t0, st.ring_points)
         out = [Field(u0.grid, values, t0)]
         for k in range(n_snaps):
             t_snap0 = t0 + k * snapshot_dt
@@ -364,7 +338,7 @@ class EntireSolutionResult:
 def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
                     nl: CombustionNonlinearity, grid: Grid,
                     config: SolverConfig, n_list, window_end: float,
-                    snapshot_dt: float | None = None) -> EntireSolutionResult:
+                    snapshot_dt: float) -> EntireSolutionResult:
     """Monotone approximation of the entire solution on [0, window_end].
 
     Each run starts at t = -n from the subsolution floor max_i U(q_i), with
@@ -378,16 +352,11 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
     """
     n_list = sorted(float(n) for n in n_list)
     boundary = make_boundary(cfg, profile)
-    if snapshot_dt is None:
-        snapshot_dt = window_end if window_end > 0 else 1.0
     floor = subsolution_floor(cfg, profile, grid)
 
     # one explicit dt for every run: the run-vs-run ordering argument needs
-    # the exact same update map on the shared time range
-    dt = config.resolve_dt(grid, nl, snap_dt=snapshot_dt)
-    dt = snapshot_dt / int(round(snapshot_dt / dt))
-    config = replace(config, dt=dt)
-
+    # the exact same update map on the shared time range, and every
+    # solve_cauchy call below passes the same snapshot_dt to resolve_dt
     runs = {}
     times = None
     for n in n_list:
@@ -473,8 +442,7 @@ def _half_level_position(x: np.ndarray, u: np.ndarray) -> float:
 
 
 def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
-                     length: float = 300.0, sample_dt: float = 2.0,
-                     workers: int = 1) -> SpeedFit:
+                     length: float = 300.0, sample_dt: float = 2.0) -> SpeedFit:
     """Empirical front speed from a 1D ignition run.
 
     Starts from step data (1 on the left quarter, 0 elsewhere), keeps the
@@ -488,12 +456,10 @@ def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
     grid = Grid(counts=(n,), dx=dx, origin=(0.0,))
     x = grid.axis(0)
     u0 = np.where(x <= length / 4.0, 1.0, 0.0)
-    config = SolverConfig(scheme="euler", workers=workers)
-    dt = config.resolve_dt(grid, nl, snap_dt=sample_dt)
-    steps = int(round(sample_dt / dt))
-    dt = sample_dt / steps
+    dt = SolverConfig().resolve_dt(grid, nl, sample_dt)
+    steps = round(sample_dt / dt)
     boundary = lambda t, pts: np.where(pts[:, 0] < length / 2.0, 1.0, 0.0)
-    st = _Stepper(grid, nl, dt, "euler", boundary, workers)
+    st = _Stepper(grid, nl, dt, boundary)  # one row block: a pool cannot pay
     times = []
     positions = []
     stop_at = 0.75 * length

@@ -356,6 +356,19 @@ def test_simulate_reproducible_across_threads(tmp_path, capsys):
     assert len(digests[0]) == 3  # t = 0, 1/c, 2/c
 
 
+def test_simulate_snapshot_interval_shorter_than_dt(tmp_path, capsys):
+    # an interval below dt / 2 rounds to zero steps of length dt; each
+    # snapshot takes one shorter step instead
+    cfg = copy.deepcopy(BASE)
+    del cfg["barrier"]
+    cfg["solver"].update({"dt": 0.025, "snapshot_interval": 0.01, "T": 0.02})
+    rc = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    out = capsys.readouterr()
+    assert rc == EXIT_OK, out.err
+    summary = json.load(open(os.path.join(run_dir_of(out.out), "simulate.json")))
+    assert summary["n_snapshots"] == 3
+
+
 def test_simulate_snapshots_readable(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     del cfg["barrier"]
@@ -480,7 +493,26 @@ EXP_ERRORS = [
     ("stability", {"height": 0.4, "radius": 2.0, "center": [0.0]}, "experiment.center"),
     ("stability", {"height": 0.4, "radius": 2.0, "center": [0.0] * 4}, "experiment.center"),
     ("barriers-validate", {"n_samples": 7}, "experiment.n_samples"),
+    ("simulate", {}, "solver.T"),
+    ("simulate", {}, "solver.box.counts"),
+    ("entire", {"n_list": [2.0 / C, 0.3]}, "experiment.n_list[1]"),
+    ("simulate", {}, "solver.dt"),
 ]
+# solver edits per field, and the messages expected where the field alone
+# is not the message's start
+SOLVER_EDITS = {
+    # cfl_safety is no key, and "euler" is the one scheme
+    "solver.cfl_safety": {"cfl_safety": 0.4, "scheme": "rk2"},
+    "solver.T": {"T": 1.0, "snapshot_interval": 0.3},
+    "solver.box.counts": {"box": {"counts": [32, 32, 32], "origin": [0.0] * 3}},
+    "solver.dt": {"dt": 1.0},
+}
+MESSAGES = {
+    "solver.cfl_safety": ["solver: unknown key 'cfl_safety'",
+                          'solver.scheme: must be "euler"'],
+    "solver.T": ["solver.T: span 1.0 is not an integer multiple of snapshot_dt 0.3"],
+    "solver.dt": ["solver.dt: dt=1.0 violates the stability cap 0.025"],
+}
 
 
 @pytest.mark.parametrize("sub, experiment, field", EXP_ERRORS,
@@ -493,14 +525,14 @@ def test_config_error_exits_2_before_run_dir(tmp_path, capsys, monkeypatch, sub,
     monkeypatch.setattr(cli_io, "build_profile", no_profile)
     cfg = copy.deepcopy(BASE)
     cfg["experiment"] = experiment
-    if field == "solver.cfl_safety":
-        cfg["solver"]["cfl_safety"] = "x"
+    cfg["solver"].update(SOLVER_EDITS.get(field, {}))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     rc = main([sub, "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
     out = capsys.readouterr()
     assert rc == EXIT_CONFIG
-    assert f"config error: {field}" in out.err
+    for msg in MESSAGES.get(field, [field]):
+        assert f"config error: {msg}" in out.err
     assert os.listdir(out_dir) == []
 
 
@@ -609,6 +641,19 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_python_m_runs_without_runpy_warning(tmp_path):
+    # the package imports cli_io, so `python -m curvedfronts.cli_io` would
+    # warn that the module was imported before it ran; __main__ avoids it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = write_cfg(tmp_path, {"nonlinearity": dict(BASE["nonlinearity"])})
+    proc = subprocess.run([sys.executable, "-m", "curvedfronts", "profile", "--config",
+                           path, "--out", str(tmp_path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert os.path.isfile(os.path.join(proc.stdout.strip(), "profile.json"))
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

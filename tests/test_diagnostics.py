@@ -142,7 +142,7 @@ def test_weighted_gap_upper_barrier_far_bins(cfg_v, profile03, params03, barrier
 def test_sandwich_on_monotone_run(cfg_v, profile03, nl03, barriers03):
     c = profile03.speed
     g = Grid((64, 64), 0.5, (-16.0, -20.0))
-    sc = SolverConfig(scheme="euler", cfl_safety=0.4)
+    sc = SolverConfig()
     res = entire_solution(
         cfg_v, profile03, nl03, g, sc,
         n_list=[2.0 / c, 4.0 / c], window_end=1.0 / c, snapshot_dt=0.5 / c,
@@ -194,7 +194,7 @@ def test_admissibility_flags(cfg_v, profile03, params03, grid96):
 def test_stability_zero_perturbation_is_exact(cfg_v, profile03, nl03, barriers03):
     c = profile03.speed
     g = Grid((96, 96), 0.5, (-24.0, -28.0))
-    sc = SolverConfig(scheme="euler", cfl_safety=0.4)
+    sc = SolverConfig()
     spec = PerturbationSpec(kind="none", height=0.0, radius=1.0)
     res = stability_run(cfg_v, profile03, nl03, g, sc, spec, t_end=4.0 / c,
                         snapshot_dt=1.0 / c, barriers=barriers03)
@@ -206,7 +206,7 @@ def test_stability_zero_perturbation_is_exact(cfg_v, profile03, nl03, barriers03
 def test_stability_bump_decays(cfg_v, profile03, nl03, barriers03):
     c = profile03.speed
     g = Grid((96, 96), 0.5, (-24.0, -28.0))
-    sc = SolverConfig(scheme="euler", cfl_safety=0.4)
+    sc = SolverConfig()
     spec = PerturbationSpec(kind="bump", height=nl03.gamma_star / 2, radius=3.0 / c)
     res = stability_run(cfg_v, profile03, nl03, g, sc, spec, t_end=12.0 / c,
                         snapshot_dt=2.0 / c, barriers=barriers03)
@@ -225,7 +225,7 @@ def test_stability_rejects_far_field_perturbation(cfg_v, profile03, nl03, barrie
     # mass parked far from the front violates the weighted smallness bound
     c = profile03.speed
     g = Grid((96, 96), 0.5, (-24.0, -28.0))
-    sc = SolverConfig(scheme="euler", cfl_safety=0.4)
+    sc = SolverConfig()
     far = PerturbationSpec(kind="bump", height=0.4, radius=5.0, center=(10.0, 12.0))
     with pytest.raises(ValueError, match="inadmissible"):
         stability_run(cfg_v, profile03, nl03, g, sc, far, t_end=1.0 / c,

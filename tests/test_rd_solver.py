@@ -76,16 +76,46 @@ def test_grid_validation():
 
 def test_stability_cap(small_grid):
     nl = make_combustion()
-    sc = SolverConfig(scheme="euler", cfl_safety=0.4)
+    sc = SolverConfig()
     # 2D explicit Laplacian cap dx^2 / 4 times the safety factor,
     # shaved slightly by the reaction Lipschitz constant
+    assert rd_solver.CFL_SAFETY == 0.4
     dt = sc.stable_dt(small_grid, nl)
     assert dt <= 0.4 * 0.5**2 / 4.0 + 1e-15
     assert dt > 0.8 * 0.4 * 0.5**2 / 4.0
+    with pytest.raises(ValueError, match="violates the stability cap"):
+        SolverConfig(dt=1.0).resolve_dt(small_grid, nl, 1.0)
     with pytest.raises(ValueError):
-        SolverConfig(dt=1.0).resolve_dt(small_grid, nl)
-    with pytest.raises(ValueError):
-        SolverConfig(scheme="rk4")
+        SolverConfig(workers=0)
+
+
+def test_resolve_dt_splits_the_interval(small_grid, nl03):
+    # the largest dt that splits the interval into whole steps and exceeds
+    # neither the cap nor a set dt
+    cap = SolverConfig().stable_dt(small_grid, nl03)
+    for set_dt in (None, cap, 0.7 * cap, 0.3 * cap):
+        limit = cap if set_dt is None else set_dt
+        for snap in (0.01 * cap, 0.5 * cap, cap, 1.5 * cap, 2.5 * cap, 7.3 * cap,
+                     0.25 / C, 1.0 / C, 4.0):
+            dt = SolverConfig(dt=set_dt).resolve_dt(small_grid, nl03, snap)
+            steps = round(snap / dt)
+            assert dt <= limit
+            assert dt == snap / steps
+            assert steps == 1 or snap / (steps - 1) > limit
+    # an interval shorter than dt takes one shorter step
+    assert SolverConfig(dt=cap).resolve_dt(small_grid, nl03, 0.4 * cap) == 0.4 * cap
+    # without a set dt the step is snap / ceil(snap / cap) away from ulp ties
+    for snap in (0.25 / C, 0.5 / C, 1.0 / C, 4.0 / C, 2.0, 0.5):
+        assert SolverConfig().resolve_dt(small_grid, nl03, snap) == \
+            snap / math.ceil(snap / cap)
+    # a set dt that divides the interval comes back unchanged, also where
+    # snap / dt comes out an ulp above a whole number
+    snap = 0.25 / C
+    for k in range(1, 200):
+        dt = snap / k
+        if dt <= cap:
+            assert SolverConfig(dt=dt).resolve_dt(small_grid, nl03, snap) == dt
+    assert math.ceil(snap / (snap / 54)) == 55  # such a k is in the loop
 
 
 def test_snapshot_span_must_tile(small_grid, nl03, profile03):
@@ -133,7 +163,7 @@ def test_order_preservation(small_grid, nl03, profile03):
     hi = np.maximum(lo, hi)
     # Dirichlet data of the exact planar wave
     bc = lambda t, pts: profile03(pts @ cfg.directions[0] - cfg.speed * t + cfg.shifts[0])
-    sc = SolverConfig(scheme="euler")
+    sc = SolverConfig()
     out_lo = solve_cauchy(Field(small_grid, lo, 0.0), nl03, bc, sc, 2.0, 2.0)
     out_hi = solve_cauchy(Field(small_grid, hi, 0.0), nl03, bc, sc, 2.0, 2.0)
     assert np.all(out_hi[-1].values - out_lo[-1].values >= -1e-14)
@@ -154,7 +184,11 @@ def test_planar_wave_speed_and_shape(small_grid, nl03, profile03):
         assert np.min(f.values - lower) >= 0.0
 
 
-@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+# forward Euler, the one update; the id keeps these tests' names
+EULER = pytest.mark.parametrize("scheme", ["euler"])
+
+
+@EULER
 def test_bit_identical_across_workers(scheme, nl03, profile03, cfg_v):
     # several row blocks, so the pooled runs really split each step
     grid = GRID_2D
@@ -164,7 +198,7 @@ def test_bit_identical_across_workers(scheme, nl03, profile03, cfg_v):
     floor = subsolution_floor(cfg_v, profile03, grid)
     outs = []
     for workers in (1, 4, 8):
-        sc = SolverConfig(scheme=scheme, workers=workers)
+        sc = SolverConfig(workers=workers)
         traj = solve_cauchy(u0.copy(), nl03, bc, sc, 2.0, 1.0, floor=floor)
         outs.append(traj[-1].values)
     assert np.array_equal(outs[0], outs[1])
@@ -185,7 +219,7 @@ def counted(fn, calls):
 
 
 @pytest.mark.parametrize("front", ["v-2d", "pyramid-3d"])
-@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@EULER
 def test_pooled_floor_and_ring_match_serial(front, scheme, nl03, profile03, cfg_v):
     # on the pool a floored step evaluates the floor and the ring at t_new
     # in a task beside the sweep: same calls per step, same bits
@@ -199,29 +233,28 @@ def test_pooled_floor_and_ring_match_serial(front, scheme, nl03, profile03, cfg_
     floor = subsolution_floor(cfg, profile03, grid)
     runs = {}
     for workers in (1, 2):
-        sc = SolverConfig(scheme=scheme, workers=workers)
+        sc = SolverConfig(workers=workers)
         floor_calls, ring_calls = [], []
         traj = solve_cauchy(u0.copy(), nl03, counted(bc, ring_calls), sc, 1.0, 0.5,
                             floor=counted(floor, floor_calls))
         runs[workers] = traj, floor_calls, ring_calls
-    steps = 2 * round(0.5 / sc.resolve_dt(grid, nl03, snap_dt=0.5))
-    rings_per_step = 1 if scheme == "euler" else 2
+    steps = 2 * round(0.5 / sc.resolve_dt(grid, nl03, 0.5))
     for traj, floor_calls, ring_calls in runs.values():
         assert len(floor_calls) == steps
-        assert len(ring_calls) == 1 + rings_per_step * steps
+        assert len(ring_calls) == 1 + steps
     # serial: everything on the calling thread; pooled: the floor and the
-    # end-of-step ring in pool tasks, the initial and RK2 stage rings not
+    # end-of-step ring in pool tasks, the initial ring not
     _, floor_calls, ring_calls = runs[1]
     assert all(floor_calls) and all(ring_calls)
     _, floor_calls, ring_calls = runs[2]
     assert not any(floor_calls)
-    assert sum(ring_calls) == 1 + (rings_per_step - 1) * steps
+    assert sum(ring_calls) == 1
     for a, b in zip(runs[1][0], runs[2][0]):
         assert a.time == b.time
         assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@EULER
 def test_floor_error_in_pool_task_propagates(scheme, nl03, profile03, cfg_v,
                                              monkeypatch):
     pools = []
@@ -245,7 +278,7 @@ def test_floor_error_in_pool_task_propagates(scheme, nl03, profile03, cfg_v,
 
     u0 = initial_field(cfg_v, profile03, grid)
     bc = make_boundary(cfg_v, profile03)
-    sc = SolverConfig(scheme=scheme, workers=2)
+    sc = SolverConfig(workers=2)
     with pytest.raises(ArithmeticError) as exc:
         solve_cauchy(u0, nl03, bc, sc, t_end=0.5, snapshot_dt=0.25, floor=failing_floor)
     assert exc.value is err
@@ -270,8 +303,8 @@ def reference_rhs(u, nl, inv_dx2):
     return (acc - 2.0 * d * u[inner]) * inv_dx2 + nl(u[inner])
 
 
-def reference_march(u0, nl, grid, bc, scheme, dt, steps):
-    """Whole-array Euler or Heun steps with Dirichlet ring data."""
+def reference_march(u0, nl, grid, bc, dt, steps):
+    """Whole-array Euler steps with Dirichlet ring data."""
     inner = (slice(1, -1),) * grid.dimension
     ring = grid.ring_indices()
     ring_pts = grid.points().reshape(-1, grid.dimension)[ring]
@@ -284,15 +317,8 @@ def reference_march(u0, nl, grid, bc, scheme, dt, steps):
     u = with_ring(u0.copy(), 0.0)
     for j in range(steps):
         t = j * dt
-        k1 = reference_rhs(u, nl, inv_dx2)
         new = u.copy()
-        if scheme == "euler":
-            new[inner] = u[inner] + dt * k1
-        else:
-            stage = u.copy()
-            stage[inner] = u[inner] + dt * k1
-            k2 = reference_rhs(with_ring(stage, t + dt), nl, inv_dx2)
-            new[inner] = u[inner] + 0.5 * dt * (k1 + k2)
+        new[inner] = u[inner] + dt * reference_rhs(u, nl, inv_dx2)
         u = with_ring(new, t + dt)
     return u
 
@@ -300,7 +326,7 @@ def reference_march(u0, nl, grid, bc, scheme, dt, steps):
 @pytest.mark.parametrize("grid,workers", [
     (GRID_1D, 1), (GRID_2D, 1), (GRID_2D, 2), (GRID_3D, 1), (GRID_3D, 2),
 ], ids=["1d", "2d-w1", "2d-w2", "3d-w1", "3d-w2"])
-@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@EULER
 def test_blocked_kernel_matches_whole_array_reference(grid, workers, scheme,
                                                       nl03, profile03):
     # workers = 2 on the 2D and 3D grids splits each step across the pool
@@ -314,20 +340,20 @@ def test_blocked_kernel_matches_whole_array_reference(grid, workers, scheme,
     u0 = Field(grid, bc(0.0, pts).reshape(grid.counts), 0.0)
     steps, t_end = 8, 0.08
     dt = t_end / steps
-    sc = SolverConfig(dt=dt, scheme=scheme, workers=workers)
+    sc = SolverConfig(dt=dt, workers=workers)
     out = solve_cauchy(u0, nl03, bc, sc, t_end=t_end, snapshot_dt=t_end)
-    expected = reference_march(u0.values, nl03, grid, bc, scheme, dt, steps)
+    expected = reference_march(u0.values, nl03, grid, bc, dt, steps)
     assert np.array_equal(out[-1].values, expected)
 
 
-@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@EULER
 def test_stepping_leaves_input_untouched(scheme, nl03, profile03, cfg_v):
     grid = GRID_2D
     u0 = initial_field(cfg_v, profile03, grid)
     before = u0.values.copy()
     bc = make_boundary(cfg_v, profile03)
     floor = subsolution_floor(cfg_v, profile03, grid)
-    sc = SolverConfig(scheme=scheme, workers=2)
+    sc = SolverConfig(workers=2)
     traj = solve_cauchy(u0, nl03, bc, sc, t_end=0.5, snapshot_dt=0.25, floor=floor)
     assert np.array_equal(u0.values, before)
     # snapshots are copies, not views of the stepper's two buffers
@@ -347,7 +373,7 @@ def test_measured_1d_speed_matches_shooting(nl03, profile03):
 def test_entire_solution_monotone(nl03, profile03, cfg_v):
     c = profile03.speed
     grid = Grid((64, 64), 0.5, (-16.0, -20.0))
-    sc = SolverConfig(scheme="euler", cfl_safety=0.4)
+    sc = SolverConfig()
     res = entire_solution(
         cfg_v, profile03, nl03, grid, sc,
         n_list=[2.0 / c, 4.0 / c, 8.0 / c],
@@ -393,6 +419,24 @@ def test_entire_solution_starts_each_run_from_the_floor(nl03, profile03, monkeyp
         assert np.array_equal(u0.values, floor(u0.time))
 
 
+def test_entire_solution_runs_share_one_dt(nl03, profile03, cfg_v, monkeypatch):
+    # the run-vs-run ordering needs the same update map in every run,
+    # including the marches to the window start
+    c = profile03.speed
+    dts = []
+
+    class Recording(rd_solver._Stepper):
+        def __init__(self, grid, nl, dt, *args, **kwargs):
+            dts.append(dt)
+            super().__init__(grid, nl, dt, *args, **kwargs)
+
+    monkeypatch.setattr(rd_solver, "_Stepper", Recording)
+    entire_solution(cfg_v, profile03, nl03, Grid((32, 32), 0.5, (-8.0, -10.0)),
+                    SolverConfig(), n_list=[0.5 / c, 1.0 / c], window_end=0.5 / c,
+                    snapshot_dt=0.25 / c)
+    assert len(dts) == 4 and len(set(dts)) == 1
+
+
 def three_wave_cfg(speed):
     nus = np.array([[-1.0], [1.0], [1.0]])
     angles = np.array([math.pi / 3, math.pi / 4, 1.2])
@@ -427,7 +471,7 @@ def test_entire_solution_shift_continuity(nl03, profile03):
     # small shift in the configuration moves the construction by O(tau)
     c = profile03.speed
     grid = Grid((64, 64), 0.5, (-16.0, -20.0))
-    sc = SolverConfig(scheme="euler", cfl_safety=0.4)
+    sc = SolverConfig()
     n = 2.0 / c
     kw = dict(n_list=[n], window_end=1.0 / c, snapshot_dt=1.0 / c)
     base = entire_solution(symmetric_v(math.pi / 3, c), profile03, nl03, grid, sc, **kw)

@@ -392,8 +392,7 @@ def test_floored_run_has_zero_lower_violation(cfg_v, profile03, nl03):
     # snapshot times, so a floored run sits on or above it bit for bit
     c = profile03.speed
     g = Grid((48, 48), 0.5, (-12.0, -16.0))
-    res = entire_solution(cfg_v, profile03, nl03, g,
-                          SolverConfig(scheme="euler", cfl_safety=0.4),
+    res = entire_solution(cfg_v, profile03, nl03, g, SolverConfig(),
                           n_list=[2.0 / c], window_end=1.0 / c, snapshot_dt=0.5 / c)
     traj = [Field(g, v, t) for v, t in zip(res.v_hat, res.times)]
     assert sandwich_and_monotonicity(traj, cfg_v, profile03)["lower_violation"] == 0.0
