@@ -57,6 +57,13 @@ RESIDUAL_TOL = -1e-8
 # 2nd-order stencils would drown the tolerance in round-off noise.
 DEFAULT_FD_STEP = 5e-3
 CLAMP_GUARD = 1.0 - 2.0**-46
+# The samples' box.  Offsets from the sharpened surface cover the eta-cases
+# evenly; the time-shifted barrier's range of t starts beyond the reach of
+# the time stencil (2 DEFAULT_FD_STEP).
+SAMPLE_T_RANGE = (-6.0, 6.0)
+SAMPLE_X_HALF_WIDTH = 30.0
+SAMPLE_OFFSET_RANGE = (-22.0, 22.0)
+SAMPLE_W_T_RANGE = (0.05, 8.0)
 # samples per field call (53k stencil points in 2D); chunks of 1024 to 16384
 # samples run a residual equally fast, and the temporaries grow with the chunk
 STENCIL_CHUNK = 4096
@@ -275,18 +282,10 @@ def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
 
 @dataclass(frozen=True)
 class BarrierSampleSpec:
-    """Sampling plan for residual certification.
-
-    Offsets are measured from the sharpened surface, so the eta-cases are
-    covered evenly; time and horizontal position range over a box.
-    """
+    """Sampling plan for residual certification: the sample count and the
+    seed of the streams.  The box the samples fill is fixed (SAMPLE_*)."""
 
     n_samples: int = 100_000
-    t_range: tuple = (-6.0, 6.0)
-    x_half_width: float = 30.0
-    offset_range: tuple = (-22.0, 22.0)
-    w_t_range: tuple = (0.05, 8.0)
-    fd_step: float = DEFAULT_FD_STEP
     seed: int = 0
 
 
@@ -361,9 +360,9 @@ def _sample_points(barriers: BarrierSet, spec: BarrierSampleSpec, n: int,
     drawn from the stream spec.seed + seed_offset."""
     r = np.random.default_rng(spec.seed + seed_offset)
     t = r.uniform(t_lo, t_hi, size=n)
-    x = r.uniform(-spec.x_half_width, spec.x_half_width,
+    x = r.uniform(-SAMPLE_X_HALF_WIDTH, SAMPLE_X_HALF_WIDTH,
                   size=(n, barriers.cfg.dimension - 1))
-    off = r.uniform(*spec.offset_range, size=n)
+    off = r.uniform(*SAMPLE_OFFSET_RANGE, size=n)
     a = barriers.params.alpha
     y = barriers.surface.solve_phi(a * t, a * x) / a + off
     return t, np.concatenate([x, y[:, None]], axis=1), off
@@ -374,10 +373,9 @@ def _upper_certificate(barriers: BarrierSet, spec: BarrierSampleSpec):
     residual, excluded, least live residual or NaN).  V_up reads only
     epsilon, alpha and beta, so any BarrierSet that shares them gives the
     same bits."""
-    t, z, eta = _sample_points(barriers, spec, spec.n_samples, *spec.t_range)
+    t, z, eta = _sample_points(barriers, spec, spec.n_samples, *SAMPLE_T_RANGE)
     v_up = np.empty(t.shape[0])
-    res, exc = parabolic_residual(barriers.upper, barriers.nl, t, z, spec.fd_step,
-                                  values=v_up)
+    res, exc = parabolic_residual(barriers.upper, barriers.nl, t, z, values=v_up)
     live = ~exc
     return (t, z, eta, v_up, res, exc,
             float(np.min(res[live])) if np.any(live) else float("nan"))
@@ -392,12 +390,12 @@ def fit_time_term_constant(barriers: BarrierSet,
     -(d_t - Lap) g.  The time-bending factor pi'(t) stays in [1, 2] under the
     rho*delta*lam <= 1 cap, hence the factor 2 on the fitted minimum.
     """
-    t, z, _ = _sample_points(barriers, spec, n, *spec.t_range, seed_offset=1)
+    t, z, _ = _sample_points(barriers, spec, n, *SAMPLE_T_RANGE, seed_offset=1)
 
     def g_field(tq, zq):
         return barriers.tail_weight(barriers.eta(tq, zq))
 
-    _, g_t, lap = _stencil(g_field, t, z, spec.fd_step)
+    _, g_t, lap = _stencil(g_field, t, z, DEFAULT_FD_STEP)
     worst = float(np.min(g_t - lap))
     return 2.0 * max(0.0, -worst)
 
@@ -452,7 +450,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     order = np.argsort(np.where(live_u, res_u, np.inf))
     worst_idx = order[: min(512, int(np.sum(live_u)))]
     res_half, exc_half = parabolic_residual(barriers.upper, nl, t_u[worst_idx],
-                                            z_u[worst_idx], spec.fd_step / 2.0)
+                                            z_u[worst_idx], DEFAULT_FD_STEP / 2.0)
     both = ~exc_half
     richardson_gap = float(np.max(np.abs(res_half[both] - res_u[worst_idx][both]))) if np.any(both) else 0.0
     richardson_ok = richardson_gap <= 10.0 * abs(RESIDUAL_TOL)
@@ -464,7 +462,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     # uniform-height batch for coverage away from the surface
     v_lo = barriers.lower(t_u, z_u)
     sandwich_min = float(np.min(v_up - v_lo))
-    t_e, z_e, _ = _sample_points(barriers, spec, spec.n_samples // 4, *spec.t_range, seed_offset=7)
+    t_e, z_e, _ = _sample_points(barriers, spec, spec.n_samples // 4, *SAMPLE_T_RANGE, seed_offset=7)
     z_e[:, -1] = rng.uniform(z_e[:, -1].min(), z_e[:, -1].max(), size=z_e.shape[0])
     sandwich_min = min(sandwich_min,
                        float(np.min(barriers.upper(t_e, z_e) - barriers.lower(t_e, z_e))))
@@ -490,10 +488,9 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         c_star_fit = float(np.max(gap) / params.epsilon) if params.epsilon > 0 else 0.0
 
     # time-shifted barrier on t >= 0
-    t_w, z_w, _ = _sample_points(barriers, spec, spec.n_samples // 2,
-                                 max(spec.w_t_range[0], 2.5 * spec.fd_step),
-                                 spec.w_t_range[1], seed_offset=13)
-    res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w, spec.fd_step)
+    t_w, z_w, _ = _sample_points(barriers, spec, spec.n_samples // 2, *SAMPLE_W_T_RANGE,
+                                 seed_offset=13)
+    res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w)
     eta_w = barriers.eta(barriers.shift_time(t_w), z_w)
     cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
     live_w = ~exc_w
@@ -530,7 +527,6 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         clearance_radius=clearance,
         worst_point_upper=worst_point,
         worst_ridge_distance=worst_rd,
-        fd_step=spec.fd_step,
     )
 
 

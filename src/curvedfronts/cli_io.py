@@ -342,7 +342,7 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
 
     def tile_n_list():  # each entire run marches from -n to 0 in snapshots
         for k, n in enumerate(exp["n_list"]):
-            construct(f"experiment.n_list[{k}]", lambda: _snapshot_count(n, snap))
+            construct(f"experiment.n_list[{k}]", lambda: _snapshot_count(-n, 0.0, snap))
 
     if subcommand in SOLVER_USERS:
         solver, n = blocks["solver"], blocks["front"]["N"]
@@ -356,7 +356,7 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
             dt=None if solver["dt"] == "cfl" else float(solver["dt"]))
         t_end = out["t_end"] = float(solver["T"])
         snap = out["snapshot_dt"] = float(solver["snapshot_interval"])
-        construct("solver.T", lambda: _snapshot_count(t_end, snap))
+        construct("solver.T", lambda: _snapshot_count(0.0, t_end, snap))
         if grid is not None and out["nl"] is not None:
             construct("solver.dt", lambda: config.resolve_dt(grid, out["nl"], snap))
     default_n_list = subcommand == "entire" and callable(exp["n_list"])
@@ -440,7 +440,7 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
             json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()),
         "seed": seed,
         "threads": threads,
-        # BLAS pools sized from the machine can move the profile fit's last bits
+        # recorded for reproduction; the profile table does not depend on them
         "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
         "versions": {"curvedfronts": __version__, "python": sys.version,
                      "numpy": np.__version__, "scipy": scipy_version,
@@ -624,7 +624,7 @@ def _cmd_verify(objs, run_dir, seed, threads):
     wg = weighted_gap_report(traj, front, profile,
                              v_rate=params.v_star or 1e-4)
     report.add("weighted_gap", wg)
-    hl = half_level_cross_check(traj[-1], front, profile=profile,
+    hl = half_level_cross_check(traj[-1], front, profile,
                                 exclude_ridge_radius=float(exp["ridge_exclusion"]))
     report.add("half_level_cross_check", hl)
 
@@ -718,7 +718,23 @@ def run(cfg: dict, subcommand: str, out_dir: str, threads: int = 1,
     return code, run_dir, detail_path
 
 
+def _hold_heap():
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB; a no-op
+    where mallopt is missing.  A floored step frees and reallocates
+    grid-sized temporaries every step; under glibc's default dynamic
+    thresholds each may be returned to the kernel and faulted in afresh,
+    so a run's speed would hang on what large transients preceded it."""
+    try:
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _hold_heap()
     parser = argparse.ArgumentParser(
         prog="curvedfronts",
         description="Curved-front reaction-diffusion toolbox (batch runs)")

@@ -157,7 +157,7 @@ def _half_level_points(fld: Field) -> np.ndarray:
 
 
 def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
-                           profile: WaveProfile | None = None,
+                           profile: WaveProfile,
                            exclude_ridge_radius: float | None = None) -> dict:
     """Discrepancy between the {u = 1/2} level set and the geometric one.
 
@@ -184,15 +184,12 @@ def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
         raise ValueError("no half-level crossings left after exclusions")
     t = np.full(pts.shape[0], fld.time)
     level_q = min_q(cfg, t, pts)
-    out = {
+    return {
         "n_points": int(pts.shape[0]),
         "median_offset": float(np.median(level_q)),
         "offset_spread": float(np.ptp(level_q)),
+        "discrepancy": float(np.max(np.abs(level_q - profile.inverse(0.5)))),
     }
-    if profile is not None:
-        out["discrepancy"] = float(
-            np.max(np.abs(level_q - profile.inverse(0.5))))
-    return out
 
 
 def interface_pair_distance(cfg: FrontConfiguration, t: float, s: float, rng=None) -> float:

@@ -149,10 +149,13 @@ class SolverConfig:
         return snap_dt / steps
 
 
-def _snapshot_count(span: float, snapshot_dt: float) -> int:
-    """Snapshot intervals in span; a ValueError unless they tile it."""
+def _snapshot_count(t0: float, t_end: float, snapshot_dt: float) -> int:
+    """Snapshot intervals from t0 to t_end; a ValueError unless they tile
+    it up to a relative 1e-9 plus the rounding of the endpoints."""
+    span = t_end - t0
     n = round(span / snapshot_dt)
-    if abs(n * snapshot_dt - span) > 1e-9 * max(1.0, abs(span)):
+    slack = 1e-9 * max(1.0, abs(span)) + 2.0 * np.spacing(abs(t0) + abs(span))
+    if abs(n * snapshot_dt - span) > slack:
         raise ValueError(
             f"span {span} is not an integer multiple of snapshot_dt {snapshot_dt}")
     return n
@@ -290,7 +293,7 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
     span = t_end - t0
     if span <= 0:
         return [u0.copy()]
-    n_snaps = _snapshot_count(span, snapshot_dt)
+    n_snaps = _snapshot_count(t0, t_end, snapshot_dt)
     dt = config.resolve_dt(u0.grid, nl, snapshot_dt)
     steps_per_snap = round(snapshot_dt / dt)
 

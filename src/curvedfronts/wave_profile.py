@@ -32,16 +32,16 @@ different c.
 
 For evaluation the profile is stored as three pieces: the right tail
 (closed form), log(1 - U(D)) on the computed span [d_joint, 0], and the
-exponential left tail beyond it.  On the span, a global Chebyshev fit of the
-shooting samples (degree 128 or more) is the accuracy gate, but it is not
-evaluated at run time.  It is resampled at build time into a table of
-N_PIECES uniform pieces, each a degree-PIECE_DEGREE Chebyshev interpolant
-(the interval splitting of Trefethen, *Approximation Theory and
-Approximation Practice*).  A point finds its piece in O(1) and costs a
-PIECE_DEGREE-step Clenshaw sum; a second table, differentiated piece by
-piece, gives U'.  The pieces agree with the global fit to a few ulps, so
-the result is smooth at machine precision, which downstream
-finite-difference residual checks need.
+exponential left tail beyond it.  On the span it is a table of N_PIECES
+uniform pieces, each a degree-PIECE_DEGREE Chebyshev interpolant (the
+interval splitting of Trefethen, *Approximation Theory and Approximation
+Practice*) whose node values are interpolated locally from the shot's
+samples, so no global series is formed.  A point finds its piece in O(1)
+and costs a PIECE_DEGREE-step Clenshaw sum; a second table, differentiated
+piece by piece, gives U'.  The pieces follow the shot as closely as its
+samples do and agree at their joints to round-off, so the result is smooth
+at machine precision, which downstream finite-difference residual checks
+need.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ __all__ = [
 
 DELTA_LIN = 1e-6  # seeding offset 1 - U at the burned end of the shot
 GRID_STEP = 0.005  # spacing of the tabulation grid/values
-FIT_TOL = 3e-12  # residual at which _fit_chebyshev stops doubling the degree
-FIT_MAX_DEGREE = 1600
 C_LO, C_HI, MAX_WIDEN = 1e-4, 2.0, 12  # find_wave_speed's first bracket, widenings
 S_TOL = 1e-12  # |S| at which find_wave_speed's bisection stops
 N_PIECES = 128  # uniform pieces of the evaluation table on [d_joint, 0]
@@ -390,42 +388,34 @@ class WaveProfile:
         return 0.5 * (lo + hi)
 
 
-def _fit_chebyshev(d_samples, g_samples):
-    """(fit, residual) of a least-squares Chebyshev fit, degree 128 doubled
-    until the residual is FIT_TOL or the degree FIT_MAX_DEGREE."""
-    lo, hi = float(d_samples[0]), float(d_samples[-1])
-    deg = 128
-    while True:
-        fit = chebyshev.Chebyshev.fit(d_samples, g_samples, deg, domain=[lo, hi])
-        resid = np.max(np.abs(fit(d_samples) - g_samples))
-        if resid <= FIT_TOL or deg >= FIT_MAX_DEGREE:
-            return fit, resid
-        deg *= 2
-
-
-def _piece_tables(fit: chebyshev.Chebyshev):
-    """Resample the global fit into N_PIECES uniform pieces of its domain.
+def _piece_tables(d_samples, g_samples):
+    """Tabulate log(1 - U) on N_PIECES uniform pieces of the sampled span.
 
     Each piece is the degree-PIECE_DEGREE interpolant at the Chebyshev
     points of the first kind, whose coefficients follow from the discrete
-    orthogonality of T_0..T_M on those points.  The nodes are evaluated in
-    extended precision where the platform has it: the rounding noise of the
-    degree-128 sum would otherwise reach the derivative table amplified by
-    about PIECE_DEGREE**2 / width.  Returns the value table, the table of
-    D-derivatives (both one row per degree), the piece centres and the
-    piece width.
+    orthogonality of T_0..T_M on those points.  The value at each point is
+    that of the polynomial through the PIECE_DEGREE + 1 samples nearest to
+    it (Neville's scheme on abscissae measured from the point), so the
+    nodes follow the shot as closely as its samples do.  Returns the value
+    table, the table of D-derivatives (both one row per degree), the piece
+    centres and the piece width.
     """
-    lo, hi = fit.domain
+    lo, hi = float(d_samples[0]), float(d_samples[-1])
     width = (hi - lo) / N_PIECES
     centres = lo + width * (np.arange(N_PIECES) + 0.5)
     n = PIECE_DEGREE + 1
-    nodes = np.cos(np.pi * (np.arange(n, dtype=np.longdouble) + 0.5) / n)
-    g = fit(centres.astype(np.longdouble)[:, None] + 0.5 * width * nodes)  # (N_PIECES, n)
-    coef = (2.0 / n) * g @ chebyshev.chebvander(nodes, PIECE_DEGREE)
+    nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    at = (centres[:, None] + 0.5 * width * nodes).ravel()
+    first = np.clip(np.searchsorted(d_samples, at) - n // 2, 0, d_samples.size - n)
+    window = first[:, None] + np.arange(n)
+    x = d_samples[window] - at[:, None]
+    g = g_samples[window]
+    for m in range(1, n):  # Neville: column i -> interpolant of samples i..i+m, at the node
+        g = (x[:, :n - m] * g[:, 1:] - x[:, m:] * g[:, :-1]) / (x[:, :n - m] - x[:, m:])
+    coef = (2.0 / n) * g.reshape(N_PIECES, n) @ chebyshev.chebvander(nodes, PIECE_DEGREE)
     coef[:, 0] *= 0.5
     slope = chebyshev.chebder(coef, axis=1) * (2.0 / width)
-    return (np.ascontiguousarray(coef.T, dtype=float),
-            np.ascontiguousarray(slope.T, dtype=float), centres, float(width))
+    return np.ascontiguousarray(coef.T), np.ascontiguousarray(slope.T), centres, width
 
 
 def _log_one_minus_samples(nl: CombustionNonlinearity, c: float):
@@ -462,11 +452,8 @@ def build_profile(nl: CombustionNonlinearity, c: float | None = None) -> WavePro
     theta = nl.theta
 
     d_samples, g_samples = _log_one_minus_samples(nl, c)
-    fit, fit_resid = _fit_chebyshev(d_samples, g_samples)
-    if fit_resid > 1e-9:
-        raise RuntimeError(f"spectral fit of the profile did not converge (residual {fit_resid:.3e})")
     d_joint = float(d_samples[0])
-    table, slope_table, centres, width = _piece_tables(fit)
+    table, slope_table, centres, width = _piece_tables(d_samples, g_samples)
 
     half_width = max(16.0 / c, 16.0 / beta0, abs(d_joint) + 4.0)
     half_n = int(np.ceil(half_width / GRID_STEP))

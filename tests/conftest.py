@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The ignition profile is expensive to build (shooting plus spectral fit), so
+The ignition profile is expensive to build (speed search, shooting and tabulation), so
 the standard theta=0.3 family is constructed once per session and reused.
 """
 

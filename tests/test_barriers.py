@@ -278,7 +278,7 @@ def test_stencil_chunking_preserves_residuals(front, cfg_v, profile03, nl03, par
     spec = BarrierSampleSpec(seed=3)
     default = barriers.STENCIL_CHUNK
     for n, chunks in ((300, (1, 7)), (2 * default + 123, (default,))):
-        samples = (barriers._sample_points(B, spec, n, *spec.t_range)[:2],
+        samples = (barriers._sample_points(B, spec, n, *barriers.SAMPLE_T_RANGE)[:2],
                    barriers._sample_points(B, spec, n, 0.05, 8.0, seed_offset=13)[:2])
         ref = _certify_with_chunk(B, n, samples, spec, monkeypatch)
         for chunk in chunks:
@@ -300,7 +300,7 @@ def test_residual_memory_is_bounded(barriers03, nl03):
     # the stencil copies of one chunk, not of the batch, set the peak:
     # 184 MB unchunked against 18 MB in chunks of 4096 samples
     spec = BarrierSampleSpec()
-    t, z, _ = barriers._sample_points(barriers03, spec, 100_000, *spec.t_range)
+    t, z, _ = barriers._sample_points(barriers03, spec, 100_000, *barriers.SAMPLE_T_RANGE)
     tracemalloc.start()
     try:
         parabolic_residual(barriers03.upper, nl03, t, z)

@@ -1,9 +1,13 @@
 """Planar traveling wave U(D) with speed c: shooting solver (the numpy
 DOP853 port against scipy's solve_ivp, bit for bit), the replayed
-bisection of the speed search, decay rates, evaluator accuracy (the piecewise table against the global Chebyshev fit
-it is resampled from), and the amplitude scaling law."""
+bisection of the speed search, decay rates, evaluator accuracy (the
+piecewise table against a tighter shot than the one it is built from, and
+its independence of the BLAS thread count), and the amplitude scaling law."""
 
 import logging
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,12 +29,7 @@ from curvedfronts import (
     shoot_p,
 )
 from curvedfronts import _dop853, wave_profile
-from curvedfronts.wave_profile import (
-    N_PIECES,
-    SIGN_GUARD,
-    _fit_chebyshev,
-    _log_one_minus_samples,
-)
+from curvedfronts.wave_profile import N_PIECES, SIGN_GUARD
 
 # Bisection-converged speeds, frozen once the shooting solver stabilised.
 SPEEDS = {
@@ -336,40 +335,64 @@ def test_build_profile_with_explicit_speed(nl03, profile03):
 # -- piecewise evaluation table ----------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def global_series(nl03, profile03):
-    """The degree-128 global fit of log(1 - U) that the table is built from."""
-    fit, _ = _fit_chebyshev(*_log_one_minus_samples(nl03, profile03.speed))
-    return fit
-
-
 def _breakpoints(profile):
     return profile._d_joint + profile._piece_width * np.arange(1, N_PIECES)
 
 
-def test_piecewise_table_matches_global_series(profile03, global_series):
-    lo, hi = global_series.domain
-    assert lo == profile03._d_joint and hi == 0.0
-    b = _breakpoints(profile03)
-    # D = 0 itself belongs to the exact right tail, so stop one ulp short
-    D = np.concatenate([np.linspace(lo, np.nextafter(0.0, -1.0), 100001),
-                        b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
-    g = global_series(D)
-    u_ref = 1.0 - np.exp(g)
-    du_ref = -global_series.deriv()(D) * np.exp(g)
-    assert np.max(np.abs(profile03(D) - u_ref)) <= 1e-14
-    assert np.max(np.abs(profile03.one_minus(D) - np.exp(g))) <= 1e-14
-    assert np.max(np.abs(profile03.derivative(D) - du_ref)) <= 1e-12
+def test_piecewise_table_follows_a_tighter_shot(nl03, profile03):
+    # the table is built from the rtol-1e-13 pass; an rtol-3e-14 pass at the
+    # same levels of U is the reference, and the table may stray from it by
+    # no more than those samples do (compared at a common D through U' =
+    # -p), plus round-off
+    c = profile03.speed
+    u_ref, (p_ref, d_ref) = wave_profile._shoot(nl03, c, t_eval=_pass_points(0.3), rtol=3e-14)
+    _, (_, d_raw) = wave_profile._shoot(nl03, c, t_eval=_pass_points(0.3))
+    d_ref = d_ref - d_ref[-1]
+    samples_off = np.max(np.abs(p_ref * ((d_raw - d_raw[-1]) - d_ref)))
+    assert samples_off < 1e-13
+    assert np.max(np.abs(profile03(d_ref) - u_ref)) <= samples_off + 1e-14
+    assert np.max(np.abs(profile03.one_minus(d_ref) - (1.0 - u_ref))) <= samples_off + 1e-14
+    assert np.max(np.abs(profile03.derivative(d_ref) + p_ref)) <= 3e-12
 
 
-def test_piecewise_table_is_continuous_at_breakpoints(profile03):
-    # the piece joints, plus the joint to the exponential left tail
-    b = np.append(_breakpoints(profile03), profile03._d_joint)
+# the profiles whose speeds the suite already checks, as (theta, amplitude)
+TABLE_CASES = {(0.2, 1.0): EXACT_SPEEDS[0.2], (0.3, 1.0): EXACT_SPEEDS[0.3],
+               (0.5, 1.0): EXACT_SPEEDS[0.5], (0.3, 4.0): EXACT_SPEED_A4}
+
+
+@pytest.mark.parametrize("theta, amplitude", sorted(TABLE_CASES),
+                         ids=[f"theta{t}-amplitude{a}" for t, a in sorted(TABLE_CASES)])
+def test_piecewise_table_is_continuous_at_breakpoints(theta, amplitude):
+    # the piece joints, plus the joint to the exponential left tail; each
+    # piece interpolates its own samples, so U' jumps by their noise
+    nl = make_combustion(theta=theta, amplitude=amplitude, exponent=2.0, sigma=0.1)
+    profile = build_profile(nl, c=TABLE_CASES[theta, amplitude])
+    b = np.append(_breakpoints(profile), profile._d_joint)
     below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
-    assert np.max(np.abs(profile03(above) - profile03(below))) <= 1e-14
-    assert np.max(np.abs(profile03(b) - profile03(below))) <= 1e-14
-    jump_slope = profile03.derivative(above) - profile03.derivative(below)
+    assert np.max(np.abs(profile(above) - profile(below))) <= 1e-14
+    assert np.max(np.abs(profile(b) - profile(below))) <= 1e-14
+    jump_slope = profile.derivative(above) - profile.derivative(below)
     assert np.max(np.abs(jump_slope)) <= 1e-12
+
+
+def test_table_does_not_depend_on_blas_threads(tmp_path):
+    # the table is built without any least-squares solve, so a BLAS pool of
+    # another size cannot move its bits
+    script = (
+        "import sys, numpy as np\n"
+        "from curvedfronts import build_profile, make_combustion\n"
+        "p = build_profile(make_combustion(theta=0.3, amplitude=1.0, exponent=2.0, sigma=0.1))\n"
+        "np.savez(sys.argv[1], table=p._table, slope=p._slope_table, values=p.values)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    saved = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        path = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+        saved.append(np.load(path))
+    for name in ("table", "slope", "values"):
+        assert np.array_equal(saved[0][name], saved[1][name]), name
 
 
 @pytest.mark.parametrize("method", ["__call__", "one_minus", "log_u", "derivative"])
