@@ -24,7 +24,7 @@ def main():
     print(f"ignition threshold theta = {nl.theta}")
     print(f"wave speed c_f           = {c:.12f}")
     print(f"decay into burned beta0  = {decay_rate_into_burned(nl, c):.12f}")
-    print(f"sup ODE residual         = {ode_residual_sup(profile, nl):.3e}")
+    print(f"relative ODE residual    = {ode_residual_sup(profile, nl):.3e}")
 
     d = np.linspace(-12.0, 12.0, 9)
     print("\n   D        U(D)        U'(D)")

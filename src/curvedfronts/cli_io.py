@@ -474,24 +474,26 @@ def _write_json(run_dir, name, payload) -> str:
 # -- subcommand bodies ---------------------------------------------------------
 
 
-def _cmd_profile(objs, run_dir, seed, threads):
+def _cmd_profile(objs, run_dir, seed):
     profile = objs["profile"]
+    c, beta0 = profile.speed, profile.beta0
     resid = ode_residual_sup(profile, objs["nl"])
-    _write_csv(os.path.join(run_dir, "profile.csv"), ["D", "U"],
-               zip(profile.grid, profile.values),
-               comment=f"# c_f={profile.speed!r} beta0={profile.beta0!r} "
-                       f"tail=theta*exp(-c_f*D) on D>=0\n")
+    # the table sampled at step 0.005 on [-W, W], W = max(16 / c, 16 / beta0, |d_joint| + 4)
+    half_n = int(np.ceil(max(16.0 / c, 16.0 / beta0, abs(profile.d_joint) + 4.0) / 0.005))
+    grid = 0.005 * np.arange(-half_n, half_n + 1)
+    _write_csv(os.path.join(run_dir, "profile.csv"), ["D", "U"], zip(grid, profile(grid)),
+               comment=f"# c_f={c!r} beta0={beta0!r} tail=theta*exp(-c_f*D) on D>=0\n")
     summary = {
-        "c_f": profile.speed,
-        "beta0": profile.beta0,
-        "ode_residual_sup": resid,
+        "c_f": c,
+        "beta0": beta0,
+        "ode_residual_sup": resid,  # relative to sup |f(U)|
         "passed": bool(resid <= 1e-6),
     }
     _write_json(run_dir, "profile.json", summary)
     return summary["passed"], "profile.json"
 
 
-def _cmd_surface(objs, run_dir, seed, threads):
+def _cmd_surface(objs, run_dir, seed):
     front = objs["front"]
     front.require_ridges()
     alpha = objs["experiment"]["alpha"]
@@ -529,7 +531,7 @@ def _resolve_barrier_params(objs) -> BarrierParams:
     return objs["barrier"]
 
 
-def _cmd_barriers_validate(objs, run_dir, seed, threads):
+def _cmd_barriers_validate(objs, run_dir, seed):
     params = _resolve_barrier_params(objs)
     spec = BarrierSampleSpec(n_samples=objs["experiment"]["n_samples"], seed=seed)
     report = validate_parameters(objs["front"], objs["profile"], objs["nl"],
@@ -538,9 +540,8 @@ def _cmd_barriers_validate(objs, run_dir, seed, threads):
     return report.passed, "validation.json"
 
 
-def _cmd_simulate(objs, run_dir, seed, threads):
-    grid = objs["grid"]
-    config = replace(objs["solver_config"], workers=threads)
+def _cmd_simulate(objs, run_dir, seed):
+    grid, config = objs["grid"], objs["solver_config"]
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     t_start = float(exp["t_start"])
@@ -567,9 +568,8 @@ def _cmd_simulate(objs, run_dir, seed, threads):
     return in_bounds, "simulate.json"
 
 
-def _cmd_entire(objs, run_dir, seed, threads):
-    grid = objs["grid"]
-    config = replace(objs["solver_config"], workers=threads)
+def _cmd_entire(objs, run_dir, seed):
+    grid, config = objs["grid"], objs["solver_config"]
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     result = entire_solution(front, profile, nl, grid, config,
                              n_list=objs["experiment"]["n_list"],
@@ -594,9 +594,8 @@ def _cmd_entire(objs, run_dir, seed, threads):
     return passed, "entire.json"
 
 
-def _cmd_verify(objs, run_dir, seed, threads):
-    grid = objs["grid"]
-    config = replace(objs["solver_config"], workers=threads)
+def _cmd_verify(objs, run_dir, seed):
+    grid, config = objs["grid"], objs["solver_config"]
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     exp = objs["experiment"]
     c = profile.speed
@@ -643,7 +642,7 @@ def _cmd_verify(objs, run_dir, seed, threads):
     return passed, "diagnostics.json"
 
 
-def _cmd_speed(objs, run_dir, seed, threads):
+def _cmd_speed(objs, run_dir, seed):
     rows = []
     passed = True
     for fam in objs["families"]:
@@ -660,9 +659,8 @@ def _cmd_speed(objs, run_dir, seed, threads):
     return passed, "speed.json"
 
 
-def _cmd_stability(objs, run_dir, seed, threads):
-    grid = objs["grid"]
-    config = replace(objs["solver_config"], workers=threads)
+def _cmd_stability(objs, run_dir, seed):
+    grid, config = objs["grid"], objs["solver_config"]
     front, profile, nl = objs["front"], objs["profile"], objs["nl"]
     barriers = None
     if objs["barrier"] is not None:
@@ -704,9 +702,11 @@ def run(cfg: dict, subcommand: str, out_dir: str, threads: int = 1,
         seed: int = 0):
     """Execute one subcommand; returns (exit_code, run_dir, detail_path)."""
     objs = build_objects(cfg, subcommand)
+    if subcommand in SOLVER_USERS:
+        objs["solver_config"] = replace(objs["solver_config"], workers=threads)
     run_dir = make_run_dir(out_dir, cfg)
     try:
-        passed, detail = _BODIES[subcommand](objs, run_dir, seed, threads)
+        passed, detail = _BODIES[subcommand](objs, run_dir, seed)
     except (RuntimeError, ValueError) as e:
         detail_path = _write_json(run_dir, "failure.json",
                                   {"error": str(e), "subcommand": subcommand})

@@ -13,7 +13,7 @@ Shooting is done in the phase plane p(U) = -U'(D):
 seeded near U = 1 by the linearization p = mu * (1 - U) where mu is the
 positive root of mu^2 + c*mu + f'(1) = 0.  Integrating downward in U is
 contracting, so the seed error is crushed; integrating upward is unstable,
-which is why the tabulated profile is also produced by the downward pass.
+which is why the profile's table is also built from the downward pass.
 The shots use DOP853 (Hairer, Nørsett and Wanner, *Solving Ordinary
 Differential Equations I*, §II.10) from _dop853, a numpy port of scipy's
 solve_ivp that the tests check against it bit for bit: the same steps and
@@ -39,9 +39,9 @@ Practice*) whose node values are interpolated locally from the shot's
 samples, so no global series is formed.  A point finds its piece in O(1)
 and costs a PIECE_DEGREE-step Clenshaw sum; a second table, differentiated
 piece by piece, gives U'.  The pieces follow the shot as closely as its
-samples do and agree at their joints to round-off, so the result is smooth
-at machine precision, which downstream finite-difference residual checks
-need.
+samples do and agree at their joints to round-off.  This table is the
+profile's only representation: ode_residual_sup checks the ODE on its own
+derivatives, and inverse solves on it between two closed-form tails.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ __all__ = [
 ]
 
 DELTA_LIN = 1e-6  # seeding offset 1 - U at the burned end of the shot
-GRID_STEP = 0.005  # spacing of the tabulation grid/values
 C_LO, C_HI, MAX_WIDEN = 1e-4, 2.0, 12  # find_wave_speed's first bracket, widenings
 S_TOL = 1e-12  # |S| at which find_wave_speed's bisection stops
 N_PIECES = 128  # uniform pieces of the evaluation table on [d_joint, 0]
 PIECE_DEGREE = 12  # Chebyshev degree of each piece
+RESIDUAL_POINTS = 16384  # uniform points of [d_joint, 0] at which ode_residual_sup checks the ODE
 # find_wave_speed replays its bisection against the root of the
 # full-precision S, and a point farther than SIGN_GUARD * c from that root
 # takes its sign from it.  Near the root S' is about -0.71 at theta 0.3
@@ -279,25 +279,19 @@ def find_wave_speed(nl: CombustionNonlinearity) -> float:
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """Tabulated planar front with smooth evaluation and exact tails.
-
-    grid/values hold a uniform tabulation (U strictly decreasing); the
-    callable interface uses the underlying piecewise representation, valid
-    for every real D.
-    """
+    """Planar front U(D), valid for every real D: the piecewise Chebyshev
+    table of log(1 - U) on the computed span [d_joint, 0], between the exact
+    exponential tails."""
 
     speed: float
     beta0: float
     anchor: float  # U(0) = theta
-    grid: np.ndarray
-    values: np.ndarray
-    tail_constants: tuple  # (L1, L2, L3, L4)
+    d_joint: float  # left end of the computed span; 1 - U decays at beta0 beyond it
     # Chebyshev coefficients of log(1 - U) on the pieces of [d_joint, 0]:
     # row m holds degree m of every piece, so a Clenshaw step gathers one row
     _table: np.ndarray  # (PIECE_DEGREE + 1, N_PIECES)
     _slope_table: np.ndarray  # (PIECE_DEGREE, N_PIECES): d/dD of _table
     _centres: np.ndarray  # (N_PIECES,): midpoints of the pieces
-    _d_joint: float
     _piece_width: float
     _log_one_minus_at_joint: float
 
@@ -305,7 +299,7 @@ class WaveProfile:
 
     def _table_sum(self, rows, d):
         """Piecewise Chebyshev sum of `rows` at D in [d_joint, 0]."""
-        idx = np.minimum(((d - self._d_joint) / self._piece_width).astype(np.intp),
+        idx = np.minimum(((d - self.d_joint) / self._piece_width).astype(np.intp),
                          N_PIECES - 1)
         # twice the local variable s in [-1, 1] of the piece, measured from
         # its centre: d lies close to it, so the difference is exact
@@ -319,13 +313,13 @@ class WaveProfile:
     def _log_one_minus(self, d, slope: bool = False):
         """log(1 - U(D)) for D <= 0, or with slope=True its D-derivative."""
         out = np.empty_like(d)
-        mid = d >= self._d_joint
+        mid = d >= self.d_joint
         out[mid] = self._table_sum(self._slope_table if slope else self._table, d[mid])
         left = ~mid
         if slope:
             out[left] = self.beta0
         else:
-            out[left] = self._log_one_minus_at_joint + self.beta0 * (d[left] - self._d_joint)
+            out[left] = self._log_one_minus_at_joint + self.beta0 * (d[left] - self.d_joint)
         return out
 
     def _by_tail(self, d, right, left):
@@ -369,17 +363,20 @@ class WaveProfile:
             lambda dn, g: -self._log_one_minus(dn, slope=True) * np.exp(g))
 
     def inverse(self, u: float) -> float:
-        """D with U(D) = u, for u in (0, 1); bisection on the evaluator."""
+        """D with U(D) = u, for u in (0, 1): closed form on both tails and
+        bisection on log(1 - U) over [d_joint, 0], so 1 - U keeps its
+        relative accuracy as u -> 1."""
         if not 0.0 < u < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {u}")
-        lo, hi = float(self.grid[0]), float(self.grid[-1])
-        while self(lo) < u:
-            lo *= 2.0
-        while self(hi) > u:
-            hi *= 2.0
+        if u <= self.anchor:
+            return float(np.log(self.anchor / u) / self.speed)
+        g = float(np.log1p(-u))
+        if g <= self._log_one_minus_at_joint:
+            return self.d_joint + (g - self._log_one_minus_at_joint) / self.beta0
+        lo, hi = self.d_joint, 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self(mid) > u:
+            if self._table_sum(self._table, np.array([mid]))[0] < g:
                 lo = mid
             else:
                 hi = mid
@@ -440,51 +437,43 @@ def _log_one_minus_samples(nl: CombustionNonlinearity, c: float):
 
 
 def build_profile(nl: CombustionNonlinearity, c: float | None = None) -> WaveProfile:
-    """Solve for the profile and tabulate it on [-W, W] at GRID_STEP, with
-    W = max(16 / c, 16 / beta0, |d_joint| + 4).
+    """Solve for the profile and build its piece table.
 
     The downward phase-plane pass supplies (U, D) samples; D is anchored by
     shifting so that U(0) = theta exactly.
     """
     if c is None:
         c = find_wave_speed(nl)
-    beta0 = decay_rate_into_burned(nl, c)
-    theta = nl.theta
-
     d_samples, g_samples = _log_one_minus_samples(nl, c)
-    d_joint = float(d_samples[0])
     table, slope_table, centres, width = _piece_tables(d_samples, g_samples)
-
-    half_width = max(16.0 / c, 16.0 / beta0, abs(d_joint) + 4.0)
-    half_n = int(np.ceil(half_width / GRID_STEP))
-    grid = GRID_STEP * np.arange(-half_n, half_n + 1)
-
-    profile = WaveProfile(
-        speed=c, beta0=beta0, anchor=theta, grid=grid, values=np.empty(0),
-        tail_constants=(), _table=table, _slope_table=slope_table, _d_joint=d_joint,
+    return WaveProfile(
+        speed=c, beta0=decay_rate_into_burned(nl, c), anchor=nl.theta,
+        d_joint=float(d_samples[0]), _table=table, _slope_table=slope_table,
         _centres=centres, _piece_width=width,
         # the left tail continues the first piece from its end s = -1
         _log_one_minus_at_joint=float(chebyshev.chebval(-1.0, table[:, 0])),
     )
-    values = profile(grid)
-    object.__setattr__(profile, "values", values)
-
-    pos = grid > 0.0
-    neg = grid < 0.0
-    r_right = values[pos] * np.exp(c * grid[pos])
-    l1, l2 = float(np.min(r_right)), float(np.max(r_right))
-    r_left = profile.one_minus(grid[neg]) * np.exp(-beta0 * grid[neg])
-    l3, l4 = float(np.max(r_left)), float(np.min(r_left))
-    object.__setattr__(profile, "tail_constants", (l1, l2, l3, l4))
-    return profile
 
 
 def ode_residual_sup(profile: WaveProfile, nl: CombustionNonlinearity) -> float:
-    """sup over interior grid points of the second-difference residual of
-    U'' + c U' + f(U) = 0."""
-    d, u = profile.grid, profile.values
-    h = d[1] - d[0]
-    upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    up = (u[2:] - u[:-2]) / (2.0 * h)
-    res = upp + profile.speed * up + nl(u[1:-1])
-    return float(np.max(np.abs(res)))
+    """sup |U'' + c U' + f(U)| / sup |f(U)| from the table's own derivatives.
+
+    With g = log(1 - U), U' = -g' e^g and U'' = -(g'' + g'^2) e^g; g' comes
+    from the slope table and g'' from one more chebder of it.  The points are
+    RESIDUAL_POINTS uniform points of [d_joint, 0] and, in closed form (g' =
+    beta0, g'' = 0), 256 points of the left tail over a reach of 16 / beta0,
+    where the residual is O((1 - U)^2).  On D >= 0 it is exactly 0.  Every
+    term scales with the amplitude, so one relative bound fits every family.
+    """
+    d_joint = profile.d_joint
+    d = np.concatenate((np.linspace(d_joint - 16.0 / profile.beta0, d_joint, 256, endpoint=False),
+                        np.linspace(d_joint, 0.0, RESIDUAL_POINTS)))
+    g = profile._log_one_minus(d)
+    g1 = profile._log_one_minus(d, slope=True)
+    g2 = np.zeros_like(d)
+    curvature = chebyshev.chebder(profile._slope_table, axis=0) * (2.0 / profile._piece_width)
+    mid = d >= d_joint
+    g2[mid] = profile._table_sum(curvature, d[mid])
+    f_u = nl(-np.expm1(g))
+    res = f_u - (g2 + g1 * g1 + profile.speed * g1) * np.exp(g)
+    return float(np.max(np.abs(res)) / np.max(np.abs(f_u)))

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The ignition profile is expensive to build (speed search, shooting and tabulation), so
+The ignition profile is expensive to build (speed search, shooting and piece table), so
 the standard theta=0.3 family is constructed once per session and reused.
 """
 

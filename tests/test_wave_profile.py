@@ -2,8 +2,11 @@
 DOP853 port against scipy's solve_ivp, bit for bit), the replayed
 bisection of the speed search, decay rates, evaluator accuracy (the
 piecewise table against a tighter shot than the one it is built from, and
-its independence of the BLAS thread count), and the amplitude scaling law."""
+its independence of the BLAS thread count), the ODE residual of the table
+and the inputs it must reject, the inverse towards both ends, and the
+amplitude scaling law."""
 
+import dataclasses
 import logging
 import os
 import subprocess
@@ -12,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 from curvedfronts import (
@@ -223,13 +228,13 @@ def test_port_fails_where_solve_ivp_fails():
 
 def test_anchor_and_range(profile03):
     assert profile03(0.0) == pytest.approx(0.3, abs=1e-12)
-    D = np.linspace(profile03.grid[0], profile03.grid[-1], 2000)
+    D = np.linspace(-61.0, 61.0, 2000)
     u = profile03(D)
     assert np.all(u > 0.0)
     assert np.all(u <= 1.0)
     assert np.all(np.diff(u) <= 0.0)
     # strictly decreasing wherever 1 - u is resolvable in doubles
-    Ds = np.linspace(-40.0, profile03.grid[-1], 2000)
+    Ds = np.linspace(-40.0, 61.0, 2000)
     assert np.all(np.diff(profile03(Ds)) < 0.0)
 
 
@@ -249,8 +254,37 @@ def test_beta0_reference_and_quadratic_identity(nl03, profile03):
 
 
 def test_ode_residual(nl03, profile03):
-    # U'' + c U' + f(U) = 0 sampled across the whole tabulated range
+    # U'' + c U' + f(U) = 0 from the table's own derivatives, relative to
+    # sup |f(U)|: 1.7e-8 here
     assert ode_residual_sup(profile03, nl03) < 1e-6
+
+
+# the other profiles the residual is checked on, as (theta, amplitude): the
+# rest of TABLE_CASES below, plus a steep and a low-threshold family
+RESIDUAL_CASES = [(0.2, 1.0), (0.5, 1.0), (0.3, 4.0), (0.3, 16.0), (0.05, 1.0)]
+
+
+@pytest.mark.parametrize("theta, amplitude", RESIDUAL_CASES,
+                         ids=[f"theta{t}-amplitude{a}" for t, a in RESIDUAL_CASES])
+def test_ode_residual_across_families(theta, amplitude):
+    # one relative bound for every family: these read 1.7e-8 to 7.7e-8,
+    # while an absolute 1e-8 would fail amplitude 16 (1.4e-8 absolute)
+    nl = make_combustion(theta=theta, amplitude=amplitude, exponent=2.0, sigma=0.1)
+    assert ode_residual_sup(build_profile(nl), nl) < 1e-6
+
+
+def test_ode_residual_sees_a_mismatched_amplitude(profile03):
+    # the profile of amplitude 1 checked against amplitude 1 + 1e-5 reads
+    # 1.0e-5 (a second-difference check on a step-0.005 grid read 5.4e-7)
+    nl = make_combustion(theta=0.3, amplitude=1.0 + 1e-5, exponent=2.0, sigma=0.1)
+    assert ode_residual_sup(profile03, nl) > 1e-6
+
+
+def test_ode_residual_sees_a_perturbed_speed(nl03, profile03):
+    # the table of c_f evaluated at a speed off by a relative 1e-5 reads
+    # 6.3e-6 (the second-difference check read 3.1e-7)
+    wrong = dataclasses.replace(profile03, speed=profile03.speed * (1.0 + 1e-5))
+    assert ode_residual_sup(wrong, nl03) > 1e-6
 
 
 def test_derivative_matches_finite_differences(profile03):
@@ -272,7 +306,7 @@ def test_second_derivative_matches_finite_differences(nl03, profile03):
 
 
 def test_derivative_strictly_negative(profile03):
-    D = np.linspace(profile03.grid[0], profile03.grid[-1], 3000)
+    D = np.linspace(-61.0, 61.0, 3000)
     assert np.all(profile03.derivative(D) < 0.0)
 
 
@@ -286,12 +320,47 @@ def test_inverse_roundtrip(profile03):
         profile03.inverse(0.0)
 
 
+@pytest.mark.parametrize("u", [1.0 - 1e-12, 1.0 - 1e-7, 1e-3, 1e-200])
+def test_inverse_is_accurate_towards_both_ends(profile03, u):
+    # the smaller of U and 1 - U comes back to round-off: D is linear in
+    # log(1 - u) left of d_joint and in log u right of 0.  A bisection on U
+    # itself lost 5.6e-5 of 1 - U at 1 - 1e-12
+    d = profile03.inverse(u)
+    if u > 0.5:
+        assert abs(profile03.one_minus(d) / (1.0 - u) - 1.0) <= 1e-13
+    else:
+        assert abs(profile03(d) / u - 1.0) <= 1e-13
+
+
+@given(low=st.floats(min_value=-300.0, max_value=-0.01),
+       high=st.floats(min_value=-15.0, max_value=-0.16))
+def test_inverse_roundtrip_towards_both_ends(profile03, low, high):
+    # u = 10^low and u = 1 - 10^high: U, and 1 - U, come back to a relative
+    # 1e-12 through every branch of inverse
+    u = 10.0 ** low
+    assert abs(profile03(profile03.inverse(u)) / u - 1.0) <= 1e-12
+    u = 1.0 - 10.0 ** high
+    assert abs(profile03.one_minus(profile03.inverse(u)) / (1.0 - u) - 1.0) <= 1e-12
+
+
+def _tail_constants(profile):
+    """(L1, L2, L3, L4): the extremes of U e^{c D} on D > 0 and of (1 - U)
+    e^{-beta0 D} on D < 0, over the step-0.005 grid of profile.csv."""
+    c, beta0 = profile.speed, profile.beta0
+    half_n = int(np.ceil(max(16.0 / c, 16.0 / beta0, abs(profile.d_joint) + 4.0) / 0.005))
+    grid = 0.005 * np.arange(-half_n, half_n + 1)
+    pos, neg = grid[grid > 0.0], grid[grid < 0.0]
+    r_right = profile(pos) * np.exp(c * pos)
+    r_left = profile.one_minus(neg) * np.exp(-beta0 * neg)
+    return r_right.min(), r_right.max(), r_left.max(), r_left.min()
+
+
 def test_one_minus_accuracy_in_burned_tail(profile03):
     # 1 - U underflows in naive evaluation; one_minus keeps relative accuracy
     D = np.linspace(-60.0, -30.0, 100)
     om = profile03.one_minus(D)
     assert np.all(om > 0.0)
-    L1, L2, L3, L4 = profile03.tail_constants
+    L1, L2, L3, L4 = _tail_constants(profile03)
     env = np.exp(profile03.beta0 * D)
     assert np.all(om <= L3 * env * (1 + 1e-9))
     assert np.all(om >= L4 * env * (1 - 1e-9))
@@ -299,7 +368,7 @@ def test_one_minus_accuracy_in_burned_tail(profile03):
 
 def test_tail_rate_envelopes(profile03):
     c = profile03.speed
-    L1, L2, L3, L4 = profile03.tail_constants
+    L1, L2, L3, L4 = _tail_constants(profile03)
     assert 0 < L1 <= L2
     assert 0 < L4 <= L3
     D = np.linspace(0.0, 30.0, 200)
@@ -336,7 +405,7 @@ def test_build_profile_with_explicit_speed(nl03, profile03):
 
 
 def _breakpoints(profile):
-    return profile._d_joint + profile._piece_width * np.arange(1, N_PIECES)
+    return profile.d_joint + profile._piece_width * np.arange(1, N_PIECES)
 
 
 def test_piecewise_table_follows_a_tighter_shot(nl03, profile03):
@@ -367,7 +436,7 @@ def test_piecewise_table_is_continuous_at_breakpoints(theta, amplitude):
     # piece interpolates its own samples, so U' jumps by their noise
     nl = make_combustion(theta=theta, amplitude=amplitude, exponent=2.0, sigma=0.1)
     profile = build_profile(nl, c=TABLE_CASES[theta, amplitude])
-    b = np.append(_breakpoints(profile), profile._d_joint)
+    b = np.append(_breakpoints(profile), profile.d_joint)
     below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
     assert np.max(np.abs(profile(above) - profile(below))) <= 1e-14
     assert np.max(np.abs(profile(b) - profile(below))) <= 1e-14
@@ -382,7 +451,8 @@ def test_table_does_not_depend_on_blas_threads(tmp_path):
         "import sys, numpy as np\n"
         "from curvedfronts import build_profile, make_combustion\n"
         "p = build_profile(make_combustion(theta=0.3, amplitude=1.0, exponent=2.0, sigma=0.1))\n"
-        "np.savez(sys.argv[1], table=p._table, slope=p._slope_table, values=p.values)\n")
+        "np.savez(sys.argv[1], table=p._table, slope=p._slope_table,\n"
+        "         values=p(np.linspace(-60.0, 60.0, 24001)))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     saved = []
     for threads in ("1", "2"):
