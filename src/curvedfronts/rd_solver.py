@@ -8,7 +8,8 @@ planar waves is the one object the runs are compared against:
 subsolution_floor gives its grid values (the floor and each run's initial
 state) and make_boundary its values on the boundary ring (the Dirichlet
 data, evaluated each step), so comparison arguments against the analytic
-barriers carry over to the discrete runs.
+barriers carry over to the discrete runs.  The floor evaluates U once per
+distinct value of min_i q_i, in sorted slices, and gathers the grid.
 
 Each step is one pass over cache-sized blocks of leading-axis rows (about
 BLOCK_CELLS cells each).  With several workers the blocks run on a thread
@@ -163,16 +164,18 @@ def _snapshot_count(t0: float, t_end: float, snapshot_dt: float) -> int:
 
 def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
                       grid: Grid):
-    """Floor callable t -> max_i U(q_i) on the grid.
+    """Floor callable t -> max_i U(q_i) on the grid, a new array per call.
 
-    All facets move with the same speed, so min_i q_i(t, z) splits into a
-    precomputed spatial part minus c*t; only the profile evaluation is
-    paid per call.
+    All facets move with the same speed, so min_i q_i(t, z) = base(z) - c*t.
+    The sorted distinct values of base and their map to the grid are kept;
+    per call the profile takes the shifted values, still ascending, in three
+    slices, and one gather fills the grid with the bits of U(base - c*t).
     """
     pts = grid.points().reshape(-1, grid.dimension)
-    base = _fold(np.minimum, pts @ cfg.directions.T + cfg.shifts).reshape(grid.counts)
-    c = cfg.speed
-    return lambda t: profile(base - c * t)
+    uq, inv = np.unique(_fold(np.minimum, pts @ cfg.directions.T + cfg.shifts),
+                        return_inverse=True)
+    inv, c = inv.reshape(grid.counts), cfg.speed
+    return lambda t: profile(uq - c * t, ascending=True).take(inv)
 
 
 def make_boundary(cfg: FrontConfiguration, profile: WaveProfile):

@@ -38,7 +38,8 @@ interval splitting of Trefethen, *Approximation Theory and Approximation
 Practice*) whose node values are interpolated locally from the shot's
 samples, so no global series is formed.  A point finds its piece in O(1)
 and costs a PIECE_DEGREE-step Clenshaw sum; a second table, differentiated
-piece by piece, gives U'.  The pieces follow the shot as closely as its
+piece by piece, gives U'.  Input is split between the two tails and the
+table by masks, or by one searchsorted where it is ascending.  The pieces follow the shot as closely as its
 samples do and agree at their joints to round-off.  This table is the
 profile's only representation: ode_residual_sup checks the ODE on its own
 derivatives, and inverse solves on it between two closed-form tails.
@@ -70,6 +71,7 @@ C_LO, C_HI, MAX_WIDEN = 1e-4, 2.0, 12  # find_wave_speed's first bracket, wideni
 S_TOL = 1e-12  # |S| at which find_wave_speed's bisection stops
 N_PIECES = 128  # uniform pieces of the evaluation table on [d_joint, 0]
 PIECE_DEGREE = 12  # Chebyshev degree of each piece
+TABLE_CHUNK = 8192  # points per pass of _table_sum, so its temporaries stay in L2
 RESIDUAL_POINTS = 16384  # uniform points of [d_joint, 0] at which ode_residual_sup checks the ODE
 # find_wave_speed replays its bisection against the root of the
 # full-precision S, and a point farther than SIGN_GUARD * c from that root
@@ -298,42 +300,57 @@ class WaveProfile:
     # -- core piecewise representation -------------------------------------
 
     def _table_sum(self, rows, d):
-        """Piecewise Chebyshev sum of `rows` at D in [d_joint, 0]."""
-        idx = np.minimum(((d - self.d_joint) / self._piece_width).astype(np.intp),
-                         N_PIECES - 1)
-        # twice the local variable s in [-1, 1] of the piece, measured from
-        # its centre: d lies close to it, so the difference is exact
-        # (Sterbenz) outside the piece next to D = 0
-        x2 = (d - self._centres.take(idx)) * (4.0 / self._piece_width)
-        b1, b2 = rows[-1].take(idx), 0.0
-        for row in rows[-2:0:-1]:  # Clenshaw: b_m = c_m + 2 s b_{m+1} - b_{m+2}
-            b1, b2 = row.take(idx) + x2 * b1 - b2, b1
-        return rows[0].take(idx) + 0.5 * x2 * b1 - b2
+        """Piecewise Chebyshev sum of `rows` at D in [d_joint, 0], a 1-D
+        array, TABLE_CHUNK points at a time."""
+        out = np.empty_like(d)
+        for lo in range(0, d.size, TABLE_CHUNK):
+            dc = d[lo:lo + TABLE_CHUNK]
+            idx = np.minimum(((dc - self.d_joint) / self._piece_width).astype(np.intp),
+                             N_PIECES - 1)
+            # twice the local variable s in [-1, 1] of the piece, measured from
+            # its centre: d lies close to it, so the difference is exact
+            # (Sterbenz) outside the piece next to D = 0
+            x2 = (dc - self._centres.take(idx)) * (4.0 / self._piece_width)
+            b1, b2 = rows[-1].take(idx), 0.0
+            for row in rows[-2:0:-1]:  # Clenshaw: b_m = c_m + 2 s b_{m+1} - b_{m+2}
+                b1, b2 = row.take(idx) + x2 * b1 - b2, b1
+            out[lo:lo + TABLE_CHUNK] = rows[0].take(idx) + 0.5 * x2 * b1 - b2
+        return out
+
+    def _burned_log(self, d):
+        """log(1 - U(D)) on the burned tail D < d_joint: linear at rate beta0."""
+        g = d - self.d_joint  # then in place, with the bits of g_joint + beta0 * g
+        return np.add(np.multiply(g, self.beta0, out=g), self._log_one_minus_at_joint, out=g)
 
     def _log_one_minus(self, d, slope: bool = False):
         """log(1 - U(D)) for D <= 0, or with slope=True its D-derivative."""
         out = np.empty_like(d)
         mid = d >= self.d_joint
         out[mid] = self._table_sum(self._slope_table if slope else self._table, d[mid])
-        left = ~mid
-        if slope:
-            out[left] = self.beta0
-        else:
-            out[left] = self._log_one_minus_at_joint + self.beta0 * (d[left] - self.d_joint)
+        out[~mid] = self.beta0 if slope else self._burned_log(d[~mid])
         return out
 
-    def _by_tail(self, d, right, left):
+    def _by_tail(self, d, right, left, ascending: bool = False):
         """right(D) on D >= 0 and left(D, log(1 - U(D))) on D < 0, for a
-        scalar or an array of D."""
+        scalar or an array of D.  The burned tail, the table span and the
+        right tail are found by masks or, for an ascending 1-D array, as
+        three contiguous slices."""
         d = np.asarray(d, dtype=float)
         scalar = d.ndim == 0
         d = np.atleast_1d(d)
+        if ascending:
+            # side="left", as the masks: d_joint is in the span, -0.0 in the right tail
+            j, k = np.searchsorted(d, (self.d_joint, 0.0))
+            burned, span, pos = slice(0, j), slice(j, k), slice(k, None)
+        else:
+            pos = d >= 0.0
+            span = (d >= self.d_joint) & ~pos
+            burned = ~(pos | span)
         out = np.empty_like(d)
-        pos = d >= 0.0
         out[pos] = right(d[pos])
-        neg = ~pos
-        dn = d[neg]
-        out[neg] = left(dn, self._log_one_minus(dn))
+        ds, db = d[span], d[burned]
+        out[span] = left(ds, self._table_sum(self._table, ds))
+        out[burned] = left(db, self._burned_log(db))
         return float(out[0]) if scalar else out
 
     def one_minus(self, d):
@@ -341,10 +358,14 @@ class WaveProfile:
         return self._by_tail(d, lambda dp: -np.expm1(np.log(self.anchor) - self.speed * dp),
                              lambda dn, g: np.exp(g))
 
-    def __call__(self, d):
-        """U(D) for any real D."""
-        return self._by_tail(d, lambda dp: self.anchor * np.exp(-self.speed * dp),
-                             lambda dn, g: 1.0 - np.exp(g))
+    def __call__(self, d, ascending: bool = False):
+        """U(D) for any real D; ascending=True takes an ascending 1-D array
+        and gives the same bits without masks."""
+        def right(dp):  # anchor * exp(-c D) in place, as 1 - exp(g) on the caller's g
+            u = -self.speed * dp
+            return np.multiply(np.exp(u, out=u), self.anchor, out=u)
+        return self._by_tail(d, right, lambda dn, g: np.subtract(1.0, np.exp(g, out=g), out=g),
+                             ascending)
 
     def log_u(self, d):
         """log U(D), stable in both tails."""

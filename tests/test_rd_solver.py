@@ -1,14 +1,18 @@
 """Explicit solver for u_t = Lap u + f(u): grid plumbing, stability caps,
-order preservation, planar-wave accuracy, worker determinism (the floor
-and ring evaluated on the pool included), and the monotone
-entire-solution construction."""
+order preservation, planar-wave accuracy, the floor's bits and memory,
+worker determinism (the floor and ring evaluated on the pool included),
+and the monotone entire-solution construction."""
 
 import itertools
 import math
 import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedfronts import (
     Field,
@@ -208,6 +212,62 @@ def test_bit_identical_across_workers(scheme, nl03, profile03, cfg_v):
 def pyramid_cfg(speed):
     nus = np.array([[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]])
     return FrontConfiguration(3, nus, np.full(3, math.pi / 4), np.zeros(3), speed)
+
+
+def floor_case(name, c):
+    """(configuration, grid) of the floor bit-identity cases.  The "mirror"
+    boxes are symmetric about the fronts' mirror plane where they have one
+    (x_1 = 0 for the V, x_2 = 0 for the pyramid), so base values repeat."""
+    if name == "1d-off-centre":
+        # FrontConfiguration starts at N = 2, and the floor reads only
+        # directions, shifts and speed: two facing planar waves on a line
+        cfg = SimpleNamespace(directions=np.array([[1.0], [-1.0]]),
+                              shifts=np.array([0.5, -1.5]), speed=c)
+        return cfg, Grid((301,), 0.25, (-40.3,))
+    if name == "v-2d-mirror":
+        return symmetric_v(math.pi / 3, c), Grid((64, 64), 0.5, (-15.75, -20.0))
+    if name == "v-2d-off-centre":
+        return symmetric_v(math.pi / 3, c, 0.7), Grid((60, 64), 0.379598592562289, (-10.0, -14.0))
+    if name == "three-wave-2d-mirror":
+        return three_wave_cfg(c), Grid((48, 56), 0.5, (-11.75, -13.75))
+    pyramid = pyramid_cfg(c)
+    if name == "pyramid-3d-mirror":
+        cfg = FrontConfiguration(3, pyramid.nus, pyramid.angles, np.array([0.7, -1.1, -1.1]), c)
+        return cfg, Grid((24, 20, 20), 1.0, (-11.5, -9.5, -9.0))
+    return pyramid, Grid((20, 24, 16), 0.75, (-7.3, -9.1, -4.2))
+
+
+@pytest.mark.parametrize("name", ["1d-off-centre", "v-2d-mirror", "v-2d-off-centre",
+                                  "three-wave-2d-mirror", "pyramid-3d-mirror",
+                                  "pyramid-3d-off-centre"])
+@settings(max_examples=40)
+@given(t=st.floats(min_value=-200.0, max_value=200.0))
+def test_floor_is_the_profile_on_the_grid_bit_for_bit(profile03, name, t):
+    # evaluating the sorted distinct values in slices gives each cell the
+    # bits of the masked evaluation of the whole grid
+    cfg, grid = floor_case(name, profile03.speed)
+    pts = grid.points().reshape(-1, grid.dimension)
+    base = np.min(pts @ cfg.directions.T + cfg.shifts, axis=-1).reshape(grid.counts)
+    got = subsolution_floor(cfg, profile03, grid)(t)
+    assert got.shape == grid.counts
+    assert np.array_equal(got, profile03(base - cfg.speed * t))
+
+
+def test_floor_call_allocates_little_and_returns_a_new_array(cfg_v, profile03):
+    # the 512^2 grid of the `entire` benchmark: a call holds the shifted
+    # distinct values, their profile values and the gathered result, so its
+    # peak is 1.5 times the result's size, at every time
+    floor = subsolution_floor(cfg_v, profile03, Grid((512, 512), 0.5, (-128.0, -140.0)))
+    for t in (-400.0, -4.0, 0.0, 2.0, 400.0):
+        tracemalloc.start()
+        try:
+            got = floor(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * got.nbytes, (t, peak)
+    # callers keep floor values as a Field's state
+    assert not np.shares_memory(floor(0.0), floor(0.0))
 
 
 def counted(fn, calls):
