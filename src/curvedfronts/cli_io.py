@@ -350,6 +350,8 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
         if len(counts) != n:
             errors.append(f"solver.box.counts: expected {n} axes (front.N), "
                           f"got {len(counts)}")
+        if subcommand == "verify" and n != 2:  # the half-level checks read 2D fields
+            errors.append(f"front.N: verify needs 2 space dimensions, got {n}")
         grid = out["grid"] = construct("solver.box", lambda: Grid(
             tuple(counts), float(solver["dx"]), tuple(solver["box"]["origin"])))
         config = out["solver_config"] = SolverConfig(
@@ -618,13 +620,14 @@ def _cmd_verify(objs, run_dir, seed):
     mvals = [r["m_eps"] for r in meps]
     meps_monotone = all(mvals[k] <= mvals[k + 1] + 1e-12
                         for k in range(len(mvals) - 1))
-    ms = mean_speed_estimate(front, np.linspace(0.0, 50.0 / c, 9))
+    ridge_exclusion = float(exp["ridge_exclusion"])
+    ms = mean_speed_estimate(traj, front, ridge_exclusion)
     report.add("mean_speed", ms)
     wg = weighted_gap_report(traj, front, profile,
                              v_rate=params.v_star or 1e-4)
     report.add("weighted_gap", wg)
     hl = half_level_cross_check(traj[-1], front, profile,
-                                exclude_ridge_radius=float(exp["ridge_exclusion"]))
+                                exclude_ridge_radius=ridge_exclusion)
     report.add("half_level_cross_check", hl)
 
     speed_ok = abs(ms["gamma_hat"] - c) <= 0.02 * c

@@ -3,7 +3,10 @@
 Turns the qualitative statements about curved fronts (sandwiching between
 the barriers, monotonicity in time, interface localization M_eps, global
 mean speed, weighted gap decay, stability under admissible perturbations)
-into quantitative report sections over solver snapshots.
+into quantitative report sections over solver snapshots.  The mean speed
+and the half-level check read the snapshots' own {u = 1/2} sets away from
+the box edge and the ridge, so a front that moves at the wrong speed or
+sits at the wrong offset fails them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from .barriers import BarrierSet
 from .front_geometry import (FrontConfiguration, _slab_weight, min_q,
                              ridge_distance, interface_distance,
-                             sample_interface, spatial_ridge_distance)
+                             spatial_ridge_distance)
 from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity
 from .rd_solver import (Grid, Field, SolverConfig, solve_cauchy, make_boundary,
@@ -26,7 +29,6 @@ __all__ = [
     "sandwich_and_monotonicity",
     "extract_interface_and_Meps",
     "half_level_cross_check",
-    "interface_pair_distance",
     "mean_speed_estimate",
     "weighted_gap_report",
     "PerturbationSpec",
@@ -37,7 +39,6 @@ __all__ = [
 ]
 
 HALF_LEVEL_MARGIN = 5.0  # half-level points this close to the box edge are dropped
-PAIR_POINTS, PAIR_HALF_WIDTH = 10000, 60.0  # interface_pair_distance's samples per time, their box
 ADMISSIBLE_SAMPLES = 1000  # far points check_admissibility draws for the weighted ratio
 
 
@@ -133,8 +134,11 @@ def extract_interface_and_Meps(fld: Field, cfg: FrontConfiguration,
     return out
 
 
-def _half_level_points(fld: Field) -> np.ndarray:
-    """Linear-interpolated crossings of u = 1/2 along grid lines (2D)."""
+def _half_level_points(fld: Field, cfg: FrontConfiguration,
+                       exclude_ridge_radius: float | None) -> np.ndarray:
+    """Linear-interpolated crossings of u = 1/2 along grid lines (2D), at
+    least HALF_LEVEL_MARGIN inside the box and, when a radius is given,
+    farther than it from the time-t ridge."""
     g = fld.grid
     if g.dimension != 2:
         raise ValueError("half-level extraction implemented for 2D fields")
@@ -153,7 +157,20 @@ def _half_level_points(fld: Field) -> np.ndarray:
         coord1 = c1[j]
         p = np.stack([coord0, coord1], axis=-1)
         pts.append(p if axis == 0 else p[:, ::-1])
-    return np.concatenate(pts, axis=0)
+    pts = np.concatenate(pts, axis=0)
+    lo = [g.origin[k] + HALF_LEVEL_MARGIN for k in range(2)]
+    hi = [g.origin[k] + (g.counts[k] - 1) * g.dx - HALF_LEVEL_MARGIN
+          for k in range(2)]
+    keep = ((pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
+            & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1]))
+    pts = pts[keep]
+    if exclude_ridge_radius is not None and pts.shape[0]:
+        far = spatial_ridge_distance(cfg, fld.time, pts) > exclude_ridge_radius
+        pts = pts[far]
+    if pts.shape[0] == 0:
+        raise ValueError(f"no half-level crossings at t = {fld.time:.6g} "
+                         "left after exclusions")
+    return pts
 
 
 def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
@@ -167,21 +184,7 @@ def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
     ridge the field genuinely bulges ahead of the polytope, so callers
     checking profile consistency exclude a ridge neighborhood.
     """
-    pts = _half_level_points(fld)
-    if pts.shape[0] == 0:
-        raise ValueError("no half-level crossings inside the box")
-    g = fld.grid
-    lo = [g.origin[k] + HALF_LEVEL_MARGIN for k in range(2)]
-    hi = [g.origin[k] + (g.counts[k] - 1) * g.dx - HALF_LEVEL_MARGIN
-          for k in range(2)]
-    keep = ((pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
-            & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1]))
-    pts = pts[keep]
-    if exclude_ridge_radius is not None:
-        far = spatial_ridge_distance(cfg, fld.time, pts) > exclude_ridge_radius
-        pts = pts[far]
-    if pts.shape[0] == 0:
-        raise ValueError("no half-level crossings left after exclusions")
+    pts = _half_level_points(fld, cfg, exclude_ridge_radius)
     t = np.full(pts.shape[0], fld.time)
     level_q = min_q(cfg, t, pts)
     return {
@@ -192,59 +195,33 @@ def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
     }
 
 
-def interface_pair_distance(cfg: FrontConfiguration, t: float, s: float, rng=None) -> float:
-    """Nearest-pair distance between the exact interfaces at times t and s.
+def mean_speed_estimate(trajectory, cfg: FrontConfiguration,
+                        exclude_ridge_radius: float | None) -> dict:
+    """Global mean speed read off the {u = 1/2} sets of the snapshots.
 
-    Dense boundary samples on one interface paired with the exact
-    point-to-interface distance to the other; for the nested polytopes of
-    a moving front this is the facet normal displacement c|t-s| (the apex
-    regions are farther, so they never attain the minimum).
+    Each far half-level point (see half_level_cross_check) is given the
+    facet i attaining min_i q_i; a snapshot's position is the median of
+    z . e_i + tau_i over its points, which a front moving at normal speed
+    gamma advances by gamma per unit time.  gamma_hat is the least-squares
+    slope of the positions against the snapshot times, and fit_residual
+    the largest distance of a position from that line.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    a = sample_interface(cfg, t, n_points=PAIR_POINTS, half_width=PAIR_HALF_WIDTH, rng=rng)
-    b = sample_interface(cfg, s, n_points=PAIR_POINTS, half_width=PAIR_HALF_WIDTH, rng=rng)
-    d_ab = interface_distance(cfg, s, a).min()
-    d_ba = interface_distance(cfg, t, b).min()
-    return float(max(d_ab, d_ba))
-
-
-def mean_speed_estimate(cfg: FrontConfiguration, times) -> dict:
-    """Global mean speed from pairwise interface distances.
-
-    Fits d(Gamma_t, Gamma_s)/|t-s| against 1/|t-s| and reports the
-    intercept (the |t-s| -> infinity limit) plus the raw pair table.
-    """
-    times = sorted(float(t) for t in times)
-    if len(times) < 8:
-        raise ValueError(f"need at least 8 snapshots, got {len(times)}")
-    span = times[-1] - times[0]
-    if span < 10.0 / cfg.speed:
-        raise ValueError(
-            f"snapshot span {span:.3g} shorter than 10/c_f = {10.0 / cfg.speed:.3g}")
-    rng = np.random.default_rng(0)  # one stream over all pairs
-    pairs = []
-    for i in range(len(times)):
-        for j in range(i + 1, len(times)):
-            dt = times[j] - times[i]
-            if dt == 0:
-                continue
-            d = interface_pair_distance(cfg, times[i], times[j], rng=rng)
-            pairs.append((dt, d / dt))
-    gaps, speeds = np.array(pairs).T
-    coeffs = np.polyfit(1.0 / gaps, speeds, 1)
-    gamma_hat = float(coeffs[1])
-    resid = float(np.max(np.abs(np.polyval(coeffs, 1.0 / gaps) - speeds)))
-    far = gaps >= 10.0 / cfg.speed
+    if len(trajectory) < 2:
+        raise ValueError(f"need at least 2 snapshots, got {len(trajectory)}")
+    times = np.array([f.time for f in trajectory])
+    positions, n_points = [], []
+    for fld in trajectory:
+        pts = _half_level_points(fld, cfg, exclude_ridge_radius)
+        # min_i (z . e_i + tau_i) is z . e_i + tau_i on the facet attaining min_i q_i
+        positions.append(float(np.median(min_q(cfg, 0.0, pts))))
+        n_points.append(int(pts.shape[0]))
+    coeffs = np.polyfit(times, positions, 1)
     return {
-        "gamma_hat": gamma_hat,
-        "fit_residual": resid,
-        "n_pairs": len(pairs),
-        "sampling_points": PAIR_POINTS,
-        "pair_gaps": gaps.tolist(),
-        "pair_speeds": speeds.tolist(),
-        "far_pair_speed_min": float(speeds[far].min()) if far.any() else None,
-        "far_pair_speed_max": float(speeds[far].max()) if far.any() else None,
+        "gamma_hat": float(coeffs[0]),
+        "fit_residual": float(np.max(np.abs(np.polyval(coeffs, times) - positions))),
+        "times": times.tolist(),
+        "positions": positions,
+        "n_points": n_points,
     }
 
 

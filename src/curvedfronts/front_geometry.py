@@ -35,7 +35,6 @@ __all__ = [
     "ridge_distance",
     "interface_distance",
     "spatial_ridge_distance",
-    "sample_interface",
     "polyhedron_face_distance",
 ]
 
@@ -210,64 +209,31 @@ def _spacetime_points(t, z, cfg) -> np.ndarray:
     return np.concatenate([t[..., None], z], axis=-1)
 
 
+def _face_distance(normals, offsets, pts, min_active: int) -> np.ndarray:
+    """polyhedron_face_distance over the last axis of pts, in their leading shape."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    return polyhedron_face_distance(normals, offsets, flat, min_active).reshape(pts.shape[:-1])
+
+
 def boundary_distance(cfg: FrontConfiguration, t, z) -> np.ndarray:
     """Euclidean space-time distance from (t, z) to the moving interface
     {min_i q_i = 0}."""
-    w = _spacetime_points(t, z, cfg)
-    flat = w.reshape(-1, cfg.dimension + 1)
-    d = polyhedron_face_distance(cfg.spacetime_normals(), cfg.shifts, flat, min_active=1)
-    return d.reshape(w.shape[:-1])
+    return _face_distance(cfg.spacetime_normals(), cfg.shifts, _spacetime_points(t, z, cfg), 1)
 
 
 def ridge_distance(cfg: FrontConfiguration, t, z) -> np.ndarray:
     """Euclidean space-time distance from (t, z) to the ridge set (pairwise
     facet intersections)."""
     cfg.require_ridges()
-    w = _spacetime_points(t, z, cfg)
-    flat = w.reshape(-1, cfg.dimension + 1)
-    d = polyhedron_face_distance(cfg.spacetime_normals(), cfg.shifts, flat, min_active=2)
-    return d.reshape(w.shape[:-1])
+    return _face_distance(cfg.spacetime_normals(), cfg.shifts, _spacetime_points(t, z, cfg), 2)
 
 
 def interface_distance(cfg: FrontConfiguration, t: float, z) -> np.ndarray:
     """Spatial distance from z to the time-t interface slice."""
-    z = _as_points(cfg, z)
-    flat = z.reshape(-1, cfg.dimension)
-    offsets = cfg.shifts - cfg.speed * t
-    d = polyhedron_face_distance(cfg.directions, offsets, flat, min_active=1)
-    return d.reshape(z.shape[:-1])
+    return _face_distance(cfg.directions, cfg.shifts - cfg.speed * t, _as_points(cfg, z), 1)
 
 
 def spatial_ridge_distance(cfg: FrontConfiguration, t: float, z) -> np.ndarray:
     """Spatial distance from z to the time-t ridge slice."""
     cfg.require_ridges()
-    z = _as_points(cfg, z)
-    flat = z.reshape(-1, cfg.dimension)
-    offsets = cfg.shifts - cfg.speed * t
-    d = polyhedron_face_distance(cfg.directions, offsets, flat, min_active=2)
-    return d.reshape(z.shape[:-1])
-
-
-def sample_interface(cfg: FrontConfiguration, t: float, n_points: int = 10000,
-                     half_width: float = 50.0, rng=None) -> np.ndarray:
-    """Points on the time-t interface, sampled per facet and filtered by
-    feasibility; used for interface-to-interface distance estimates."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    offsets = cfg.shifts - cfg.speed * t
-    pts = []
-    per_facet = max(64, int(np.ceil(n_points / cfg.n_waves)))
-    for i in range(cfg.n_waves):
-        e = cfg.directions[i]
-        base = -offsets[i] * e  # the point of the hyperplane closest to 0
-        # orthonormal tangents of the hyperplane
-        basis = np.linalg.svd(np.eye(cfg.dimension) - np.outer(e, e))[0][:, : cfg.dimension - 1]
-        s = rng.uniform(-half_width, half_width, size=(per_facet, cfg.dimension - 1))
-        cand = base + s @ basis.T
-        q = cand @ cfg.directions.T + offsets
-        keep = _fold(np.minimum, q) >= -1e-9
-        pts.append(cand[keep])
-    out = np.concatenate(pts, axis=0)
-    if out.shape[0] == 0:
-        raise RuntimeError("no interface points found in the sampling window")
-    return out
+    return _face_distance(cfg.directions, cfg.shifts - cfg.speed * t, _as_points(cfg, z), 2)

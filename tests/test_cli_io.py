@@ -473,6 +473,8 @@ def test_verify_run(tmp_path, capsys):
     diag = json.load(open(os.path.join(run_dir, "diagnostics.json")))
     assert diag["verdict"]["passed"]
     assert abs(diag["mean_speed"]["gamma_hat"] - C) / C <= 0.02
+    # the estimate reads the run's own snapshots, at 0, 1/c, ..., 4/c
+    assert diag["mean_speed"]["times"] == [k * (1.0 / C) for k in range(5)]
     assert diag["sandwich_and_monotonicity"]["lower_violation"] <= 1e-10
     vals = [r["m_eps"] for r in diag["m_eps_table"]["rows"]]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -582,6 +584,26 @@ def test_config_error_exits_2_before_run_dir(tmp_path, capsys, monkeypatch, sub,
     assert rc == EXIT_CONFIG
     for msg in MESSAGES.get(field, [field]):
         assert f"config error: {msg}" in out.err
+    assert os.listdir(out_dir) == []
+
+
+def test_verify_rejects_3d_before_run_dir(tmp_path, capsys, monkeypatch):
+    def no_profile(nl):
+        raise AssertionError("profile built before the config error")
+
+    monkeypatch.setattr(cli_io, "build_profile", no_profile)
+    s3 = math.sqrt(3.0) / 2.0
+    cfg = copy.deepcopy(BASE)
+    cfg["front"] = {"N": 3, "waves": [
+        {"nu": nu, "theta": math.pi / 4, "tau": 0.0}
+        for nu in ([1.0, 0.0], [-0.5, s3], [-0.5, -s3])]}
+    cfg["solver"]["box"] = {"counts": [20, 20, 20], "origin": [-5.0, -5.0, -5.0]}
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
+    out = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert "config error: front.N: verify needs 2 space dimensions, got 3" in out.err
     assert os.listdir(out_dir) == []
 
 

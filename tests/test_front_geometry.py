@@ -20,7 +20,6 @@ from curvedfronts import (
     min_q,
     q_values,
     ridge_distance,
-    sample_interface,
     spatial_ridge_distance,
     subsolution_floor,
     subsolution_lower,
@@ -214,14 +213,6 @@ def test_boundary_distance_ordering(cfg_v):
     assert np.all(bd[~on_boundary] > 0.0)
 
 
-def test_sample_interface_feasible_and_reproducible(cfg_v):
-    s1 = sample_interface(cfg_v, 2.0, n_points=500, half_width=30.0, rng=np.random.default_rng(4))
-    s2 = sample_interface(cfg_v, 2.0, n_points=500, half_width=30.0, rng=np.random.default_rng(4))
-    assert np.array_equal(s1, s2)
-    assert np.max(np.abs(min_q(cfg_v, 2.0, s1))) < 1e-8
-    assert np.max(np.abs(s1[:, 0])) <= 30.0 + 1e-9
-
-
 def test_planar_interface_distance_is_abs_q():
     cfg = planar()
     rng = np.random.default_rng(41)
@@ -333,19 +324,6 @@ def _face_distance_reference(normals, offsets, pts, min_active, feas_tol=1e-9):
     return best
 
 
-def _sample_interface_reference(cfg, t, n_points, half_width, rng):
-    offsets = cfg.shifts - cfg.speed * t
-    pts = []
-    per_facet = max(64, int(np.ceil(n_points / cfg.n_waves)))
-    for i in range(cfg.n_waves):
-        e = cfg.directions[i]
-        basis = np.linalg.svd(np.eye(cfg.dimension) - np.outer(e, e))[0][:, : cfg.dimension - 1]
-        s = rng.uniform(-half_width, half_width, size=(per_facet, cfg.dimension - 1))
-        cand = -offsets[i] * e + s @ basis.T
-        pts.append(cand[np.min(cand @ cfg.directions.T + offsets, axis=1) >= -1e-9])
-    return np.concatenate(pts, axis=0)
-
-
 def _shifted_three_wave():
     return FrontConfiguration(2, np.array([[-1.0], [1.0], [1.0]]),
                               np.array([math.pi / 3, math.pi / 4, 1.2]),
@@ -387,11 +365,6 @@ def test_folded_sites_match_reductions_bitwise(make_cfg):
         assert _same_bits(got, ref)
         ref = _face_distance_reference(cfg.directions, offsets, zs, min_active)
         got = (interface_distance if min_active == 1 else spatial_ridge_distance)(cfg, 1.5, zs)
-        assert _same_bits(got, ref)
-    for half_width in (5.0, 60.0):
-        got = sample_interface(cfg, 2.0, n_points=900, half_width=half_width,
-                               rng=np.random.default_rng(5))
-        ref = _sample_interface_reference(cfg, 2.0, 900, half_width, np.random.default_rng(5))
         assert _same_bits(got, ref)
 
 
