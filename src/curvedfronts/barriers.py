@@ -12,15 +12,15 @@ delta * e^(-lambda t) of the same tail shape, with the time argument bent
 by pi(t) = t - rho delta e^(-lambda t) + rho delta.
 
 Whether a concrete parameter set actually yields a supersolution is decided
-numerically: residuals of L v = v_t - Lap v - f(v) are sampled densely with
-high-order finite differences and certified against a fixed tolerance.
-The stencils are evaluated in chunks of STENCIL_CHUNK samples, so the
-memory of a certification does not grow with the stencil copies of the
-whole batch.  The barrier fields are pointwise up to the Newton count of
-each solve_phi call: on the V of the standard schedule (alpha = 0.025)
-every point converges on the second residual evaluation and chunking moves
-no bit, while a chunk that converges sooner than its batch can move other
-fronts' residuals by round-off, under 1e-9.
+numerically: residuals of L v = v_t - Lap v - f(v), in closed form by the
+chain rule (derivatives of phi up to grad Lap phi, U' from the slope table,
+U'' = -c U' - f(U), and the switch's w, w', w''), are sampled densely and
+certified against a fixed tolerance.  Where the unclamped value is at least
+1, v = 1 solves the PDE, so exactly the clamped samples are excluded.  The
+4th-order finite differences of parabolic_residual cross-check the formula
+on the least residuals.  Residuals run in chunks of RESIDUAL_CHUNK samples;
+solve_phi's bits depend on its call's Newton count, so off the V of the
+standard schedule a chunk can move residuals by round-off.
 The alpha ladder of auto_parameters certifies V_up first and rejects a rung
 that fails there before fitting or checking anything else.
 """
@@ -52,11 +52,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = -1e-8
-# 4th-order stencils at this step keep FD truncation ~1e-10 and round-off
-# amplification ~5e-11, both well under |RESIDUAL_TOL|; a smaller step with
-# 2nd-order stencils would drown the tolerance in round-off noise.
+# the cross-check's step: 4th-order stencils at this step keep FD truncation
+# ~1e-10 and round-off amplification ~5e-11, both well under |RESIDUAL_TOL|
 DEFAULT_FD_STEP = 5e-3
-CLAMP_GUARD = 1.0 - 2.0**-46
+FD_CHECK_SAMPLES = 512  # least live residuals of each barrier that the FD re-derives
 # The samples' box.  Offsets from the sharpened surface cover the eta-cases
 # evenly; the time-shifted barrier's range of t starts beyond the reach of
 # the time stencil (2 DEFAULT_FD_STEP).
@@ -64,9 +63,8 @@ SAMPLE_T_RANGE = (-6.0, 6.0)
 SAMPLE_X_HALF_WIDTH = 30.0
 SAMPLE_OFFSET_RANGE = (-22.0, 22.0)
 SAMPLE_W_T_RANGE = (0.05, 8.0)
-# samples per field call (53k stencil points in 2D); chunks of 1024 to 16384
-# samples run a residual equally fast, and the temporaries grow with the chunk
-STENCIL_CHUNK = 4096
+# samples per pass of a chain-rule residual; its temporaries grow with the chunk
+RESIDUAL_CHUNK = 4096
 
 
 def mollifier_omega(s):
@@ -192,10 +190,10 @@ class BarrierSet:
     def upper(self, t, z):
         """Supersolution V_up (clamped at 1)."""
         eta, xi, h = self._frame(t, z)
-        return self._clamped_upper(xi, h, self.tail_weight(eta))
+        return self._clamped_upper(self.profile(xi), h, self.tail_weight(eta))
 
-    def _clamped_upper(self, xi, h, tail):
-        return np.minimum(self.profile(xi) + self.params.epsilon * h * tail, 1.0)
+    def _clamped_upper(self, u_xi, h, tail):
+        return np.minimum(u_xi + self.params.epsilon * h * tail, 1.0)
 
     def shift_time(self, t):
         """pi(t) = t - rho delta e^(-lambda t) + rho delta; pi(0) = 0."""
@@ -211,73 +209,142 @@ class BarrierSet:
         eta, xi, h = self._frame(self.shift_time(t), z)
         tail = self.tail_weight(eta)
         layer = self.params.delta * np.exp(-self.params.lam * t) * tail
-        return np.minimum(self._clamped_upper(xi, h, tail) + layer, 1.0)
+        return np.minimum(self._clamped_upper(self.profile(xi), h, tail) + layer, 1.0)
+
+    def _jet(self, t, z):
+        """The chain-rule pieces of the residuals at (t, z): (U(xi), h, T,
+        v_t, Lap v, d_t T, Lap T), for v = U(xi) + eps h T unclamped and the
+        tail weight T(eta).  U(xi), h and T have the bits of _frame and
+        tail_weight; U'' comes from the profile ODE U'' = -c U' - f(U)."""
+        z = np.asarray(z, dtype=float)
+        a, eps, beta = self.params.alpha, self.params.epsilon, self.params.beta
+        at, ax = a * np.asarray(t, dtype=float), a * z[..., :-1]
+        phi = self.surface.solve_phi(at, ax)
+        d, w, g, gt, h = self.surface._jet(at, ax, phi)
+        p, hess = d.grad, d.hess
+        p2 = _fold(np.add, p * p)
+        eta = z[..., -1] - phi / a
+        xi = eta / np.sqrt(1.0 + p2)
+        # d_t eta = -phi_t, grad eta = (-p, 1), Lap eta = -a tr hess
+        eta_t, tr = -d.phi_t, np.trace(hess, axis1=-2, axis2=-1)
+        lap_eta = -a * tr
+        # xi = eta m with m = (1 + |p|^2)^(-1/2), grad m = -a m^3 hess p
+        m = 1.0 / np.sqrt(1.0 + p2)
+        hp = np.einsum("...kl,...l->...k", hess, p)
+        grad_m = (-a * m**3)[..., None] * hp
+        lap_m = a * a * m**3 * (3.0 * m * m * _dot(hp, hp)
+                                - _dot(hess, hess, "...kl") - _dot(p, d.grad_lap))
+        xi_t = eta_t * m - a * m**3 * _dot(p, d.grad_t) * eta
+        grad_xi = eta[..., None] * grad_m - m[..., None] * p
+        lap_xi = lap_eta * m - 2.0 * _dot(p, grad_m) + eta * lap_m
+        # h = 1 - sum_i w_i^2 with dw_i = -w_i (gt_i d(at) + g_i . d(ax))
+        w2 = w * w
+        h_t = 2.0 * a * _dot(w2, gt)
+        grad_h_p = 2.0 * a * np.einsum("...i,...ik,...k->...", w2, g, p)
+        gg = np.einsum("...ik,...ik->...i", g, g)
+        lap_h = 2.0 * a * a * _dot(w2, self.surface._sin * tr[..., None] - 2.0 * gg)
+        # T = U^beta om + 1 - om, with r = U'/U and U''/U = -c r - f(U)/U
+        prof, nl, c = self.profile, self.nl, self.profile.speed
+        u, u1 = prof(xi), prof.derivative(xi)
+        om, om1, om2 = mollifier_omega(eta)
+        ue, ub = prof(eta), prof.u_pow(eta, beta)
+        r = prof.derivative(eta) / ue
+        ub1 = beta * ub * r
+        ub2 = beta * ub * ((beta - 1.0) * r * r - c * r - nl(ue) / ue)
+        tail = ub * om + (1.0 - om)
+        tail1 = ub1 * om + (ub - 1.0) * om1
+        lap_tail = (ub2 * om + 2.0 * ub1 * om1 + (ub - 1.0) * om2) * (1.0 + p2) + tail1 * lap_eta
+        v_t = u1 * xi_t + eps * (h_t * tail + h * tail1 * eta_t)
+        lap_v = ((-c * u1 - nl(u)) * (_dot(grad_xi, grad_xi) + m * m) + u1 * lap_xi
+                 + eps * (lap_h * tail - 2.0 * tail1 * grad_h_p + h * lap_tail))
+        return u, h, tail, v_t, lap_v, tail1 * eta_t, lap_tail
+
+    def upper_residual(self, t, z):
+        """(V_up, v_t - Lap v - f(v)) at samples t (m,), z (m, N), by the
+        chain rule, RESIDUAL_CHUNK samples at a time; V_up has the bits of
+        upper on each chunk.  The residual is that of the unclamped
+        barrier: it holds where V_up < 1, and v = 1 solves the PDE."""
+        def chunk(tc, zc):
+            u, h, tail, v_t, lap_v, _, _ = self._jet(tc, zc)
+            v = self._clamped_upper(u, h, tail)
+            return v, v_t - lap_v - self.nl(v)
+        return _in_chunks(chunk, t, z)
+
+    def time_upper_residual(self, t, z):
+        """(W_delta, its residual) at samples t (m,) >= 0, as upper_residual;
+        W_delta has the bits of time_upper, and pi'(t) enters by the chain
+        rule."""
+        p = self.params
+
+        def chunk(tc, zc):
+            decay = np.exp(-p.lam * tc)
+            u, h, tail, v_t, lap_v, tail_t, lap_tail = self._jet(self.shift_time(tc), zc)
+            w = np.minimum(self._clamped_upper(u, h, tail) + p.delta * decay * tail, 1.0)
+            gain = 1.0 + p.varrho * p.delta * p.lam * decay  # pi'(t)
+            w_t = gain * v_t + p.delta * decay * (gain * tail_t - p.lam * tail)
+            return w, w_t - lap_v - p.delta * decay * lap_tail - self.nl(w)
+        return _in_chunks(chunk, t, z)
 
 
 # -- residual certification -------------------------------------------------
 
 
-def _stencil(field_fn, t, z, h_fd):
-    """4th-order finite differences of field_fn at the points (t, z).
+def _dot(a, b, axes="...k"):
+    """sum over the trailing axes `axes` of a * b."""
+    return np.einsum(f"{axes},{axes}->...", a, b)
 
-    Walks the samples in consecutive chunks of STENCIL_CHUNK and calls
-    field_fn once per chunk, on that chunk's 1 + 4 (N + 1) stencil points
-    only (at least 1 + 4 + 4 N points per call).  Returns (vals, v_t, lap):
-    the values, shape (1 + 4 + 4 N, npts) with the centre in row 0, the
-    time derivative and the Laplacian, from the 5-point weights on
-    [-2h, -h, 0, h, 2h].
+
+def _in_chunks(fn, t, z):
+    """fn(t, z) -> (value, residual) on consecutive chunks of RESIDUAL_CHUNK
+    samples, joined into a (2, m) array."""
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    out = np.empty((2, t.shape[0]))
+    for lo in range(0, t.shape[0], RESIDUAL_CHUNK):
+        out[:, lo:lo + RESIDUAL_CHUNK] = fn(t[lo:lo + RESIDUAL_CHUNK], z[lo:lo + RESIDUAL_CHUNK])
+    return out
+
+
+def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
+                       h_fd: float = DEFAULT_FD_STEP):
+    """Sampled residual L v = v_t - Lap v - f(v) by 4th-order stencils.
+
+    t has shape (npts,) and z shape (npts, N).  field_fn(t, z) is called
+    once, on all 1 + 4 (N + 1) stencil points of every sample, with shapes
+    (m,) and (m, N); the time derivative and the Laplacian use the 5-point
+    weights on [-2h, -h, 0, h, 2h].  Returns (residual, excluded), where
+    excluded marks samples whose stencil touches the clamp v >= 1 (the min
+    with 1 kinks the field there, so the finite differences are not
+    trustworthy).
     """
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
     npts, ndim = z.shape
     shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * h_fd
     d1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_fd)
     d2_off = np.array([-1.0, 16.0, 16.0, -1.0]) / (12.0 * h_fd**2)
     d2_center = -30.0 / (12.0 * h_fd**2)
 
-    rows = 1 + 4 + 4 * ndim
-    vals = np.empty((rows, npts))
-    for lo in range(0, npts, STENCIL_CHUNK):
-        hi = min(lo + STENCIL_CHUNK, npts)
-        tc, zc = t[lo:hi], z[lo:hi]
-        t_all = [tc] + [tc + s for s in shifts] + [tc] * (4 * ndim)
-        z_all = [zc] * 5
-        for k in range(ndim):
-            for s in shifts:
-                zk = zc.copy()
-                zk[:, k] += s
-                z_all.append(zk)
-        chunk = field_fn(np.concatenate(t_all), np.concatenate(z_all, axis=0))
-        vals[:, lo:hi] = chunk.reshape(rows, hi - lo)
-
+    t_all = [t] + [t + s for s in shifts] + [t] * (4 * ndim)
+    z_all = [z] * 5
+    for k in range(ndim):
+        for s in shifts:
+            zk = z.copy()
+            zk[:, k] += s
+            z_all.append(zk)
+    vals = field_fn(np.concatenate(t_all), np.concatenate(z_all, axis=0)).reshape(-1, npts)
     v_t = vals[1:5].T @ d1
     lap = np.zeros(npts)
     for k in range(ndim):
         lap += vals[5 + 4 * k: 9 + 4 * k].T @ d2_off + d2_center * vals[0]
-    return vals, v_t, lap
+    return v_t - lap - nl(vals[0]), np.max(vals, axis=0) >= 1.0
 
 
-def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
-                       h_fd: float = DEFAULT_FD_STEP, values=None):
-    """Sampled residual L v = v_t - Lap v - f(v) by 4th-order stencils.
-
-    t has shape (npts,) and z shape (npts, N).  field_fn(t, z) is called
-    once per chunk of STENCIL_CHUNK samples, on the chunk's stencil points
-    with shapes (m,) and (m, N), and must be pointwise: a value that
-    depends on the other points of the call makes the residual depend on
-    the chunking (the barriers do so only through solve_phi's Newton count,
-    by round-off).
-    Returns (residual, excluded) where excluded marks samples whose stencil
-    touches the clamp v >= 1 (the min with 1 kinks the field there, so the
-    finite differences are not trustworthy and the residual claim does not
-    apply anyway).  values, if given, is an array of npts floats that
-    receives field_fn at the samples themselves.
-    """
-    vals, v_t, lap = _stencil(field_fn, np.asarray(t, dtype=float),
-                              np.asarray(z, dtype=float), h_fd)
-    if values is not None:
-        values[...] = vals[0]
-    residual = v_t - lap - nl(vals[0])
-    excluded = np.max(vals, axis=0) >= CLAMP_GUARD
-    return residual, excluded
+def _fd_gap(field_fn, nl, t, z, residual, live):
+    """Largest |FD - chain-rule| residual over the FD_CHECK_SAMPLES least live
+    residuals whose stencils stay off the clamp (0 if there are none)."""
+    worst = np.argsort(np.where(live, residual, np.inf))[:min(FD_CHECK_SAMPLES, int(np.sum(live)))]
+    fd, touched = parabolic_residual(field_fn, nl, t[worst], z[worst])
+    gap = np.abs(fd - residual[worst])[~touched]
+    return float(np.max(gap)) if gap.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -303,8 +370,8 @@ class ValidationReport:
     excluded_time: int
     sandwich_min: float
     time_vs_upper_at_zero_min: float
-    richardson_gap: float
-    richardson_ok: bool
+    fd_gap: float
+    fd_ok: bool
     x_prime: float
     x_double_prime: float
     kappa: float
@@ -374,8 +441,8 @@ def _upper_certificate(barriers: BarrierSet, spec: BarrierSampleSpec):
     epsilon, alpha and beta, so any BarrierSet that shares them gives the
     same bits."""
     t, z, eta = _sample_points(barriers, spec, spec.n_samples, *SAMPLE_T_RANGE)
-    v_up = np.empty(t.shape[0])
-    res, exc = parabolic_residual(barriers.upper, barriers.nl, t, z, values=v_up)
+    v_up, res = barriers.upper_residual(t, z)
+    exc = v_up >= 1.0
     live = ~exc
     return (t, z, eta, v_up, res, exc,
             float(np.min(res[live])) if np.any(live) else float("nan"))
@@ -392,11 +459,11 @@ def fit_time_term_constant(barriers: BarrierSet,
     """
     t, z, _ = _sample_points(barriers, spec, n, *SAMPLE_T_RANGE, seed_offset=1)
 
-    def g_field(tq, zq):
-        return barriers.tail_weight(barriers.eta(tq, zq))
+    def tail_residual(tc, zc):
+        _, _, tail, _, _, tail_t, lap_tail = barriers._jet(tc, zc)
+        return tail, tail_t - lap_tail
 
-    _, g_t, lap = _stencil(g_field, t, z, DEFAULT_FD_STEP)
-    worst = float(np.min(g_t - lap))
+    worst = float(np.min(_in_chunks(tail_residual, t, z)[1]))
     return 2.0 * max(0.0, -worst)
 
 
@@ -428,10 +495,11 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     """Certify a parameter set by dense residual sampling.
 
     PASS means: the parabolic residual of the upper barrier is >= -1e-8 on
-    every non-excluded sample (stratified into the three eta-cases), the
+    every sample below the clamp (stratified into the three eta-cases), the
     same holds for the time-shifted barrier on t >= 0, the upper barrier
-    never drops below the lower one, and the step-halved residuals agree
-    with the primary ones (the finite differences are converged).
+    never drops below the lower one, and on the FD_CHECK_SAMPLES least live
+    residuals of each barrier the finite-difference residual agrees with the
+    chain-rule one within |RESIDUAL_TOL| (fd_gap, fd_ok).
     upper_certificate, if given, is _upper_certificate for the same
     epsilon, alpha, beta and spec; it is computed here otherwise.
     """
@@ -447,14 +515,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                                                   or _upper_certificate(barriers, spec))
     cases_u = _stratify(res_u, exc_u, eta_u, x_prime, x_double_prime, RESIDUAL_TOL)
     live_u = ~exc_u
-    order = np.argsort(np.where(live_u, res_u, np.inf))
-    worst_idx = order[: min(512, int(np.sum(live_u)))]
-    res_half, exc_half = parabolic_residual(barriers.upper, nl, t_u[worst_idx],
-                                            z_u[worst_idx], DEFAULT_FD_STEP / 2.0)
-    both = ~exc_half
-    richardson_gap = float(np.max(np.abs(res_half[both] - res_u[worst_idx][both]))) if np.any(both) else 0.0
-    richardson_ok = richardson_gap <= 10.0 * abs(RESIDUAL_TOL)
-    i_worst = int(order[0])
+    i_worst = int(np.argmin(np.where(live_u, res_u, np.inf)))
     worst_point = [float(t_u[i_worst])] + [float(v) for v in z_u[i_worst]]
     worst_rd = float(ridge_distance(cfg, t_u[i_worst], z_u[i_worst])) if cfg.n_waves >= 2 else float("nan")
 
@@ -490,11 +551,15 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     # time-shifted barrier on t >= 0
     t_w, z_w, _ = _sample_points(barriers, spec, spec.n_samples // 2, *SAMPLE_W_T_RANGE,
                                  seed_offset=13)
-    res_w, exc_w = parabolic_residual(barriers.time_upper, nl, t_w, z_w)
+    w_val, res_w = barriers.time_upper_residual(t_w, z_w)
+    exc_w = w_val >= 1.0
     eta_w = barriers.eta(barriers.shift_time(t_w), z_w)
     cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
     live_w = ~exc_w
     min_w = float(np.min(res_w[live_w])) if np.any(live_w) else float("nan")
+    fd_gap = max(_fd_gap(barriers.upper, nl, t_u, z_u, res_u, live_u),
+                 _fd_gap(barriers.time_upper, nl, t_w, z_w, res_w, live_w))
+    fd_ok = fd_gap <= abs(RESIDUAL_TOL)
     # W at t=0 sits on or above the plain barrier
     t0 = np.zeros(min(4000, spec.n_samples // 8))
     _, z0, _ = _sample_points(barriers, spec, t0.shape[0], 0.0, 0.0, seed_offset=29)
@@ -504,7 +569,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         min_u >= RESIDUAL_TOL
         and min_w >= RESIDUAL_TOL
         and sandwich_min >= 0.0
-        and richardson_ok
+        and fd_ok
     )
     return ValidationReport(
         passed=passed,
@@ -517,8 +582,8 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
         excluded_time=int(np.sum(exc_w)),
         sandwich_min=sandwich_min,
         time_vs_upper_at_zero_min=w0_margin,
-        richardson_gap=richardson_gap,
-        richardson_ok=richardson_ok,
+        fd_gap=fd_gap,
+        fd_ok=fd_ok,
         x_prime=x_prime,
         x_double_prime=x_double_prime,
         kappa=kappa,

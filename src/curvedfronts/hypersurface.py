@@ -48,13 +48,13 @@ FIT_RIDGE_TIMES = 33  # times of the ridge-corner samples
 
 @dataclass(frozen=True)
 class SurfaceDerivatives:
-    """First and second implicit derivatives of phi at query points."""
+    """Implicit derivatives of phi at query points, up to grad Lap phi."""
 
     phi_t: np.ndarray        # (...,)
     grad: np.ndarray         # (..., N-1)
     hess: np.ndarray         # (..., N-1, N-1)
     grad_t: np.ndarray       # (..., N-1): d/dt of grad
-    phi_tt: np.ndarray       # (...,)
+    grad_lap: np.ndarray     # (..., N-1): L_j = sum_k d^3 phi / dx_j dx_k dx_k
 
 
 class ScaledSurface:
@@ -183,7 +183,7 @@ class ScaledSurface:
         return grad, _flatness(w)
 
     def derivatives(self, t, x, phi=None) -> SurfaceDerivatives:
-        """Implicit first and second derivatives of phi.
+        """Implicit derivatives of phi.
 
         Differentiating sum exp(-q_i(t, x, phi)) = 1 once gives, with
         w_i = exp(-q_i) and s = sum_i w_i sin(theta_i),
@@ -192,11 +192,19 @@ class ScaledSurface:
             grad  = -(sum_i w_i nu_i cos theta_i) / s,
 
         and differentiating again (the chain rule through g_i = d q_i/d x_k
-        evaluated on the surface) yields the Hessian and the mixed and
-        second time derivatives below.
+        on the surface, with d g_i/d x = sin theta_i hess) yields the Hessian
+        and the mixed derivative below, and once more grad Lap phi:
+
+            L_j = [sum_i w_i sin theta_i (g_ij tr hess + 2 (hess g_i)_j)
+                   - sum_i w_i g_ij |g_i|^2] / s.
         """
         if phi is None:
             phi = self.solve_phi(t, x)
+        return self._jet(t, x, phi)[0]
+
+    def _jet(self, t, x, phi):
+        """(derivatives, w, g, gt, h) from one weights array; h has the bits
+        of gradient_and_flatness."""
         w_rows = self._weight_rows(t, x, phi)            # (n, ...)
         s = _wave_sum(w_rows, self._sin)                 # (...,)
         c = self.cfg.speed
@@ -209,9 +217,14 @@ class ScaledSurface:
         # no correction term: sum_i w_i sin g_i = -s grad + s grad = 0
         hess = np.einsum("...i,...ik,...il->...kl", w, g, g) / s[..., None, None]
         grad_t = np.einsum("...i,...i,...ik->...k", w, gt, g) / s[..., None]
-        phi_tt = np.einsum("...i,...i,...i->...", w, gt, gt) / s
-        return SurfaceDerivatives(phi_t=phi_t, grad=grad, hess=hess,
-                                  grad_t=grad_t, phi_tt=phi_tt)
+        tr = np.trace(hess, axis1=-2, axis2=-1)[..., None]
+        gg = np.einsum("...ik,...ik->...i", g, g)
+        ws = w * self._sin
+        third = (np.einsum("...i,...ij->...j", ws * tr - w * gg, g)
+                 + 2.0 * np.einsum("...i,...ij->...j", ws, g @ hess))
+        der = SurfaceDerivatives(phi_t=phi_t, grad=grad, hess=hess, grad_t=grad_t,
+                                 grad_lap=third / s[..., None])
+        return der, w, g, gt, _flatness(w_rows)
 
     def flatness(self, t, x, phi=None) -> np.ndarray:
         """h = sum_{i != j} w_i w_j = 1 - sum_i w_i^2 on the surface.

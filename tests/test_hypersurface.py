@@ -91,12 +91,13 @@ def test_uniform_vertical_translation_in_time(surf, cfg_v):
         assert np.allclose(surf.solve_phi(t0 + t, x), expected, atol=1e-11)
     d = surf.derivatives(np.array([0.7]), np.array([[2.0]]))
     assert d.phi_t[0] == pytest.approx(cfg_v.speed / SIN60, abs=1e-12)
-    assert d.phi_tt[0] == pytest.approx(0.0, abs=1e-10)
+    assert d.grad_t[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_analytic_derivatives_match_finite_differences(surf):
     pts = [(-3.0, -4.0), (0.0, 0.0), (0.5, 1.7), (2.0, 12.0)]
     h = 1e-4
+    laps = []
 
     def f(t, x):
         return surf.solve_phi(np.array([t]), np.array([[x]]))[0]
@@ -106,15 +107,43 @@ def test_analytic_derivatives_match_finite_differences(surf):
         fd_x = (f(t, x + h) - f(t, x - h)) / (2 * h)
         fd_xx = (f(t, x + h) - 2 * f(t, x) + f(t, x - h)) / h**2
         fd_t = (f(t + h, x) - f(t - h, x)) / (2 * h)
-        fd_tt = (f(t + h, x) - 2 * f(t, x) + f(t - h, x)) / h**2
         fd_tx = (
             f(t + h, x + h) - f(t + h, x - h) - f(t - h, x + h) + f(t - h, x - h)
         ) / (4 * h**2)
         assert d.grad[0, 0] == pytest.approx(fd_x, abs=1e-6)
         assert d.hess[0, 0, 0] == pytest.approx(fd_xx, abs=1e-6)
         assert d.phi_t[0] == pytest.approx(fd_t, abs=1e-6)
-        assert d.phi_tt[0] == pytest.approx(fd_tt, abs=1e-6)
         assert d.grad_t[0, 0] == pytest.approx(fd_tx, abs=1e-6)
+        laps.append(grad_lap_against_hess_differences(surf, t, np.array([x])))
+    # the differences see a third derivative that is not zero
+    assert np.max(np.abs(laps)) > 1e-3
+
+
+def grad_lap_against_hess_differences(S, t, x, h=1e-4):
+    # L_j = d_j tr hess, by central differences of the analytic Hessian
+    def tr_hess(xq):
+        hess = S.derivatives(np.array([t]), xq[None, :]).hess[0]
+        return np.trace(hess)
+
+    lap = S.derivatives(np.array([t]), x[None, :]).grad_lap[0]
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        fd = (tr_hess(x + e) - tr_hess(x - e)) / (2 * h)
+        assert lap[j] == pytest.approx(fd, abs=1e-6)
+    return lap
+
+
+def test_grad_lap_matches_finite_differences_off_the_v():
+    # the pyramid, then unequal angles, where the sin theta_i (g tr hess +
+    # 2 hess g) sum of grad_lap does not vanish: the tilted four-wave 3D and
+    # the three-wave 2D surfaces, near their ridges
+    for S, t, x in ((pyramid_surface(), 0.3, np.array([0.4, -0.2])),
+                    (pyramid_surface(), -1.0, np.array([-1.5, 2.0])),
+                    (_tilted_3d_surface(), 0.5, np.array([0.3, 0.8])),
+                    (_three_wave_2d_surface(), 0.2, np.array([0.9]))):
+        lap = grad_lap_against_hess_differences(S, t, x)
+        assert np.min(np.abs(lap)) > 1e-3
 
 
 def test_weights_and_flatness(surf):
@@ -221,10 +250,13 @@ def _derivatives_point_major(S, t, x, phi):
     gt = -c + S._sin * phi_t[..., None]
     hess = np.einsum("...i,...ik,...il->...kl", w, g, g) / s[..., None, None]
     grad_t = np.einsum("...i,...i,...ik->...k", w, gt, g) / s[..., None]
-    phi_tt = np.einsum("...i,...i,...i->...", w, gt, gt) / s
+    tr = np.trace(hess, axis1=-2, axis2=-1)[..., None]
+    ws = w * S._sin
+    third = (np.einsum("...i,...ij->...j", ws * tr - w * np.einsum("...ik,...ik->...i", g, g), g)
+             + 2.0 * np.einsum("...i,...ij->...j", ws, g @ hess))
     wsum = np.sum(w, axis=-1)
     h = wsum * wsum - np.sum(w * w, axis=-1)
-    return w, (phi_t, grad, hess, grad_t, phi_tt), h
+    return w, (phi_t, grad, hess, grad_t, third / s[..., None]), h
 
 
 def _tilted_3d_surface():
@@ -265,7 +297,7 @@ def test_surface_kernel_matches_point_major_bits(make, cfg_v):
     assert w.shape == (30000, S.cfg.n_waves)
     assert np.array_equal(w, ref_w)
     der = S.derivatives(t, x, phi)
-    for got, ref in zip((der.phi_t, der.grad, der.hess, der.grad_t, der.phi_tt), ref_der):
+    for got, ref in zip((der.phi_t, der.grad, der.hess, der.grad_t, der.grad_lap), ref_der):
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
     assert np.array_equal(S.flatness(t, x, phi), ref_h)
