@@ -7,19 +7,22 @@ error is the stencil's O(dx^2).  The subsolution max_i U(q_i) of the
 planar waves is the one object the runs are compared against:
 subsolution_floor gives its grid values (the floor and each run's initial
 state) and make_boundary its values on the boundary ring (the Dirichlet
-data, evaluated each step), so comparison arguments against the analytic
-barriers carry over to the discrete runs.  The floor evaluates U once per
-distinct value of min_i q_i, in sorted slices, and gathers the grid.
+data, evaluated each step by the floor's formula), so comparison arguments
+against the analytic barriers carry over to the discrete runs.  The floor
+evaluates U once per distinct value of min_i q_i and gathers the grid.
 
 Each step is one pass over cache-sized blocks of leading-axis rows (about
-BLOCK_CELLS cells each).  With several workers the blocks run on a thread
-pool, and a floored step first hands the pool one task that evaluates the
-floor and the boundary ring data at the step's end time: neither depends on
-the new state, so it runs beside the sweep instead of after it.  Every
-cell's update is the same sequence of elementwise floating-point operations
-whichever block or thread computes it, and the only reductions (the
-blow-up check, once per snapshot) are a min and a max, which are exact, so
-results are bit-identical for any block layout and any worker count.
+BLOCK_CELLS cells each), swept as flat ranges with each axis's neighbours
+at -+ its stride, so each ufunc makes one contiguous pass (the ring data
+overwrite the ring cells in a range).  With several workers the blocks run
+on a thread pool, and a floored step first hands the pool one task that
+evaluates the floor and the boundary ring data at the step's end time:
+neither depends on the new state, so it runs beside the sweep instead of
+after it.  Every cell's update is the same sequence of elementwise
+floating-point operations whichever block or thread computes it, and the
+only reductions (the blow-up check, once per snapshot) are a min and a max,
+which are exact, so results are bit-identical for any block layout and any
+worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front_geometry import FrontConfiguration, _fold, subsolution_lower
+from .front_geometry import FrontConfiguration, _fold
 from .nonlinearity import CombustionNonlinearity
 from .wave_profile import WaveProfile
 
@@ -88,15 +91,10 @@ class Grid:
         return np.stack(mesh, axis=-1)
 
     def ring_indices(self):
-        """Flat indices of the boundary ring (all faces)."""
-        mask = np.zeros(self.counts, dtype=bool)
-        for k in range(self.dimension):
-            sl = [slice(None)] * self.dimension
-            sl[k] = 0
-            mask[tuple(sl)] = True
-            sl[k] = -1
-            mask[tuple(sl)] = True
-        return np.nonzero(mask.ravel())[0]
+        """Flat indices of the boundary ring (all faces), ascending."""
+        ring = np.ones(self.counts, dtype=bool)
+        ring[(slice(1, -1),) * self.dimension] = False
+        return np.nonzero(ring.ravel())[0]
 
 
 @dataclass
@@ -180,24 +178,25 @@ def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
 
 def make_boundary(cfg: FrontConfiguration, profile: WaveProfile):
     """Dirichlet data callable (t, points) -> max_i U(q_i(t, points)): the
-    subsolution on the boundary ring, through subsolution_lower."""
-    return lambda t, pts: subsolution_lower(cfg, profile, np.full(pts.shape[0], t), pts)
+    subsolution on the boundary ring, by the floor's formula, with its bits."""
+    return lambda t, pts: profile(
+        _fold(np.minimum, pts @ cfg.directions.T + cfg.shifts) - cfg.speed * t)
 
 
 def _row_blocks(counts: tuple):
-    """Interior leading-axis rows split into contiguous [lo, hi) blocks of
-    about BLOCK_CELLS cells; the layout depends on the grid alone."""
-    rows = max(1, BLOCK_CELLS // math.prod(counts[1:]))
-    edges = list(range(1, counts[0] - 1, rows)) + [counts[0] - 1]
-    return list(zip(edges[:-1], edges[1:]))
+    """Interior leading-axis rows in flat [lo, hi) ranges of about
+    BLOCK_CELLS cells; the layout depends on the grid alone."""
+    s0 = math.prod(counts[1:])
+    edges = list(range(s0, (counts[0] - 1) * s0, max(1, BLOCK_CELLS // s0) * s0))
+    return list(zip(edges, edges[1:] + [(counts[0] - 1) * s0]))
 
 
 class _Stepper:
     """Cache-blocked explicit stepper with a double-buffered state.
 
-    Each step is one pass over the row blocks; a block computes
-    Lap u + f(u) on its interior cells and writes the update straight into
-    the output buffer, out = u + dt * (Lap u + f(u)).  The optional floor
+    Each step is one pass over the row blocks (flat ranges); a block computes
+    Lap u + f(u) on its cells, ring cells too, and writes the update straight
+    into the output buffer, out = u + dt * (Lap u + f(u)).  The optional floor
     callable t -> grid-shaped values is applied as a pointwise max after
     each completed step.  With a pool (workers > 1) the blocks run on it;
     so does, for a floored step, the evaluation of the floor and the ring
@@ -218,6 +217,7 @@ class _Stepper:
         self.ring = grid.ring_indices()
         self.ring_points = grid.points().reshape(-1, grid.dimension)[self.ring]
         self.blocks = _row_blocks(grid.counts)
+        self.strides = tuple(math.prod(grid.counts[k + 1:]) for k in range(grid.dimension))
         self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
         self.buffers = (np.empty(grid.counts), np.empty(grid.counts))
 
@@ -227,34 +227,31 @@ class _Stepper:
             self.pool = None
 
     def _block(self, lo, hi, u, out):
-        """out = u + dt * (Lap u + f(u)) on interior rows lo:hi, one pass."""
-        dim = u.ndim
-        rest = (slice(1, -1),) * (dim - 1)
-        inner = (slice(lo, hi),) + rest
-        ui = u[inner]
-        rhs = u[(slice(lo - 1, hi - 1),) + rest] + u[(slice(lo + 1, hi + 1),) + rest]
-        for k in range(1, dim):
-            for side in (slice(None, -2), slice(2, None)):
-                rhs += u[inner[:k] + (side,) + inner[k + 1:]]
-        rhs -= 2.0 * dim * ui
+        """out = u + dt * (Lap u + f(u)) on lo:hi of the flattened state, one
+        pass, neighbours at -+ each stride; ring data overwrite ring cells."""
+        s0 = self.strides[0]
+        ui = u[lo:hi]
+        rhs = u[lo - s0:hi - s0] + u[lo + s0:hi + s0]
+        for s in self.strides[1:]:
+            rhs += u[lo - s:hi - s]
+            rhs += u[lo + s:hi + s]
+        rhs -= 2.0 * len(self.strides) * ui
         rhs *= self.inv_dx2
         rhs += self.nl(ui)
         rhs *= self.dt
-        np.add(ui, rhs, out=out[inner])
+        np.add(ui, rhs, out=out[lo:hi])
 
     def _sweep(self, u, out):
+        u, out = u.reshape(-1), out.reshape(-1)  # out is a stepper buffer, so a view
         if self.pool is None:
             for lo, hi in self.blocks:
                 self._block(lo, hi, u, out)
-        else:
-            for f in [self.pool.submit(self._block, lo, hi, u, out)
-                      for lo, hi in self.blocks]:
-                f.result()
+        else:  # map queues every block before it waits on the first
+            list(self.pool.map(lambda b: self._block(*b, u, out), self.blocks))
 
     def _ring_and_floor(self, t):
         """Ring data and floor values (None without a floor) at time t."""
-        ring = self.boundary(t, self.ring_points)
-        return ring, None if self.floor is None else self.floor(t)
+        return self.boundary(t, self.ring_points), None if self.floor is None else self.floor(t)
 
     def advance(self, values: np.ndarray, t_new: float) -> np.ndarray:
         """One step of length dt ending at time t_new; returns the new state.
@@ -464,8 +461,8 @@ def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
     u0 = np.where(x <= length / 4.0, 1.0, 0.0)
     dt = SolverConfig().resolve_dt(grid, nl, sample_dt)
     steps = round(sample_dt / dt)
-    boundary = lambda t, pts: np.where(pts[:, 0] < length / 2.0, 1.0, 0.0)
-    st = _Stepper(grid, nl, dt, boundary)  # one row block: a pool cannot pay
+    ends = np.array([1.0, 0.0])  # the ring data: burned left end, unburned right end
+    st = _Stepper(grid, nl, dt, lambda t, pts: ends)  # one row block: a pool cannot pay
     times = []
     positions = []
     stop_at = 0.75 * length

@@ -32,17 +32,18 @@ different c.
 
 For evaluation the profile is stored as three pieces: the right tail
 (closed form), log(1 - U(D)) on the computed span [d_joint, 0], and the
-exponential left tail beyond it.  On the span it is a table of N_PIECES
-uniform pieces, each a degree-PIECE_DEGREE Chebyshev interpolant (the
-interval splitting of Trefethen, *Approximation Theory and Approximation
-Practice*) whose node values are interpolated locally from the shot's
-samples, so no global series is formed.  A point finds its piece in O(1)
-and costs a PIECE_DEGREE-step Clenshaw sum; a second table, differentiated
-piece by piece, gives U'.  Input is split between the two tails and the
-table by masks, or by one searchsorted where it is ascending.  The pieces follow the shot as closely as its
-samples do and agree at their joints to round-off.  This table is the
-profile's only representation: ode_residual_sup checks the ODE on its own
-derivatives, and inverse solves on it between two closed-form tails.
+exponential left tail beyond it.  On the span it is a table of N_PIECES =
+512 uniform pieces, each a degree-PIECE_DEGREE = 5 Chebyshev interpolant
+(the interval splitting of Trefethen, *Approximation Theory and
+Approximation Practice*) whose node values are interpolated from the
+NODE_SAMPLES = 13 shot samples nearest to each node, so no global series is
+formed.  A point finds its piece in O(1) and costs a PIECE_DEGREE-step
+Clenshaw sum; a second table, differentiated piece by piece, gives U'.
+Input is split between the two tails and the table by masks, or by one
+searchsorted where it is ascending.  The pieces follow the shot as closely
+as its samples do and agree at their joints to round-off.  This table is
+the profile's only representation: ode_residual_sup checks the ODE on its
+own derivatives, and inverse solves on it between two closed-form tails.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ __all__ = [
 DELTA_LIN = 1e-6  # seeding offset 1 - U at the burned end of the shot
 C_LO, C_HI, MAX_WIDEN = 1e-4, 2.0, 12  # find_wave_speed's first bracket, widenings
 S_TOL = 1e-12  # |S| at which find_wave_speed's bisection stops
-N_PIECES = 128  # uniform pieces of the evaluation table on [d_joint, 0]
-PIECE_DEGREE = 12  # Chebyshev degree of each piece
+N_PIECES = 512  # uniform pieces of the evaluation table on [d_joint, 0]
+PIECE_DEGREE = 5  # Chebyshev degree of each piece: higher rows would hold the shot's noise
+NODE_SAMPLES = 13  # shot samples nearest to a node that fix its value
 TABLE_CHUNK = 8192  # points per pass of _table_sum, so its temporaries stay in L2
 RESIDUAL_POINTS = 16384  # uniform points of [d_joint, 0] at which ode_residual_sup checks the ODE
 # find_wave_speed replays its bisection against the root of the
@@ -291,8 +293,8 @@ class WaveProfile:
     d_joint: float  # left end of the computed span; 1 - U decays at beta0 beyond it
     # Chebyshev coefficients of log(1 - U) on the pieces of [d_joint, 0]:
     # row m holds degree m of every piece, so a Clenshaw step gathers one row
-    _table: np.ndarray  # (PIECE_DEGREE + 1, N_PIECES)
-    _slope_table: np.ndarray  # (PIECE_DEGREE, N_PIECES): d/dD of _table
+    _table: np.ndarray  # (PIECE_DEGREE + 1, N_PIECES) = (6, 512)
+    _slope_table: np.ndarray  # (PIECE_DEGREE, N_PIECES) = (5, 512): d/dD of _table
     _centres: np.ndarray  # (N_PIECES,): midpoints of the pieces
     _piece_width: float
     _log_one_minus_at_joint: float
@@ -412,24 +414,24 @@ def _piece_tables(d_samples, g_samples):
     Each piece is the degree-PIECE_DEGREE interpolant at the Chebyshev
     points of the first kind, whose coefficients follow from the discrete
     orthogonality of T_0..T_M on those points.  The value at each point is
-    that of the polynomial through the PIECE_DEGREE + 1 samples nearest to
-    it (Neville's scheme on abscissae measured from the point), so the
-    nodes follow the shot as closely as its samples do.  Returns the value
-    table, the table of D-derivatives (both one row per degree), the piece
-    centres and the piece width.
+    that of the polynomial through the NODE_SAMPLES samples nearest to it
+    (Neville's scheme on abscissae measured from the point), so the nodes
+    follow the shot as closely as its samples do (PIECE_DEGREE + 1 would
+    not).  Returns the value table, the table of D-derivatives (both one
+    row per degree), the piece centres and the piece width.
     """
     lo, hi = float(d_samples[0]), float(d_samples[-1])
     width = (hi - lo) / N_PIECES
     centres = lo + width * (np.arange(N_PIECES) + 0.5)
-    n = PIECE_DEGREE + 1
+    n, w = PIECE_DEGREE + 1, NODE_SAMPLES
     nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     at = (centres[:, None] + 0.5 * width * nodes).ravel()
-    first = np.clip(np.searchsorted(d_samples, at) - n // 2, 0, d_samples.size - n)
-    window = first[:, None] + np.arange(n)
+    first = np.clip(np.searchsorted(d_samples, at) - w // 2, 0, d_samples.size - w)
+    window = first[:, None] + np.arange(w)
     x = d_samples[window] - at[:, None]
     g = g_samples[window]
-    for m in range(1, n):  # Neville: column i -> interpolant of samples i..i+m, at the node
-        g = (x[:, :n - m] * g[:, 1:] - x[:, m:] * g[:, :-1]) / (x[:, :n - m] - x[:, m:])
+    for m in range(1, w):  # Neville: column i -> interpolant of samples i..i+m, at the node
+        g = (x[:, :w - m] * g[:, 1:] - x[:, m:] * g[:, :-1]) / (x[:, :w - m] - x[:, m:])
     coef = (2.0 / n) * g.reshape(N_PIECES, n) @ chebyshev.chebvander(nodes, PIECE_DEGREE)
     coef[:, 0] *= 0.5
     slope = chebyshev.chebder(coef, axis=1) * (2.0 / width)

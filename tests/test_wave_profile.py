@@ -7,6 +7,7 @@ and the inputs it must reject, the inverse towards both ends, and the
 amplitude scaling law."""
 
 import dataclasses
+import functools
 import logging
 import os
 import subprocess
@@ -255,22 +256,33 @@ def test_beta0_reference_and_quadratic_identity(nl03, profile03):
 
 def test_ode_residual(nl03, profile03):
     # U'' + c U' + f(U) = 0 from the table's own derivatives, relative to
-    # sup |f(U)|: 1.7e-8 here
+    # sup |f(U)|: 7.8e-9 here
     assert ode_residual_sup(profile03, nl03) < 1e-6
 
 
-# the other profiles the residual is checked on, as (theta, amplitude): the
-# rest of TABLE_CASES below, plus a steep and a low-threshold family
-RESIDUAL_CASES = [(0.2, 1.0), (0.5, 1.0), (0.3, 4.0), (0.3, 16.0), (0.05, 1.0)]
+# the ten profiles whose residuals and joint jumps CHANGES.md reports, as
+# (theta, amplitude, exponent): the speed-checked ones, a steep and two
+# low-threshold families, a low amplitude and two other exponents
+PROFILE_CASES = [(0.2, 1.0, 2.0), (0.3, 1.0, 2.0), (0.5, 1.0, 2.0), (0.3, 4.0, 2.0),
+                 (0.3, 16.0, 2.0), (0.05, 1.0, 2.0), (0.1, 1.0, 2.0), (0.3, 1.0, 3.0),
+                 (0.3, 1.0, 2.5), (0.1, 0.5, 2.0)]
+ACROSS_PROFILES = pytest.mark.parametrize(
+    "theta, amplitude, exponent", PROFILE_CASES,
+    ids=[f"theta{t}-amplitude{a}" + (f"-exponent{p}" if p != 2.0 else "")
+         for t, a, p in PROFILE_CASES])
 
 
-@pytest.mark.parametrize("theta, amplitude", RESIDUAL_CASES,
-                         ids=[f"theta{t}-amplitude{a}" for t, a in RESIDUAL_CASES])
-def test_ode_residual_across_families(theta, amplitude):
-    # one relative bound for every family: these read 1.7e-8 to 7.7e-8,
-    # while an absolute 1e-8 would fail amplitude 16 (1.4e-8 absolute)
-    nl = make_combustion(theta=theta, amplitude=amplitude, exponent=2.0, sigma=0.1)
-    assert ode_residual_sup(build_profile(nl), nl) < 1e-6
+@functools.cache
+def _built(theta, amplitude, exponent):
+    nl = make_combustion(theta=theta, amplitude=amplitude, exponent=exponent, sigma=0.1)
+    return nl, build_profile(nl)
+
+
+@ACROSS_PROFILES
+def test_ode_residual_across_families(theta, amplitude, exponent):
+    # one relative bound for every family: these read 6.7e-9 to 6.3e-8
+    nl, profile = _built(theta, amplitude, exponent)
+    assert ode_residual_sup(profile, nl) < 1e-6
 
 
 def test_ode_residual_sees_a_mismatched_amplitude(profile03):
@@ -424,18 +436,12 @@ def test_piecewise_table_follows_a_tighter_shot(nl03, profile03):
     assert np.max(np.abs(profile03.derivative(d_ref) + p_ref)) <= 3e-12
 
 
-# the profiles whose speeds the suite already checks, as (theta, amplitude)
-TABLE_CASES = {(0.2, 1.0): EXACT_SPEEDS[0.2], (0.3, 1.0): EXACT_SPEEDS[0.3],
-               (0.5, 1.0): EXACT_SPEEDS[0.5], (0.3, 4.0): EXACT_SPEED_A4}
-
-
-@pytest.mark.parametrize("theta, amplitude", sorted(TABLE_CASES),
-                         ids=[f"theta{t}-amplitude{a}" for t, a in sorted(TABLE_CASES)])
-def test_piecewise_table_is_continuous_at_breakpoints(theta, amplitude):
+@ACROSS_PROFILES
+def test_piecewise_table_is_continuous_at_breakpoints(theta, amplitude, exponent):
     # the piece joints, plus the joint to the exponential left tail; each
-    # piece interpolates its own samples, so U' jumps by their noise
-    nl = make_combustion(theta=theta, amplitude=amplitude, exponent=2.0, sigma=0.1)
-    profile = build_profile(nl, c=TABLE_CASES[theta, amplitude])
+    # piece interpolates its own samples, so U' jumps by their noise: at
+    # most 8.4e-13 over these profiles
+    profile = _built(theta, amplitude, exponent)[1]
     b = np.append(_breakpoints(profile), profile.d_joint)
     below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
     assert np.max(np.abs(profile(above) - profile(below))) <= 1e-14
