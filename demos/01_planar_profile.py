@@ -28,7 +28,8 @@ def main():
 
     d = np.linspace(-12.0, 12.0, 9)
     print("\n   D        U(D)        U'(D)")
-    for di, ui, dui in zip(d, profile(d), profile.derivative(d)):
+    u, du, _ = profile.jet(d)
+    for di, ui, dui in zip(d, u, du):
         print(f"{di:6.1f}  {ui:10.7f}  {dui:10.7f}")
 
     # Unburned tail: with the anchor U(0) = theta the ODE is linear there,

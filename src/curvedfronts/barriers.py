@@ -13,14 +13,15 @@ by pi(t) = t - rho delta e^(-lambda t) + rho delta.
 
 Whether a concrete parameter set actually yields a supersolution is decided
 numerically: residuals of L v = v_t - Lap v - f(v), in closed form by the
-chain rule (derivatives of phi up to grad Lap phi, U' from the slope table,
-U'' = -c U' - f(U), and the switch's w, w', w''), are sampled densely and
-certified against a fixed tolerance.  Where the unclamped value is at least
-1, v = 1 solves the PDE, so exactly the clamped samples are excluded.  The
-4th-order finite differences of parabolic_residual cross-check the formula
-on the least residuals.  Residuals run in chunks of RESIDUAL_CHUNK samples;
-solve_phi's bits depend on its call's Newton count, so off the V of the
-standard schedule a chunk can move residuals by round-off.
+chain rule (derivatives of phi up to grad Lap phi; U, U' and log U from one
+profile jet at xi and one at eta, U'' = -c U' - f(U); and the switch's w,
+w', w''), are sampled densely and certified against a fixed tolerance.
+Where the unclamped value is at least 1, v = 1 solves the PDE, so exactly
+the clamped samples are excluded.  The 4th-order finite differences of
+parabolic_residual cross-check the formula on the least residuals.
+Residuals run in chunks of RESIDUAL_CHUNK samples; solve_phi's bits depend
+on its call's Newton count, so off the V of the standard schedule a chunk
+can move residuals by round-off.
 The alpha ladder of auto_parameters certifies V_up first and rejects a rung
 that fails there before fitting or checking anything else.
 """
@@ -181,7 +182,7 @@ class BarrierSet:
     def tail_weight(self, eta):
         """U^beta(eta) w(eta) + (1 - w(eta)) in [0, 1]."""
         w, _, _ = mollifier_omega(eta)
-        return self.profile.u_pow(eta, self.params.beta) * w + (1.0 - w)
+        return np.exp(self.params.beta * self.profile.jet(eta)[2]) * w + (1.0 - w)
 
     def lower(self, t, z):
         """Subsolution: max of the planar fronts, U(min_i q_i)."""
@@ -245,10 +246,9 @@ class BarrierSet:
         lap_h = 2.0 * a * a * _dot(w2, self.surface._sin * tr[..., None] - 2.0 * gg)
         # T = U^beta om + 1 - om, with r = U'/U and U''/U = -c r - f(U)/U
         prof, nl, c = self.profile, self.nl, self.profile.speed
-        u, u1 = prof(xi), prof.derivative(xi)
+        (u, u1, _), (ue, ue1, log_ue) = prof.jet(xi), prof.jet(eta)
         om, om1, om2 = mollifier_omega(eta)
-        ue, ub = prof(eta), prof.u_pow(eta, beta)
-        r = prof.derivative(eta) / ue
+        ub, r = np.exp(beta * log_ue), ue1 / ue
         ub1 = beta * ub * r
         ub2 = beta * ub * ((beta - 1.0) * r * r - c * r - nl(ue) / ue)
         tail = ub * om + (1.0 - om)
@@ -404,7 +404,7 @@ def case_thresholds(profile: WaveProfile, nl: CombustionNonlinearity,
     x_prime = max(1.25, 0.25 * np.ceil(x_prime / 0.25))
     x_double_prime = max(1.25, 0.25 * np.ceil(x_double_prime / 0.25))
     grid = np.linspace(-x_double_prime, x_prime, 4001)
-    kappa = float(np.min(np.abs(profile.derivative(grid))))
+    kappa = float(np.min(np.abs(profile.jet(grid)[1])))
     return float(x_prime), float(x_double_prime), kappa
 
 

@@ -38,12 +38,14 @@ exponential left tail beyond it.  On the span it is a table of N_PIECES =
 Approximation Practice*) whose node values are interpolated from the
 NODE_SAMPLES = 13 shot samples nearest to each node, so no global series is
 formed.  A point finds its piece in O(1) and costs a PIECE_DEGREE-step
-Clenshaw sum; a second table, differentiated piece by piece, gives U'.
-Input is split between the two tails and the table by masks, or by one
-searchsorted where it is ascending.  The pieces follow the shot as closely
-as its samples do and agree at their joints to round-off.  This table is
-the profile's only representation: ode_residual_sup checks the ODE on its
-own derivatives, and inverse solves on it between two closed-form tails.
+Clenshaw sum per table; a second table, differentiated piece by piece,
+gives U'.  One split, by masks or by one searchsorted on ascending input,
+puts each point on a tail or the table; then __call__ gives U, and jet
+(U, U', log U) from one pass over both tables.  The pieces follow the shot
+as closely as its samples do and agree at their joints to round-off.  This
+table is the profile's only representation: ode_residual_sup checks the
+ODE on its own derivatives, and inverse solves on it, for one level or an
+array, between two closed-form tails.
 """
 
 from __future__ import annotations
@@ -285,7 +287,8 @@ def find_wave_speed(nl: CombustionNonlinearity) -> float:
 class WaveProfile:
     """Planar front U(D), valid for every real D: the piecewise Chebyshev
     table of log(1 - U) on the computed span [d_joint, 0], between the exact
-    exponential tails."""
+    exponential tails.  Its evaluators share one split of the input: U(D)
+    by calling it, (U, U', log U) by jet, and D from U by inverse."""
 
     speed: float
     beta0: float
@@ -301,10 +304,13 @@ class WaveProfile:
 
     # -- core piecewise representation -------------------------------------
 
-    def _table_sum(self, rows, d):
-        """Piecewise Chebyshev sum of `rows` at D in [d_joint, 0], a 1-D
-        array, TABLE_CHUNK points at a time."""
-        out = np.empty_like(d)
+    def _table_sum(self, rows, d, *more):
+        """Piecewise Chebyshev sums of `rows`, and of each table in `more`,
+        at D in [d_joint, 0], a 1-D array, TABLE_CHUNK points at a time: one
+        piece index and one local variable per point serve every table.
+        Returns one array per table."""
+        tables = (rows,) + more
+        outs = tuple(np.empty_like(d) for _ in tables)
         for lo in range(0, d.size, TABLE_CHUNK):
             dc = d[lo:lo + TABLE_CHUNK]
             idx = np.minimum(((dc - self.d_joint) / self._piece_width).astype(np.intp),
@@ -313,99 +319,93 @@ class WaveProfile:
             # its centre: d lies close to it, so the difference is exact
             # (Sterbenz) outside the piece next to D = 0
             x2 = (dc - self._centres.take(idx)) * (4.0 / self._piece_width)
-            b1, b2 = rows[-1].take(idx), 0.0
-            for row in rows[-2:0:-1]:  # Clenshaw: b_m = c_m + 2 s b_{m+1} - b_{m+2}
-                b1, b2 = row.take(idx) + x2 * b1 - b2, b1
-            out[lo:lo + TABLE_CHUNK] = rows[0].take(idx) + 0.5 * x2 * b1 - b2
-        return out
+            for table, out in zip(tables, outs):
+                b1, b2 = table[-1].take(idx), 0.0
+                for row in table[-2:0:-1]:  # Clenshaw: b_m = c_m + 2 s b_{m+1} - b_{m+2}
+                    b1, b2 = row.take(idx) + x2 * b1 - b2, b1
+                out[lo:lo + TABLE_CHUNK] = table[0].take(idx) + 0.5 * x2 * b1 - b2
+        return outs
 
     def _burned_log(self, d):
         """log(1 - U(D)) on the burned tail D < d_joint: linear at rate beta0."""
         g = d - self.d_joint  # then in place, with the bits of g_joint + beta0 * g
         return np.add(np.multiply(g, self.beta0, out=g), self._log_one_minus_at_joint, out=g)
 
-    def _log_one_minus(self, d, slope: bool = False):
-        """log(1 - U(D)) for D <= 0, or with slope=True its D-derivative."""
-        out = np.empty_like(d)
-        mid = d >= self.d_joint
-        out[mid] = self._table_sum(self._slope_table if slope else self._table, d[mid])
-        out[~mid] = self.beta0 if slope else self._burned_log(d[~mid])
-        return out
-
-    def _by_tail(self, d, right, left, ascending: bool = False):
-        """right(D) on D >= 0 and left(D, log(1 - U(D))) on D < 0, for a
-        scalar or an array of D.  The burned tail, the table span and the
-        right tail are found by masks or, for an ascending 1-D array, as
-        three contiguous slices."""
+    def _split(self, d, ascending: bool = False):
+        """(d, scalar, burned, span, pos) for a scalar or an array of D: d as
+        an array of at least one dimension, and where it lies on the burned
+        tail, the table span and the right tail D >= 0, as masks or, for an
+        ascending 1-D array, as three contiguous slices."""
         d = np.asarray(d, dtype=float)
         scalar = d.ndim == 0
         d = np.atleast_1d(d)
         if ascending:
             # side="left", as the masks: d_joint is in the span, -0.0 in the right tail
             j, k = np.searchsorted(d, (self.d_joint, 0.0))
-            burned, span, pos = slice(0, j), slice(j, k), slice(k, None)
-        else:
-            pos = d >= 0.0
-            span = (d >= self.d_joint) & ~pos
-            burned = ~(pos | span)
-        out = np.empty_like(d)
-        out[pos] = right(d[pos])
-        ds, db = d[span], d[burned]
-        out[span] = left(ds, self._table_sum(self._table, ds))
-        out[burned] = left(db, self._burned_log(db))
-        return float(out[0]) if scalar else out
-
-    def one_minus(self, d):
-        """1 - U(D), computed without cancellation on the burned side."""
-        return self._by_tail(d, lambda dp: -np.expm1(np.log(self.anchor) - self.speed * dp),
-                             lambda dn, g: np.exp(g))
+            return d, scalar, slice(0, j), slice(j, k), slice(k, None)
+        pos = d >= 0.0
+        span = (d >= self.d_joint) & ~pos
+        return d, scalar, ~(pos | span), span, pos
 
     def __call__(self, d, ascending: bool = False):
         """U(D) for any real D; ascending=True takes an ascending 1-D array
         and gives the same bits without masks."""
-        def right(dp):  # anchor * exp(-c D) in place, as 1 - exp(g) on the caller's g
-            u = -self.speed * dp
-            return np.multiply(np.exp(u, out=u), self.anchor, out=u)
-        return self._by_tail(d, right, lambda dn, g: np.subtract(1.0, np.exp(g, out=g), out=g),
-                             ascending)
+        d, scalar, burned, span, pos = self._split(d, ascending)
+        out = np.empty_like(d)
+        u = -self.speed * d[pos]  # anchor * exp(-c D), in place
+        out[pos] = np.multiply(np.exp(u, out=u), self.anchor, out=u)
+        for sel, g in ((span, self._table_sum(self._table, d[span])[0]),
+                       (burned, self._burned_log(d[burned]))):
+            out[sel] = np.subtract(1.0, np.exp(g, out=g), out=g)  # 1 - exp(g), in place
+        return float(out[0]) if scalar else out
 
-    def log_u(self, d):
-        """log U(D), stable in both tails."""
-        return self._by_tail(d, lambda dp: np.log(self.anchor) - self.speed * dp,
-                             lambda dn, g: np.log1p(-np.exp(g)))
+    def jet(self, d):
+        """(U, U', log U) at D, from one split and one pass over the value
+        and slope tables; U' < 0, and log U is stable in both tails.  A
+        scalar D gives a tuple of floats."""
+        d, scalar, burned, span, pos = self._split(d)
+        u, u1, log_u = out = np.empty((3,) + d.shape)
+        c, dp = self.speed, d[pos]
+        e = np.exp(-c * dp)
+        u[pos], u1[pos] = e * self.anchor, (-c * self.anchor) * e
+        log_u[pos] = np.log(self.anchor) - c * dp
+        # on D < 0, g = log(1 - U) and U' = -g' e^g
+        for sel, (g, g1) in ((span, self._table_sum(self._table, d[span], self._slope_table)),
+                             (burned, (self._burned_log(d[burned]), self.beta0))):
+            e = np.exp(g)
+            u[sel], u1[sel], log_u[sel] = 1.0 - e, -g1 * e, np.log1p(-e)
+        return tuple(float(x[0]) for x in out) if scalar else (u, u1, log_u)
 
-    def u_pow(self, d, beta: float):
-        """U(D)**beta evaluated in the log domain."""
-        out = np.exp(beta * self.log_u(d))
-        return float(out) if np.ndim(d) == 0 else out
-
-    def derivative(self, d):
-        """U'(D) < 0."""
-        return self._by_tail(
-            d, lambda dp: -self.speed * self.anchor * np.exp(-self.speed * dp),
-            lambda dn, g: -self._log_one_minus(dn, slope=True) * np.exp(g))
-
-    def inverse(self, u: float) -> float:
-        """D with U(D) = u, for u in (0, 1): closed form on both tails and
-        bisection on log(1 - U) over [d_joint, 0], so 1 - U keeps its
-        relative accuracy as u -> 1."""
-        if not 0.0 < u < 1.0:
+    def inverse(self, u):
+        """D with U(D) = u, for a level or an array of levels in (0, 1):
+        closed form on both tails and bisection on log(1 - U) over
+        [d_joint, 0], so 1 - U keeps its relative accuracy as u -> 1.  Each
+        level of an array stops its bisection where a lone level would, so
+        it gets the scalar bits."""
+        u = np.asarray(u, dtype=float)
+        if not np.all((u > 0.0) & (u < 1.0)):
             raise ValueError(f"level must lie in (0, 1), got {u}")
-        if u <= self.anchor:
-            return float(np.log(self.anchor / u) / self.speed)
-        g = float(np.log1p(-u))
-        if g <= self._log_one_minus_at_joint:
-            return self.d_joint + (g - self._log_one_minus_at_joint) / self.beta0
-        lo, hi = self.d_joint, 0.0
+        flat = u.ravel()
+        out = np.empty_like(flat)
+        right = flat <= self.anchor
+        out[right] = np.log(self.anchor / flat[right]) / self.speed
+        g = np.log1p(-flat)
+        burned = ~right & (g <= self._log_one_minus_at_joint)
+        out[burned] = self.d_joint + (g[burned] - self._log_one_minus_at_joint) / self.beta0
+        live = np.flatnonzero(~(right | burned))
+        g = g[live]
+        lo, hi = np.full(live.size, self.d_joint), np.zeros(live.size)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self._table_sum(self._table, np.array([mid]))[0] < g:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, abs(hi)):
+            if not live.size:
                 break
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+            below = self._table_sum(self._table, mid)[0] < g
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            done = hi - lo < 1e-14 * np.maximum(1.0, np.abs(hi))
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            live, g, lo, hi = live[~done], g[~done], lo[~done], hi[~done]
+        out[live] = 0.5 * (lo + hi)
+        return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
 def _piece_tables(d_samples, g_samples):
@@ -489,14 +489,13 @@ def ode_residual_sup(profile: WaveProfile, nl: CombustionNonlinearity) -> float:
     term scales with the amplitude, so one relative bound fits every family.
     """
     d_joint = profile.d_joint
-    d = np.concatenate((np.linspace(d_joint - 16.0 / profile.beta0, d_joint, 256, endpoint=False),
-                        np.linspace(d_joint, 0.0, RESIDUAL_POINTS)))
-    g = profile._log_one_minus(d)
-    g1 = profile._log_one_minus(d, slope=True)
-    g2 = np.zeros_like(d)
+    tail = np.linspace(d_joint - 16.0 / profile.beta0, d_joint, 256, endpoint=False)
     curvature = chebyshev.chebder(profile._slope_table, axis=0) * (2.0 / profile._piece_width)
-    mid = d >= d_joint
-    g2[mid] = profile._table_sum(curvature, d[mid])
+    g, g1, g2 = profile._table_sum(profile._table, np.linspace(d_joint, 0.0, RESIDUAL_POINTS),
+                                   profile._slope_table, curvature)
+    g = np.concatenate((profile._burned_log(tail), g))
+    g1 = np.concatenate((np.full(tail.size, profile.beta0), g1))
+    g2 = np.concatenate((np.zeros(tail.size), g2))
     f_u = nl(-np.expm1(g))
     res = f_u - (g2 + g1 * g1 + profile.speed * g1) * np.exp(g)
     return float(np.max(np.abs(res)) / np.max(np.abs(f_u)))

@@ -21,6 +21,7 @@ from curvedfronts import (
     parabolic_residual,
     q_values,
     symmetric_v,
+    WaveProfile,
     validate_parameters,
 )
 from curvedfronts import barriers
@@ -386,6 +387,29 @@ def test_residual_memory_is_bounded(barriers03):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_residual_chunk_sums_the_profile_table_four_times(barriers03, monkeypatch):
+    # a chunk takes U, U' and log U from one jet at xi and one at eta, each
+    # one pass over the value and slope tables: four point-sums per sample
+    # whose xi and eta lie on the table span (one evaluator per quantity
+    # took seven)
+    n, a = barriers.RESIDUAL_CHUNK, barriers03.params.alpha
+    r = np.random.default_rng(3)
+    t = r.uniform(*barriers.SAMPLE_T_RANGE, size=n)
+    x = r.uniform(-barriers.SAMPLE_X_HALF_WIDTH, barriers.SAMPLE_X_HALF_WIDTH, size=(n, 1))
+    y = barriers03.surface.solve_phi(a * t, a * x) / a
+    y += r.uniform(0.5 * barriers03.profile.d_joint, -0.5, size=n)
+    sums = []
+    real = WaveProfile._table_sum
+
+    def counting(self, rows, d, *more):
+        sums.append(d.size * (1 + len(more)))
+        return real(self, rows, d, *more)
+
+    monkeypatch.setattr(WaveProfile, "_table_sum", counting)
+    barriers03._jet(t, np.concatenate([x, y[:, None]], axis=1))
+    assert 0 < sum(sums) <= 4 * n
 
 
 #

@@ -303,7 +303,7 @@ def test_derivative_matches_finite_differences(profile03):
     D = np.linspace(-25.0, 25.0, 600)
     h = 1e-5
     fd = (profile03(D + h) - profile03(D - h)) / (2 * h)
-    assert np.max(np.abs(profile03.derivative(D) - fd)) < 1e-8
+    assert np.max(np.abs(profile03.jet(D)[1] - fd)) < 1e-8
 
 
 def test_second_derivative_matches_finite_differences(nl03, profile03):
@@ -313,13 +313,14 @@ def test_second_derivative_matches_finite_differences(nl03, profile03):
     h = 1e-4
     fd = (profile03(D + h) - 2 * profile03(D) + profile03(D - h)) / h**2
     # U'' = -c U' - f(U), from the ODE
-    upp = -profile03.speed * profile03.derivative(D) - nl03(profile03(D))
+    u, u1, _ = profile03.jet(D)
+    upp = -profile03.speed * u1 - nl03(u)
     assert np.max(np.abs(upp - fd)) < 1e-6
 
 
 def test_derivative_strictly_negative(profile03):
     D = np.linspace(-61.0, 61.0, 3000)
-    assert np.all(profile03.derivative(D) < 0.0)
+    assert np.all(profile03.jet(D)[1] < 0.0)
 
 
 def test_inverse_roundtrip(profile03):
@@ -332,14 +333,19 @@ def test_inverse_roundtrip(profile03):
         profile03.inverse(0.0)
 
 
+def _one_minus(profile, d):
+    """1 - U(D) from jet's log U, without cancellation as U -> 1."""
+    return -np.expm1(profile.jet(d)[2])
+
+
 @pytest.mark.parametrize("u", [1.0 - 1e-12, 1.0 - 1e-7, 1e-3, 1e-200])
 def test_inverse_is_accurate_towards_both_ends(profile03, u):
     # the smaller of U and 1 - U comes back to round-off: D is linear in
     # log(1 - u) left of d_joint and in log u right of 0.  A bisection on U
-    # itself lost 5.6e-5 of 1 - U at 1 - 1e-12
+    # itself lost 5.6e-5 of 1 - U at 1 - 1e-12.  1 - U is read off log U
     d = profile03.inverse(u)
     if u > 0.5:
-        assert abs(profile03.one_minus(d) / (1.0 - u) - 1.0) <= 1e-13
+        assert abs(_one_minus(profile03, d) / (1.0 - u) - 1.0) <= 1e-13
     else:
         assert abs(profile03(d) / u - 1.0) <= 1e-13
 
@@ -352,7 +358,7 @@ def test_inverse_roundtrip_towards_both_ends(profile03, low, high):
     u = 10.0 ** low
     assert abs(profile03(profile03.inverse(u)) / u - 1.0) <= 1e-12
     u = 1.0 - 10.0 ** high
-    assert abs(profile03.one_minus(profile03.inverse(u)) / (1.0 - u) - 1.0) <= 1e-12
+    assert abs(_one_minus(profile03, profile03.inverse(u)) / (1.0 - u) - 1.0) <= 1e-12
 
 
 def _tail_constants(profile):
@@ -363,14 +369,15 @@ def _tail_constants(profile):
     grid = 0.005 * np.arange(-half_n, half_n + 1)
     pos, neg = grid[grid > 0.0], grid[grid < 0.0]
     r_right = profile(pos) * np.exp(c * pos)
-    r_left = profile.one_minus(neg) * np.exp(-beta0 * neg)
+    r_left = _one_minus(profile, neg) * np.exp(-beta0 * neg)
     return r_right.min(), r_right.max(), r_left.max(), r_left.min()
 
 
 def test_one_minus_accuracy_in_burned_tail(profile03):
-    # 1 - U underflows in naive evaluation; one_minus keeps relative accuracy
+    # 1 - U underflows in naive evaluation; read off log U it keeps its
+    # relative accuracy
     D = np.linspace(-60.0, -30.0, 100)
-    om = profile03.one_minus(D)
+    om = _one_minus(profile03, D)
     assert np.all(om > 0.0)
     L1, L2, L3, L4 = _tail_constants(profile03)
     env = np.exp(profile03.beta0 * D)
@@ -391,9 +398,10 @@ def test_tail_rate_envelopes(profile03):
 
 def test_u_pow_and_log_u_consistency(profile03):
     D = np.linspace(-30.0, 50.0, 300)
-    assert np.max(np.abs(profile03.log_u(D) - np.log(profile03(D)))) < 1e-10
-    p = 2.0
-    assert np.max(np.abs(profile03.u_pow(D, p) - profile03(D) ** p)) < 1e-12
+    log_u = profile03.jet(D)[2]
+    assert np.max(np.abs(log_u - np.log(profile03(D)))) < 1e-10
+    p = 2.0  # U^p as the barriers take it, in the log domain
+    assert np.max(np.abs(np.exp(p * log_u) - profile03(D) ** p)) < 1e-12
 
 
 def test_amplitude_scaling_doubles_speed(nl03, profile03):
@@ -432,8 +440,9 @@ def test_piecewise_table_follows_a_tighter_shot(nl03, profile03):
     samples_off = np.max(np.abs(p_ref * ((d_raw - d_raw[-1]) - d_ref)))
     assert samples_off < 1e-13
     assert np.max(np.abs(profile03(d_ref) - u_ref)) <= samples_off + 1e-14
-    assert np.max(np.abs(profile03.one_minus(d_ref) - (1.0 - u_ref))) <= samples_off + 1e-14
-    assert np.max(np.abs(profile03.derivative(d_ref) + p_ref)) <= 3e-12
+    _, u1, log_u = profile03.jet(d_ref)
+    assert np.max(np.abs(-np.expm1(log_u) - (1.0 - u_ref))) <= samples_off + 1e-14
+    assert np.max(np.abs(u1 + p_ref)) <= 3e-12
 
 
 @ACROSS_PROFILES
@@ -446,7 +455,7 @@ def test_piecewise_table_is_continuous_at_breakpoints(theta, amplitude, exponent
     below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
     assert np.max(np.abs(profile(above) - profile(below))) <= 1e-14
     assert np.max(np.abs(profile(b) - profile(below))) <= 1e-14
-    jump_slope = profile.derivative(above) - profile.derivative(below)
+    jump_slope = profile.jet(above)[1] - profile.jet(below)[1]
     assert np.max(np.abs(jump_slope)) <= 1e-12
 
 
@@ -471,19 +480,50 @@ def test_table_does_not_depend_on_blas_threads(tmp_path):
         assert np.array_equal(saved[0][name], saved[1][name]), name
 
 
-@pytest.mark.parametrize("method", ["__call__", "one_minus", "log_u", "derivative"])
+@pytest.mark.parametrize("method", ["__call__", "jet"])
 def test_evaluator_shapes(profile03, method):
-    f = getattr(profile03, method)
-    assert isinstance(f(-3.0), float)
-    assert isinstance(f(np.float64(2.0)), float)
+    # __call__ gives U and jet (U, U', log U): floats for a scalar D, arrays
+    # of D's shape for an array, each entry the scalar's value
+    def f(d):
+        out = getattr(profile03, method)(d)
+        return out if method == "jet" else (out,)
+    n = len(f(0.0))
+    for x in (-3.0, np.float64(2.0)):
+        assert all(isinstance(v, float) for v in f(x))
     for shape in [(0,), (1,), (5,), (3, 4)]:
         D = np.linspace(-40.0, 10.0, int(np.prod(shape))).reshape(shape)
-        out = f(D)
-        assert isinstance(out, np.ndarray) and out.shape == shape
-        np.testing.assert_allclose(out.reshape(-1), [f(float(x)) for x in D.reshape(-1)],
-                                   rtol=1e-13, atol=0.0)
-    assert isinstance(profile03.u_pow(-3.0, 0.5), float)
-    assert profile03.u_pow(np.zeros((2, 3)), 0.5).shape == (2, 3)
+        scalars = np.array([f(float(x)) for x in D.reshape(-1)]).reshape(shape + (n,))
+        outs = f(D)
+        assert len(outs) == n
+        for k, out in enumerate(outs):
+            assert isinstance(out, np.ndarray) and out.shape == shape
+            np.testing.assert_allclose(out, scalars[..., k], rtol=1e-13, atol=0.0)
+
+
+@ACROSS_PROFILES
+def test_jet_value_is_the_profile(theta, amplitude, exponent):
+    # jet's U is __call__'s, bit for bit, at the joints, both zeros and the
+    # tails; a scalar D gives the entries of the array
+    profile = _built(theta, amplitude, exponent)[1]
+    edges = (profile.d_joint, 0.0, -0.0, 1e-300, -1e-300)
+    d = np.concatenate([np.linspace(profile.d_joint - 30.0, 30.0, 20001)]
+                       + [[np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)] for e in edges])
+    u, u1, log_u = profile.jet(d)
+    assert np.array_equal(u, profile(d))
+    for i in range(-15, 0):
+        assert profile.jet(float(d[i])) == (u[i], u1[i], log_u[i])
+
+
+def test_inverse_takes_arrays(profile03):
+    # every branch: the right tail, the table span and the burned tail; an
+    # array gives the scalar bits and keeps its shape
+    levels = np.array([[1e-200, 1e-3, 0.3], [0.5, 1.0 - 1e-7, 1.0 - 1e-12]])
+    d = profile03.inverse(levels)
+    assert d.shape == levels.shape
+    assert np.array_equal(d, [[profile03.inverse(float(u)) for u in row] for row in levels])
+    assert isinstance(profile03.inverse(0.5), float)
+    with pytest.raises(ValueError):
+        profile03.inverse(np.array([0.5, 1.0]))
 
 
 def test_ascending_route_at_the_slice_boundaries(profile03):
