@@ -480,13 +480,24 @@ def test_table_does_not_depend_on_blas_threads(tmp_path):
         assert np.array_equal(saved[0][name], saved[1][name]), name
 
 
-@pytest.mark.parametrize("method", ["__call__", "jet"])
+# Each evaluator read off the profile: __call__ gives U, jet gives
+# (U, U', log U), and the derivative, log U and 1 - U (as -expm1 of log U)
+# are single outputs of jet
+EVALUATORS = {
+    "__call__": lambda p, d: (p(d),),
+    "jet": lambda p, d: p.jet(d),
+    "derivative": lambda p, d: (p.jet(d)[1],),
+    "log_u": lambda p, d: (p.jet(d)[2],),
+    "one_minus": lambda p, d: (-np.expm1(p.jet(d)[2]),),
+}
+
+
+@pytest.mark.parametrize("method", list(EVALUATORS))
 def test_evaluator_shapes(profile03, method):
-    # __call__ gives U and jet (U, U', log U): floats for a scalar D, arrays
-    # of D's shape for an array, each entry the scalar's value
+    # floats for a scalar D, arrays of D's shape for an array, each entry the
+    # scalar's value
     def f(d):
-        out = getattr(profile03, method)(d)
-        return out if method == "jet" else (out,)
+        return EVALUATORS[method](profile03, d)
     n = len(f(0.0))
     for x in (-3.0, np.float64(2.0)):
         assert all(isinstance(v, float) for v in f(x))
