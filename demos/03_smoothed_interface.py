@@ -38,7 +38,8 @@ def main():
     print(f"\nmax |sum exp(-q_i) - 1| at 4000 points: {res:.2e}")
 
     # phi is a rigid vertical translation: phi_t = c / sin(theta) everywhere.
-    der = surf.derivatives(3.0, np.array([-5.0, 0.0, 5.0]))
+    xs = np.array([-5.0, 0.0, 5.0])
+    der = surf.derivatives(3.0, xs, surf.solve_phi(3.0, xs))
     print(f"phi_t values: {der.phi_t} (expect {c / math.sin(math.pi / 3):.12f})")
 
     # Smaller alpha smooths more; the physical surface is Y(alpha t, alpha x)/alpha,

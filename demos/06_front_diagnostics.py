@@ -72,7 +72,7 @@ def main():
     for t in (0.0, 5.0, 10.0):
         vals = barriers.upper(np.full(pts.shape[0], t), pts).reshape(wide.counts)
         traj.append(Field(wide, np.clip(vals, 0.0, 1.0), time=t))
-    rep = weighted_gap_report(traj, cfg, profile, v_rate=params.v_star, n_bins=10)
+    rep = weighted_gap_report(traj, cfg, profile, v_rate=params.v_star)
     print("\nweighted gap per ridge-distance bin (upper barrier trajectory):")
     for lo, hi, val in zip(rep["bin_edges"], rep["bin_edges"][1:], rep["curve"]):
         print(f"  [{lo:7.1f}, {hi:7.1f}): {val:.3e}")

@@ -18,7 +18,7 @@ _EXPORTS = {
                  "mollifier_omega", "parabolic_residual", "validate_parameters"),
     "rd_solver": ("Grid", "Field", "SolverConfig", "make_boundary", "subsolution_floor",
                   "solve_cauchy", "entire_solution", "measure_speed_1d", "SpeedFit"),
-    "diagnostics": ("DiagnosticsReport", "PerturbationSpec", "check_admissibility",
+    "diagnostics": ("PerturbationSpec", "check_admissibility",
                     "extract_interface_and_Meps", "half_level_cross_check",
                     "mean_speed_estimate", "sandwich_and_monotonicity", "stability_run",
                     "weighted_gap_report"),

@@ -221,8 +221,8 @@ class BarrierSet:
         a, eps, beta = self.params.alpha, self.params.epsilon, self.params.beta
         at, ax = a * np.asarray(t, dtype=float), a * z[..., :-1]
         phi = self.surface.solve_phi(at, ax)
-        d, w, g, gt, h = self.surface._jet(at, ax, phi)
-        p, hess = d.grad, d.hess
+        d = self.surface.derivatives(at, ax, phi)
+        w, g, gt, h, p, hess = d.w, d.g, d.gt, d.h, d.grad, d.hess
         p2 = _fold(np.add, p * p)
         eta = z[..., -1] - phi / a
         xi = eta / np.sqrt(1.0 + p2)

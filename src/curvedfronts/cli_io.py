@@ -29,10 +29,10 @@ import numpy as np
 
 from .barriers import (BarrierParams, BarrierSampleSpec, BarrierSet,
                        auto_parameters, validate_parameters)
-from .diagnostics import (DiagnosticsReport, PerturbationSpec,
-                          extract_interface_and_Meps, half_level_cross_check,
-                          mean_speed_estimate, sandwich_and_monotonicity,
-                          stability_run, weighted_gap_report)
+from .diagnostics import (PerturbationSpec, extract_interface_and_Meps,
+                          half_level_cross_check, mean_speed_estimate,
+                          sandwich_and_monotonicity, stability_run,
+                          weighted_gap_report)
 from .front_geometry import FrontConfiguration
 from .hypersurface import ScaledSurface, fit_surface_constants
 from .jsonio import dumps
@@ -127,12 +127,12 @@ def read_snapshot(path, origin=None) -> Field:
 
 
 def _write_csv(path, header, rows, comment="") -> None:
-    """CSV whose cells are repr(float(value)), so every value round-trips."""
+    """CSV whose cells are repr(float(value)), or an int as it is, so every value round-trips."""
     with open(path, "w", newline="") as fh:
         fh.write(comment)
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([repr(float(v)) for v in row] for row in rows)
+        writer.writerows([v if isinstance(v, int) else repr(float(v)) for v in row] for row in rows)
 
 
 def write_slice_csv(path, fld: Field, axis: int = 0) -> None:
@@ -397,8 +397,9 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
 # -- run directory and manifest ----------------------------------------------
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _config_sha256(cfg: dict) -> str:
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _sha256_file(path) -> str:
@@ -410,8 +411,7 @@ def _sha256_file(path) -> str:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return _sha256_bytes(canonical.encode())[:12]
+    return _config_sha256(cfg)[:12]
 
 
 def make_run_dir(out_dir, cfg: dict) -> str:
@@ -438,8 +438,7 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
             artifacts[name] = _sha256_file(full)
     manifest = {
         "subcommand": subcommand,
-        "config_sha256": _sha256_bytes(
-            json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()),
+        "config_sha256": _config_sha256(cfg),
         "seed": seed,
         "threads": threads,
         # recorded for reproduction; the profile table does not depend on them
@@ -507,7 +506,7 @@ def _cmd_surface(objs, run_dir, seed):
     x = rng.uniform(-40.0, 40.0, (n, front.dimension - 1))
     phi = surface.solve_phi(alpha * t, alpha * x)
     psi = surface.psi(alpha * t, alpha * x)
-    h = surface.flatness(alpha * t, alpha * x, phi=phi)
+    h = surface.gradient_and_flatness(alpha * t, alpha * x, phi)[1]
     resid = np.abs(surface.residual(alpha * t, alpha * x, phi))
     gap = phi - psi
     _write_csv(os.path.join(run_dir, "surface.csv"),
@@ -612,36 +611,38 @@ def _cmd_verify(objs, run_dir, seed):
 
     params = _resolve_barrier_params(objs)
     barriers = BarrierSet(front, profile, nl, params)
-    report = DiagnosticsReport()
     sm = sandwich_and_monotonicity(traj, front, profile, barriers=barriers)
-    report.add("sandwich_and_monotonicity", sm)
     meps = extract_interface_and_Meps(traj[-1], front)
-    report.add("m_eps_table", {"rows": meps})
     mvals = [r["m_eps"] for r in meps]
     meps_monotone = all(mvals[k] <= mvals[k + 1] + 1e-12
                         for k in range(len(mvals) - 1))
     ridge_exclusion = float(exp["ridge_exclusion"])
     ms = mean_speed_estimate(traj, front, ridge_exclusion)
-    report.add("mean_speed", ms)
     wg = weighted_gap_report(traj, front, profile,
                              v_rate=params.v_star or 1e-4)
-    report.add("weighted_gap", wg)
     hl = half_level_cross_check(traj[-1], front, profile,
                                 exclude_ridge_radius=ridge_exclusion)
-    report.add("half_level_cross_check", hl)
 
     speed_ok = abs(ms["gamma_hat"] - c) <= 0.02 * c
     passed = bool(sm["lower_violation"] <= 1e-10
                   and sm["dudt_min"] >= -1e-12
                   and meps_monotone and speed_ok and wg["passed"]
                   and hl["discrepancy"] <= 2.0 * grid.dx)
-    report.add("verdict", {
-        "meps_monotone": meps_monotone,
-        "mean_speed_ok": speed_ok,
-        "passed": passed,
-    })
-    _write_json(run_dir, "diagnostics.json", report.to_json())
-    report.write_csv_curves(run_dir)
+    report = {
+        "sandwich_and_monotonicity": sm,
+        "m_eps_table": {"rows": meps},
+        "mean_speed": ms,
+        "weighted_gap": wg,
+        "half_level_cross_check": hl,
+        "verdict": {"meps_monotone": meps_monotone, "mean_speed_ok": speed_ok, "passed": passed},
+    }
+    _write_json(run_dir, "diagnostics.json", report)
+    # one CSV per list of floats in a section: the mean-speed and gap curves
+    for name, section in report.items():
+        for key, val in section.items():
+            if isinstance(val, list) and val and isinstance(val[0], float):
+                _write_csv(os.path.join(run_dir, f"{name}_{key}.csv"), ["index", key],
+                           enumerate(val))
     return passed, "diagnostics.json"
 
 

@@ -19,7 +19,6 @@ from .barriers import BarrierSet
 from .front_geometry import (FrontConfiguration, _slab_weight, min_q,
                              ridge_distance, interface_distance,
                              spatial_ridge_distance)
-from .jsonio import dumps
 from .nonlinearity import CombustionNonlinearity
 from .rd_solver import (Grid, Field, SolverConfig, solve_cauchy, make_boundary,
                         subsolution_floor)
@@ -35,11 +34,15 @@ __all__ = [
     "check_admissibility",
     "stability_run",
     "StabilityResult",
-    "DiagnosticsReport",
 ]
 
 HALF_LEVEL_MARGIN = 5.0  # half-level points this close to the box edge are dropped
 ADMISSIBLE_SAMPLES = 1000  # far points check_admissibility draws for the weighted ratio
+ADMISSIBLE_RATIO = 0.1  # largest admissible far-field perturbation / weight
+M_EPS_LEVELS = (0.25, 0.1, 0.05, 0.02, 0.01)  # the eps of the M_eps table, largest first
+GAP_BINS = 8  # ridge-distance bins of the weighted gap curve
+GAP_PASS_LEVEL = 0.05  # farthest-bin sup the weighted gap must reach
+STABILITY_GAP_TOL = 1e-2  # final sup |u - twin| a stable run must reach
 
 
 def _as_snapshot_lists(trajectory):
@@ -77,13 +80,14 @@ def sandwich_and_monotonicity(trajectory, cfg: FrontConfiguration,
     dudt_min = np.inf
     tube_floor = {rho: np.inf for rho in rho_list}
     need_tube = cfg.n_waves >= 2
+    if need_tube:
+        db = ridge_distance(cfg, np.full(pts.shape[0], times[0]), pts)
     for k in range(len(times) - 1):
         ta, tb = times[k], times[k + 1]
         rate = (values[k + 1] - values[k]) / (tb - ta)
         dudt_min = min(dudt_min, float(rate.min()))
         if need_tube:
-            da = ridge_distance(cfg, np.full(pts.shape[0], ta), pts)
-            db = ridge_distance(cfg, np.full(pts.shape[0], tb), pts)
+            da, db = db, ridge_distance(cfg, np.full(pts.shape[0], tb), pts)
             d = np.maximum(da, db).reshape(grid.counts)
             for rho in rho_list:
                 inside = d <= rho
@@ -100,14 +104,13 @@ def sandwich_and_monotonicity(trajectory, cfg: FrontConfiguration,
     }
 
 
-def extract_interface_and_Meps(fld: Field, cfg: FrontConfiguration,
-                               eps_list=(0.25, 0.1, 0.05, 0.02, 0.01)) -> list:
+def extract_interface_and_Meps(fld: Field, cfg: FrontConfiguration) -> list:
     """M_eps table from the exact geometric interface min_i q_i = 0.
 
-    For each eps, M_eps is the smallest radius such that every burned-side
-    point at distance >= M_eps has u >= 1-eps and every unburned-side
-    point at distance >= M_eps has u <= eps.  Entries are censored when
-    the radius reaches the box margin (the ball is no longer covered).
+    For each eps of M_EPS_LEVELS, M_eps is the smallest radius such that
+    every burned-side point at distance >= M_eps has u >= 1-eps and every
+    unburned-side point at distance >= M_eps has u <= eps; an entry is
+    censored when the radius reaches the box margin (the ball is uncovered).
     """
     grid = fld.grid
     pts = grid.points().reshape(-1, grid.dimension)
@@ -121,7 +124,7 @@ def extract_interface_and_Meps(fld: Field, cfg: FrontConfiguration,
     margin_u = float(dist[unburned].max()) if unburned.any() else 0.0
 
     out = []
-    for eps in sorted(eps_list, reverse=True):
+    for eps in M_EPS_LEVELS:
         viol_b = burned & (u < 1.0 - eps)
         viol_u = unburned & (u > eps)
         m_b = float(dist[viol_b].max()) if viol_b.any() else 0.0
@@ -226,13 +229,12 @@ def mean_speed_estimate(trajectory, cfg: FrontConfiguration,
 
 
 def weighted_gap_report(trajectory, cfg: FrontConfiguration,
-                        profile: WaveProfile, v_rate: float,
-                        n_bins: int = 8, pass_level: float = 0.05) -> dict:
-    """Sup of |u - V_lower| / weight per ridge-distance bin.
+                        profile: WaveProfile, v_rate: float) -> dict:
+    """Sup of |u - V_lower| / weight in each of GAP_BINS ridge-distance bins.
 
     The weight is min{1, exp(-v * min_i q_i/sin theta_i)}, which is 1 on
-    the burned side and decays ahead of the front; the curve must decay
-    to pass_level in the farthest bin for the transition-front gap bound.
+    the burned side and decays ahead of the front; the curve must decay to
+    GAP_PASS_LEVEL in the farthest bin for the transition-front gap bound.
     """
     cfg.require_ridges()
     times, values, grid = _as_snapshot_lists(trajectory)
@@ -249,9 +251,9 @@ def weighted_gap_report(trajectory, cfg: FrontConfiguration,
         all_ratio.append(gap / weight)
     d = np.concatenate(all_d)
     ratio = np.concatenate(all_ratio)
-    edges = np.linspace(0.0, d.max() * (1 + 1e-12), n_bins + 1)
+    edges = np.linspace(0.0, d.max() * (1 + 1e-12), GAP_BINS + 1)
     curve = []
-    for k in range(n_bins):
+    for k in range(GAP_BINS):
         inside = (d >= edges[k]) & (d < edges[k + 1])
         curve.append(float(ratio[inside].max()) if inside.any() else 0.0)
     # nonincreasing up to a small relative wiggle: discretization drift puts
@@ -264,7 +266,7 @@ def weighted_gap_report(trajectory, cfg: FrontConfiguration,
         "v_rate": v_rate,
         "farthest_bin_sup": curve[-1],
         "decreasing": decreasing,
-        "passed": bool(decreasing and curve[-1] <= pass_level),
+        "passed": bool(decreasing and curve[-1] <= GAP_PASS_LEVEL),
     }
 
 
@@ -308,9 +310,9 @@ def perturbation_values(spec: PerturbationSpec, cfg: FrontConfiguration,
 
 def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
                         profile: WaveProfile, grid: Grid, v_rate: float,
-                        rho0: float, ratio_tol: float = 0.1) -> dict:
-    """Initial-data admissibility: above the subsolution, inside [0,1],
-    and weighted-small beyond ridge distance rho0."""
+                        rho0: float) -> dict:
+    """Initial-data admissibility: above the subsolution, inside [0,1], and
+    perturbation / weight at most ADMISSIBLE_RATIO beyond ridge distance rho0."""
     floor = subsolution_floor(cfg, profile, grid)
     vlow = floor(0.0)
     below = float((vlow - u0).max())
@@ -327,7 +329,7 @@ def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
     weight = _slab_weight(cfg, 0.0, pts_all[far], v_rate)
     worst_ratio = float((pert[far] / weight).max()) if far.size else 0.0
 
-    ok = below <= 1e-12 and out_of_range <= 1e-12 and worst_ratio <= ratio_tol
+    ok = below <= 1e-12 and out_of_range <= 1e-12 and worst_ratio <= ADMISSIBLE_RATIO
     return {
         "ok": bool(ok),
         "below_subsolution": below,
@@ -357,8 +359,7 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
                   config: SolverConfig, perturbation: PerturbationSpec,
                   t_end: float, snapshot_dt: float,
                   barriers: BarrierSet | None = None,
-                  v_rate: float | None = None, rho0: float | None = None,
-                  gap_tol: float = 1e-2) -> StabilityResult:
+                  rho0: float | None = None) -> StabilityResult:
     """Perturbation decay against the unperturbed twin trajectory.
 
     The comparison target is the twin run from the same subsolution start:
@@ -370,9 +371,8 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
     dominate the perturbed run at every snapshot and the envelope bound
     is evaluated.
     """
-    if v_rate is None:
-        v_rate = barriers.params.v_star if barriers is not None and \
-            barriers.params.v_star is not None else 1e-4
+    v_rate = barriers.params.v_star if barriers is not None and \
+        barriers.params.v_star is not None else 1e-4
     if rho0 is None:
         rho0 = perturbation.radius if perturbation.kind == "bump" else 1.0
 
@@ -401,7 +401,7 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
     slack = 1e-9 * max(1.0, float(curve[peak]))
     eventually_decreasing = bool(
         peak < len(curve) - 1 and np.all(np.diff(curve[peak:]) <= slack))
-    passed = bool(final_gap <= gap_tol and eventually_decreasing)
+    passed = bool(final_gap <= STABILITY_GAP_TOL and eventually_decreasing)
 
     domination_min = None
     envelope_ok = None
@@ -435,43 +435,10 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
         domination_min=domination_min, envelope_ok=envelope_ok,
         envelope_slack_min=envelope_slack_min,
         report={
-            "gap_tol": gap_tol,
+            "gap_tol": STABILITY_GAP_TOL,
             "t_end": t_end,
             "initial_gap": float(curve[0]),
             "v_rate": v_rate,
             "rho0": rho0,
         })
 
-
-@dataclass
-class DiagnosticsReport:
-    """Aggregated report sections; to_json writes non-finite values as null."""
-
-    sections: dict = field(default_factory=dict)
-
-    def add(self, name: str, section) -> None:
-        self.sections[name] = section
-
-    def to_json(self) -> str:
-        """Strict JSON; non-finite values become null."""
-        return dumps(self.sections, indent=2)
-
-    def write_csv_curves(self, out_dir) -> list:
-        """One flat CSV per curve-like section entry; returns paths."""
-        import csv
-        import os
-        written = []
-        for name, section in self.sections.items():
-            if not isinstance(section, dict):
-                continue
-            for key, val in section.items():
-                if isinstance(val, (list, np.ndarray)) and len(val) and \
-                        isinstance(np.asarray(val).flat[0], (float, np.floating)):
-                    path = os.path.join(out_dir, f"{name}_{key}.csv")
-                    with open(path, "w", newline="") as fh:
-                        writer = csv.writer(fh)
-                        writer.writerow(["index", key])
-                        for i, x in enumerate(np.asarray(val).reshape(-1)):
-                            writer.writerow([i, repr(float(x))])
-                    written.append(path)
-        return written

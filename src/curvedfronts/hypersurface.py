@@ -18,10 +18,11 @@ Newton, the weight sums, h and psi fold those rows left to right
 (front_geometry._fold; numpy's reductions over a short axis cost tens of
 times as much).  np.sum adds a short last axis in that order (n < 8), so
 below eight waves the bits equal those of a point-major (..., n) kernel.
-weights and derivatives keep the (..., n) layout; gradient_and_flatness
-gives a barrier its whole frame (grad phi, h) from one solve and one
-weights array.  solve_phi forms x . nu_i cos theta_i and c t once per call;
-its q_at calls take them precomputed and add them in the same order.
+support_planes and derivatives keep the (..., n) layout; derivatives, the
+one full evaluator, and gradient_and_flatness, the cheap frame (grad phi,
+h), each build one weights array.  solve_phi forms x . nu_i cos theta_i
+and c t once per call; its q_at calls take them precomputed and add them
+in the same order.
 """
 
 from __future__ import annotations
@@ -44,17 +45,23 @@ FIT_T_RANGE = (-10.0, 10.0)  # the sampling box of fit_surface_constants
 FIT_X_HALF_WIDTH = 30.0
 FIT_SAMPLES = 4000
 FIT_RIDGE_TIMES = 33  # times of the ridge-corner samples
+NEWTON_MAX_ITER = 100  # Newton updates solve_phi makes before it gives up
 
 
 @dataclass(frozen=True)
 class SurfaceDerivatives:
-    """Implicit derivatives of phi at query points, up to grad Lap phi."""
+    """Implicit derivatives of phi up to grad Lap phi and the surface
+    quantities they are built from; h has the bits of gradient_and_flatness."""
 
     phi_t: np.ndarray        # (...,)
     grad: np.ndarray         # (..., N-1)
     hess: np.ndarray         # (..., N-1, N-1)
     grad_t: np.ndarray       # (..., N-1): d/dt of grad
     grad_lap: np.ndarray     # (..., N-1): L_j = sum_k d^3 phi / dx_j dx_k dx_k
+    w: np.ndarray            # (..., n): weights exp(-q_i), summing to 1
+    g: np.ndarray            # (..., n, N-1): on-surface d q_i / dx
+    gt: np.ndarray           # (..., n): on-surface d q_i / dt
+    h: np.ndarray            # (...,): flatness 1 - sum_i w_i^2, 0 on a facet, peaks at ridges
 
 
 class ScaledSurface:
@@ -122,7 +129,7 @@ class ScaledSurface:
         """sum_i exp(-q_i(t, x, y)) - 1; zero exactly on the surface."""
         return _wave_sum(self._weight_rows(t, x, y)) - 1.0
 
-    def solve_phi(self, t, x, max_iter: int = 100) -> np.ndarray:
+    def solve_phi(self, t, x) -> np.ndarray:
         """Solve sum exp(-q_i) = 1 for y by Newton on log sum_i w_i, w_i = exp(-q_i).
 
         From y = psi the update y += log1p(r) sum_i w_i / sum_i w_i sin theta_i,
@@ -130,12 +137,13 @@ class ScaledSurface:
         where all sin theta_i are equal.  The loop stops when every |r| is
         within 64 n ulps or, after the first update, within twice the rounding
         of forming the q_i, sum_i w_i (|x . nu_i cos theta_i + tau_i| + |c t| +
-        |y| sin theta_i) ulps, which rules far from the origin; past max_iter
-        updates it raises RuntimeError.  One _project per call, one q_at call
-        per residual.  Converged points update until the last one converges,
-        which can move their last bits: phi depends on the batch through the
-        call's Newton count alone (for two or more points; in 3D numpy sends a
-        one-row projection through another BLAS kernel).
+        |y| sin theta_i) ulps, which rules far from the origin; past
+        NEWTON_MAX_ITER updates it raises RuntimeError.  One _project per
+        call, one q_at call per residual.  Converged points update until the
+        last one converges, which can move their last bits: phi depends on
+        the batch through the call's Newton count alone (for two or more
+        points; in 3D numpy sends a one-row projection through another BLAS
+        kernel).
         """
         x = self._as_x(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
@@ -143,7 +151,7 @@ class ScaledSurface:
         y = self.psi(t, x, proj)
         eps = np.finfo(float).eps
         tol = floor = 64.0 * eps * self.cfg.n_waves
-        for k in range(max_iter + 1):
+        for k in range(NEWTON_MAX_ITER + 1):
             w = self._weight_rows(t, x, y, proj)
             s = _wave_sum(w)
             r = s - 1.0
@@ -155,19 +163,13 @@ class ScaledSurface:
                 tol = np.maximum(floor, 2.0 * eps * _wave_sum(w * size))
             if not np.any(a > tol):
                 return y
-            if k == max_iter:
+            if k == NEWTON_MAX_ITER:
                 break
             y = y + np.log1p(r) * s / _wave_sum(w, self._sin)
         i = np.argmax(a - tol)  # the point furthest beyond its tolerance
         tol = np.broadcast_to(tol, a.shape)
-        raise RuntimeError(f"solve_phi did not converge in {max_iter} Newton steps: max |residual| "
-                           f"beyond its tolerance {a.flat[i]:.3e} > {tol.flat[i]:.3e}")
-
-    def weights(self, t, x, phi=None) -> np.ndarray:
-        """w_i = exp(-q_i) on the surface, shape (..., n); sums to 1 there."""
-        if phi is None:
-            phi = self.solve_phi(t, x)
-        return np.moveaxis(self._weight_rows(t, x, phi), 0, -1)
+        raise RuntimeError(f"solve_phi did not converge in {NEWTON_MAX_ITER} Newton steps: max "
+                           f"|residual| beyond its tolerance {a.flat[i]:.3e} > {tol.flat[i]:.3e}")
 
     def _gradient(self, w_rows, s):
         # BLAS may fuse this matmul's multiply-adds; neither a row formula
@@ -182,8 +184,8 @@ class ScaledSurface:
         _, grad = self._gradient(w, _wave_sum(w, self._sin))
         return grad, _flatness(w)
 
-    def derivatives(self, t, x, phi=None) -> SurfaceDerivatives:
-        """Implicit derivatives of phi.
+    def derivatives(self, t, x, phi) -> SurfaceDerivatives:
+        """Implicit derivatives of phi at points of the surface y = phi.
 
         Differentiating sum exp(-q_i(t, x, phi)) = 1 once gives, with
         w_i = exp(-q_i) and s = sum_i w_i sin(theta_i),
@@ -198,13 +200,6 @@ class ScaledSurface:
             L_j = [sum_i w_i sin theta_i (g_ij tr hess + 2 (hess g_i)_j)
                    - sum_i w_i g_ij |g_i|^2] / s.
         """
-        if phi is None:
-            phi = self.solve_phi(t, x)
-        return self._jet(t, x, phi)[0]
-
-    def _jet(self, t, x, phi):
-        """(derivatives, w, g, gt, h) from one weights array; h has the bits
-        of gradient_and_flatness."""
         w_rows = self._weight_rows(t, x, phi)            # (n, ...)
         s = _wave_sum(w_rows, self._sin)                 # (...,)
         c = self.cfg.speed
@@ -222,19 +217,9 @@ class ScaledSurface:
         ws = w * self._sin
         third = (np.einsum("...i,...ij->...j", ws * tr - w * gg, g)
                  + 2.0 * np.einsum("...i,...ij->...j", ws, g @ hess))
-        der = SurfaceDerivatives(phi_t=phi_t, grad=grad, hess=hess, grad_t=grad_t,
-                                 grad_lap=third / s[..., None])
-        return der, w, g, gt, _flatness(w_rows)
-
-    def flatness(self, t, x, phi=None) -> np.ndarray:
-        """h = sum_{i != j} w_i w_j = 1 - sum_i w_i^2 on the surface.
-
-        Vanishes where one facet dominates and peaks near ridges; it is the
-        small parameter multiplying the curvature correction in barriers.
-        """
-        if phi is None:
-            phi = self.solve_phi(t, x)
-        return _flatness(self._weight_rows(t, x, phi))
+        return SurfaceDerivatives(phi_t=phi_t, grad=grad, hess=hess, grad_t=grad_t,
+                                  grad_lap=third / s[..., None], w=w, g=g, gt=gt,
+                                  h=_flatness(w_rows))
 
 
 def _wave_sum(rows, coef=None) -> np.ndarray:
@@ -308,8 +293,8 @@ def fit_surface_constants(surface: ScaledSurface) -> SurfaceFit:
     psi_all = surface.support_planes(t, x)
     psi = _fold(np.maximum, psi_all)
     dom = np.argmax(psi_all, axis=-1)
-    h = np.maximum(surface.flatness(t, x, phi), 1e-300)
     der = surface.derivatives(t, x, phi)
+    h = np.maximum(der.h, 1e-300)
     c_hat = float(np.max((phi - psi) / h))
     sin_d = np.sin(cfg.angles)[dom]
     slope_d = -(cfg.nus * np.cos(cfg.angles)[:, None])[dom] / sin_d[:, None]

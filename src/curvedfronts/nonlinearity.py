@@ -73,13 +73,9 @@ class CombustionNonlinearity:
             return float(out)
         return out
 
-    def max_abs_derivative(self, lo: float | None = None, hi: float | None = None) -> float:
-        """sup |f'| over [lo, hi] (defaults to the full clamped domain),
-        estimated on a dense grid; used for explicit-step Lipschitz caps."""
-        if lo is None:
-            lo = -self.sigma
-        if hi is None:
-            hi = 1.0 + self.sigma
+    def max_abs_derivative(self, lo: float, hi: float) -> float:
+        """sup |f'| over [lo, hi], estimated on a dense grid; used for
+        explicit-step Lipschitz caps."""
         grid = np.linspace(lo, hi, 8193)
         return float(np.max(np.abs(self.derivative(grid))))
 

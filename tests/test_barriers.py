@@ -217,7 +217,7 @@ def _composed_upper(B, t, z):
     x = z[..., :-1]
     a = B.params.alpha
     eta, xi = _composed_eta_xi(B, t, z)
-    h = B.surface.flatness(a * t, a * x, phi=B.surface.solve_phi(a * t, a * x))
+    h = B.surface.derivatives(a * t, a * x, B.surface.solve_phi(a * t, a * x)).h
     return np.minimum(B.profile(xi) + B.params.epsilon * h * B.tail_weight(eta), 1.0)
 
 
@@ -323,9 +323,9 @@ def test_fd_cross_check_catches_a_dropped_term(cfg_v, profile03, nl03, params03,
         u, h, tail, v_t, lap_v, tail_t, lap_tail = jet(B, t, z)
         a = B.params.alpha
         at, ax = a * np.asarray(t), a * np.asarray(z)[:, :-1]
-        d, w, g, _, _ = B.surface._jet(at, ax, B.surface.solve_phi(at, ax))
+        d = B.surface.derivatives(at, ax, B.surface.solve_phi(at, ax))
         tail1 = tail_t / -d.phi_t
-        grad_h_p = 2.0 * a * np.einsum("mi,mik,mk->m", w * w, g, d.grad)
+        grad_h_p = 2.0 * a * np.einsum("mi,mik,mk->m", d.w * d.w, d.g, d.grad)
         lap_v = lap_v + B.params.epsilon * 2.0 * tail1 * grad_h_p
         return u, h, tail, v_t, lap_v, tail_t, lap_tail
 

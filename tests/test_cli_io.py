@@ -2,6 +2,7 @@
 directories with checksummed manifests, and thread reproducibility."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -455,7 +456,7 @@ def test_entire_run(tmp_path, capsys):
     assert snaps == ["vhat_0000.cflb", "vhat_0001.cflb", "vhat_0002.cflb"]
 
 
-def test_verify_run(tmp_path, capsys):
+def test_verify_run(tmp_path, capsys, strict_loads):
     cfg = copy.deepcopy(BASE)
     cfg["solver"] = {
         "dx": 0.379598592562289,
@@ -470,7 +471,7 @@ def test_verify_run(tmp_path, capsys):
     out = capsys.readouterr()
     assert rc == EXIT_OK
     run_dir = run_dir_of(out.out)
-    diag = json.load(open(os.path.join(run_dir, "diagnostics.json")))
+    diag = strict_loads(open(os.path.join(run_dir, "diagnostics.json")).read())
     assert diag["verdict"]["passed"]
     assert abs(diag["mean_speed"]["gamma_hat"] - C) / C <= 0.02
     # the estimate reads the run's own snapshots, at 0, 1/c, ..., 4/c
@@ -479,8 +480,17 @@ def test_verify_run(tmp_path, capsys):
     vals = [r["m_eps"] for r in diag["m_eps_table"]["rows"]]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert diag["weighted_gap"]["passed"]
-    # per-curve CSV artifacts written alongside the JSON
-    assert any(n.endswith(".csv") for n in os.listdir(run_dir))
+    # one CSV per list of floats in a section, holding that list
+    curves = [("mean_speed", "times"), ("mean_speed", "positions"),
+              ("weighted_gap", "bin_edges"), ("weighted_gap", "curve")]
+    assert sorted(n for n in os.listdir(run_dir) if n.endswith(".csv")) == \
+        sorted(f"{name}_{key}.csv" for name, key in curves)
+    for name, key in curves:
+        with open(os.path.join(run_dir, f"{name}_{key}.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["index", key]
+        assert [r[0] for r in rows] == [str(i) for i in range(len(rows))]
+        assert [float(r[1]) for r in rows] == diag[name][key]
 
 
 def test_stability_run_cli(tmp_path, capsys):
@@ -734,10 +744,14 @@ def test_unknown_subcommand_exits_2(tmp_path):
 
 
 def test_artifacts_are_strict_json(tmp_path, strict_loads):
-    # non-finite values become null in written artifacts and the manifest
-    _write_json(str(tmp_path), "summary.json", {"gap": np.float64(np.nan), "rows": [math.inf, 0.5]})
+    # non-finite values become null in written artifacts and the manifest,
+    # numpy values Python ones
+    _write_json(str(tmp_path), "summary.json",
+                {"gap": np.float64(np.nan), "rows": [math.inf, 0.5],
+                 "curve": np.array([1.0, -np.inf, np.nan]), "n": np.int64(3), "ok": np.bool_(True)})
     write_manifest(str(tmp_path), {"x": 1}, "verify", True, seed=0, threads=1)
-    assert strict_loads((tmp_path / "summary.json").read_text()) == {"gap": None, "rows": [None, 0.5]}
+    assert strict_loads((tmp_path / "summary.json").read_text()) == {
+        "gap": None, "rows": [None, 0.5], "curve": [1.0, None, None], "n": 3, "ok": True}
     manifest = strict_loads((tmp_path / "manifest.json").read_text())
     assert sorted(manifest["artifacts"]) == ["summary.json"]
     assert verify_manifest(str(tmp_path))

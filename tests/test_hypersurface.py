@@ -3,6 +3,7 @@ Newton solver accuracy, support-plane bounds, analytic derivatives, and the
 fitted flatness constants."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from curvedfronts import (BarrierSet, FrontConfiguration, ScaledSurface, fit_surface_constants,
                           symmetric_v)
+from curvedfronts import hypersurface
 
 C = 0.26343617168072303
 SIN60 = math.sin(math.pi / 3)
@@ -31,17 +33,23 @@ def pyramid_surface():
     return ScaledSurface(cfg, alpha=1.0)
 
 
+def _derivatives(S, t, x):
+    return S.derivatives(t, x, S.solve_phi(t, x))
+
+
 def test_apex_value(surf):
     phi = surf.solve_phi(np.array([0.0]), np.zeros((1, 1)))
     assert phi[0] == pytest.approx(math.log(2.0) / SIN60, abs=1e-12)
 
 
-def test_solve_phi_reports_non_convergence(surf):
+def test_solve_phi_reports_non_convergence(surf, monkeypatch):
     # at the apex the start y = psi has residual 1; with no Newton update
     # allowed the loop must say so (one update is exact on the V)
+    monkeypatch.setattr(hypersurface, "NEWTON_MAX_ITER", 0)
     with pytest.raises(RuntimeError, match=r"did not converge in 0 Newton steps: max \|residual\|"):
-        surf.solve_phi(np.array([0.0]), np.zeros((1, 1)), max_iter=0)
-    phi = surf.solve_phi(np.array([0.0]), np.zeros((1, 1)), max_iter=20)
+        surf.solve_phi(np.array([0.0]), np.zeros((1, 1)))
+    monkeypatch.setattr(hypersurface, "NEWTON_MAX_ITER", 20)
+    phi = surf.solve_phi(np.array([0.0]), np.zeros((1, 1)))
     assert phi[0] == pytest.approx(math.log(2.0) / SIN60, abs=1e-12)
 
 
@@ -89,7 +97,7 @@ def test_uniform_vertical_translation_in_time(surf, cfg_v):
     for t in (1.0, 4.5):
         expected = surf.solve_phi(t0, x) + cfg_v.speed * t / SIN60
         assert np.allclose(surf.solve_phi(t0 + t, x), expected, atol=1e-11)
-    d = surf.derivatives(np.array([0.7]), np.array([[2.0]]))
+    d = _derivatives(surf, np.array([0.7]), np.array([[2.0]]))
     assert d.phi_t[0] == pytest.approx(cfg_v.speed / SIN60, abs=1e-12)
     assert d.grad_t[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -103,7 +111,7 @@ def test_analytic_derivatives_match_finite_differences(surf):
         return surf.solve_phi(np.array([t]), np.array([[x]]))[0]
 
     for t, x in pts:
-        d = surf.derivatives(np.array([t]), np.array([[x]]))
+        d = _derivatives(surf, np.array([t]), np.array([[x]]))
         fd_x = (f(t, x + h) - f(t, x - h)) / (2 * h)
         fd_xx = (f(t, x + h) - 2 * f(t, x) + f(t, x - h)) / h**2
         fd_t = (f(t + h, x) - f(t - h, x)) / (2 * h)
@@ -122,10 +130,10 @@ def test_analytic_derivatives_match_finite_differences(surf):
 def grad_lap_against_hess_differences(S, t, x, h=1e-4):
     # L_j = d_j tr hess, by central differences of the analytic Hessian
     def tr_hess(xq):
-        hess = S.derivatives(np.array([t]), xq[None, :]).hess[0]
+        hess = _derivatives(S, np.array([t]), xq[None, :]).hess[0]
         return np.trace(hess)
 
-    lap = S.derivatives(np.array([t]), x[None, :]).grad_lap[0]
+    lap = _derivatives(S, np.array([t]), x[None, :]).grad_lap[0]
     for j in range(x.size):
         e = np.zeros(x.size)
         e[j] = h
@@ -150,9 +158,9 @@ def test_weights_and_flatness(surf):
     rng = np.random.default_rng(29)
     t = rng.uniform(-10, 10, 1000)
     x = rng.uniform(-40, 40, (1000, 1))
-    w = surf.weights(t, x)
+    d = _derivatives(surf, t, x)
+    w, h = d.w, d.h
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
-    h = surf.flatness(t, x)
     assert np.allclose(h, 1.0 - np.sum(w**2, axis=1), atol=1e-12)
     assert np.all(h >= 0.0)
     assert np.all(h <= 0.5 + 1e-12)
@@ -160,8 +168,8 @@ def test_weights_and_flatness(surf):
     pair = np.einsum("...i,...j->...", w, w) - np.sum(w * w, axis=-1)
     assert np.max(np.abs(pair - (1.0 - np.sum(w * w, axis=-1)))) < 1e-12
     # equal weights on the symmetry axis, single-facet dominance far out
-    assert surf.flatness(np.array([0.0]), np.zeros((1, 1)))[0] == pytest.approx(0.5, abs=1e-13)
-    assert surf.flatness(np.array([0.0]), np.array([[200.0]]))[0] < 1e-40
+    assert _derivatives(surf, np.array([0.0]), np.zeros((1, 1))).h[0] == pytest.approx(0.5, abs=1e-13)
+    assert _derivatives(surf, np.array([0.0]), np.array([[200.0]])).h[0] < 1e-40
 
 
 def test_alpha_scaling(cfg_v):
@@ -190,7 +198,7 @@ def test_fitted_constants(surf):
     t = rng.uniform(-10, 10, 5000)
     x = rng.uniform(-30, 30, (5000, 1))
     gap = surf.solve_phi(t, x) - surf.psi(t, x)
-    assert np.all(gap <= fit.c_hat * surf.flatness(t, x) + 1e-12)
+    assert np.all(gap <= fit.c_hat * _derivatives(surf, t, x).h + 1e-12)
 
 
 def test_three_wave_residual_and_ordering():
@@ -256,7 +264,8 @@ def _derivatives_point_major(S, t, x, phi):
              + 2.0 * np.einsum("...i,...ij->...j", ws, g @ hess))
     wsum = np.sum(w, axis=-1)
     h = wsum * wsum - np.sum(w * w, axis=-1)
-    return w, (phi_t, grad, hess, grad_t, third / s[..., None]), h
+    # the fields of SurfaceDerivatives, in order
+    return phi_t, grad, hess, grad_t, third / s[..., None], w, g, gt, h
 
 
 def _tilted_3d_surface():
@@ -292,28 +301,28 @@ def test_surface_kernel_matches_point_major_bits(make, cfg_v):
     phi = S.solve_phi(t, x)
     ref_phi, _ = _solve_phi_point_major(S, t, x)
     assert np.array_equal(phi, ref_phi)
-    ref_w, ref_der, ref_h = _derivatives_point_major(S, t, x, phi)
-    w = S.weights(t, x, phi)
-    assert w.shape == (30000, S.cfg.n_waves)
-    assert np.array_equal(w, ref_w)
+    ref = _derivatives_point_major(S, t, x, phi)
     der = S.derivatives(t, x, phi)
-    for got, ref in zip((der.phi_t, der.grad, der.hess, der.grad_t, der.grad_lap), ref_der):
-        assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
-    assert np.array_equal(S.flatness(t, x, phi), ref_h)
+    for f, want in zip(fields(der), ref):
+        got = getattr(der, f.name)
+        assert got.shape == want.shape, f.name
+        assert np.array_equal(got, want), f.name
+    assert der.w.shape == (30000, S.cfg.n_waves)
+    # the cheap frame has the bits of the full evaluator
     grad, h = S.gradient_and_flatness(t, x, phi)
-    assert np.array_equal(grad, ref_der[1])
-    assert np.array_equal(h, ref_h)
+    assert np.array_equal(grad, der.grad)
+    assert np.array_equal(h, der.h)
     assert np.array_equal(S.residual(t, x, phi),
-                          np.sum(ref_w, axis=-1) - 1.0)
+                          np.sum(der.w, axis=-1) - 1.0)
     # the public point-major shapes hold for a grid of points too
     tg = np.zeros((3, 4))
     xg = np.zeros((3, 4, m))
-    assert S.support_planes(tg, xg).shape == (3, 4, S.cfg.n_waves)
-    assert S.weights(tg, xg).shape == (3, 4, S.cfg.n_waves)
-    assert S.flatness(tg, xg).shape == (3, 4)
+    n = S.cfg.n_waves
+    assert S.support_planes(tg, xg).shape == (3, 4, n)
     assert S.residual(tg, xg, S.solve_phi(tg, xg)).shape == (3, 4)
-    assert S.derivatives(tg, xg).hess.shape == (3, 4, m, m)
+    dg = _derivatives(S, tg, xg)
+    assert (dg.hess.shape, dg.w.shape, dg.g.shape, dg.gt.shape, dg.h.shape) == \
+        ((3, 4, m, m), (3, 4, n), (3, 4, n, m), (3, 4, n), (3, 4))
 
 
 @SURFACES

@@ -81,7 +81,7 @@ def test_derivative_matches_finite_differences():
 
 def test_lipschitz_bound():
     nl = make_combustion(theta=0.25, amplitude=1.0, exponent=2.0, sigma=0.1)
-    L = nl.max_abs_derivative()
+    L = nl.max_abs_derivative(-nl.sigma, 1.0 + nl.sigma)
     rng = np.random.default_rng(11)
     u = rng.uniform(-0.3, 1.4, size=500)
     v = rng.uniform(-0.3, 1.4, size=500)
