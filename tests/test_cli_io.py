@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvedfronts
-from curvedfronts import Field, Grid, read_snapshot, write_snapshot
+from curvedfronts import (Field, Grid, SolverConfig, make_combustion, read_snapshot,
+                          write_snapshot)
 from curvedfronts import cli_io
 from curvedfronts.cli_io import (
     CONFIG,
@@ -61,6 +62,12 @@ BASE = {
     },
     "experiment": {},
 }
+
+
+# the grid and nonlinearity that build_objects makes of BASE
+BASE_GRID = Grid(tuple(BASE["solver"]["box"]["counts"]), BASE["solver"]["dx"],
+                 tuple(BASE["solver"]["box"]["origin"]))
+BASE_NL = make_combustion(*(BASE["nonlinearity"][k] for k in ("theta", "a", "p", "sigma")))
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -572,7 +579,8 @@ MESSAGES = {
     "solver.cfl_safety": ["solver: unknown key 'cfl_safety'",
                           'solver.scheme: must be "euler"'],
     "solver.T": ["solver.T: span 1.0 is not an integer multiple of snapshot_dt 0.3"],
-    "solver.dt": ["solver.dt: dt=1.0 violates the stability cap 0.025"],
+    "solver.dt": ["solver.dt: dt=1.0 violates the stability cap "
+                  f"{SolverConfig().stable_dt(BASE_GRID, BASE_NL)}"],
 }
 
 

@@ -1,5 +1,5 @@
-"""Explicit solver for u_t = Lap u + f(u): grid plumbing, stability caps,
-order preservation, planar-wave accuracy, the floor's bits and memory,
+"""Explicit solver for u_t = Lap u + f(u): grid plumbing, the monotone step
+rule, order preservation, planar-wave accuracy, the floor's bits and memory,
 worker determinism (the floor and ring evaluated on the pool included),
 and the monotone entire-solution construction."""
 
@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvedfronts import (
@@ -85,14 +85,31 @@ def test_stability_cap(small_grid):
     sc = SolverConfig()
     # 2D explicit Laplacian cap dx^2 / 4 times the safety factor,
     # shaved slightly by the reaction Lipschitz constant
-    assert rd_solver.CFL_SAFETY == 0.4
+    assert rd_solver.CFL_SAFETY == 0.8
     dt = sc.stable_dt(small_grid, nl)
-    assert dt <= 0.4 * 0.5**2 / 4.0 + 1e-15
-    assert dt > 0.8 * 0.4 * 0.5**2 / 4.0
+    assert dt <= 0.8 * 0.5**2 / 4.0 + 1e-15
+    assert dt > 0.8 * 0.8 * 0.5**2 / 4.0
     with pytest.raises(ValueError, match="violates the stability cap"):
         SolverConfig(dt=1.0).resolve_dt(small_grid, nl, 1.0)
     with pytest.raises(ValueError):
         SolverConfig(workers=0)
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from([1, 2, 3]), dx=st.floats(min_value=0.05, max_value=1.0),
+       amplitude=st.floats(min_value=0.01, max_value=300.0))
+# L dx^2 / (2N) = 1.2, where 0.8 of each of two separate caps gives 1.47
+@example(n=1, dx=0.1, amplitude=300.0)
+def test_step_keeps_every_self_weight_non_negative(n, dx, amplitude):
+    # the monotone step rule: 1 - dt (2N/dx^2 + L) >= 0 with a margin of
+    # 1 - CFL_SAFETY, for the cap and for every step resolve_dt picks
+    nl = make_combustion(amplitude=amplitude)
+    grid = Grid((16,) * n, dx, (0.0,) * n)
+    rate = 2.0 * n / dx**2 + nl.max_abs_derivative(-nl.sigma, 1.0 + nl.sigma)
+    cap = SolverConfig().stable_dt(grid, nl)
+    for dt in [cap] + [SolverConfig().resolve_dt(grid, nl, snap)
+                       for snap in (0.3 * cap, 2.5 * cap, 1.0 / C, 4.0)]:
+        assert dt * rate <= rd_solver.CFL_SAFETY * (1.0 + 1e-12)
 
 
 def test_resolve_dt_splits_the_interval(small_grid, nl03):
@@ -173,6 +190,43 @@ def test_order_preservation(small_grid, nl03, profile03):
     out_lo = solve_cauchy(Field(small_grid, lo, 0.0), nl03, bc, sc, 2.0, 2.0)
     out_hi = solve_cauchy(Field(small_grid, hi, 0.0), nl03, bc, sc, 2.0, 2.0)
     assert np.all(out_hi[-1].values - out_lo[-1].values >= -1e-14)
+
+
+ORDER_GRID = Grid((24, 24), 0.5, (-6.0, -8.0))
+
+
+def floored_bump_gap(nl, profile, cfg, seed, cell, height):
+    """min of advance(u + b) - advance(u) for one floored step of the V at
+    the stable dt, u uniform between the floor and 1, b = height on one
+    interior cell."""
+    grid = ORDER_GRID
+    dt = SolverConfig().stable_dt(grid, nl)
+    floor = subsolution_floor(cfg, profile, grid)
+    stepper = rd_solver._Stepper(grid, nl, dt, make_boundary(cfg, profile), floor=floor)
+    lift = floor(0.0)
+    u = lift + (1.0 - lift) * np.random.default_rng(seed).uniform(0.0, 1.0, grid.counts)
+    bumped = u.copy()
+    bumped[cell] += height
+    low = stepper.advance(u, dt).copy()
+    return float(np.min(stepper.advance(bumped, dt) - low))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), i=st.integers(1, 22), j=st.integers(1, 22),
+       height=st.floats(min_value=1e-3, max_value=1.0))
+def test_floored_update_map_preserves_order(nl03, profile03, cfg_v, seed, i, j, height):
+    # the property the step rule keeps: raising one cell lowers no cell
+    # of the floored update, the floor and the ring included
+    assert floored_bump_gap(nl03, profile03, cfg_v, seed, (i, j), height) >= -1e-12
+
+
+def test_floored_order_check_fails_past_the_monotone_bound(nl03, profile03, cfg_v,
+                                                           monkeypatch):
+    # at 1.5 times the bound a cell's weight on itself is about -0.4, so
+    # a bump comes out as a dip wherever the floor does not hide it
+    monkeypatch.setattr(rd_solver, "CFL_SAFETY", 1.5)
+    for seed in range(5):
+        assert floored_bump_gap(nl03, profile03, cfg_v, seed, (12, 12), 1e-3) < -1e-12
 
 
 def test_planar_wave_speed_and_shape(small_grid, nl03, profile03):
@@ -428,9 +482,19 @@ def test_measured_1d_speed_matches_shooting(nl03, profile03):
     fit = measure_speed_1d(nl03, dx=0.25, length=200.0, sample_dt=4.0)
     assert abs(fit.speed - profile03.speed) / profile03.speed < 0.01
     # frozen: the stepper's block layout must not change the result
-    assert fit.speed == 0.2633131889212719
+    assert fit.speed == 0.26325889856709145
     assert fit.stderr < 1e-3
     assert len(fit.times) == len(fit.positions)
+
+
+def test_measured_1d_speed_converges_at_second_order(nl03, profile03):
+    # the O(dx^2) stencil and the O(dt) = O(dx^2) step: the error falls
+    # about fourfold per halving of dx (LeVeque 2007, ch. 2 and 9)
+    errs = [abs(measure_speed_1d(nl03, dx=dx).speed - profile03.speed) / profile03.speed
+            for dx in (0.5, 0.25, 0.125)]
+    assert errs[1] <= 8.8e-4
+    for coarse, fine in zip(errs, errs[1:]):
+        assert math.log2(coarse / fine) >= 1.8
 
 
 def test_entire_solution_monotone(nl03, profile03, cfg_v):
@@ -445,8 +509,8 @@ def test_entire_solution_monotone(nl03, profile03, cfg_v):
     assert res.monotone_in_n
     assert res.monotonicity_worst >= -1e-10
     # frozen regression values for this grid and ladder
-    assert res.increments[0] == pytest.approx(0.07080497269560304, rel=1e-9)
-    assert res.increments[1] == pytest.approx(0.08671097412001838, rel=1e-9)
+    assert res.increments[0] == pytest.approx(0.07073370675032276, rel=1e-9)
+    assert res.increments[1] == pytest.approx(0.08654835272036998, rel=1e-9)
     assert res.time_derivative_min >= 0.0
     rep = res.report
     assert rep["lower_gap_min"] >= -1e-10
