@@ -36,11 +36,11 @@ def main():
                           n_list=n_list, window_end=1.0 / c,
                           snapshot_dt=0.5 / c)
 
+    rep = res.report
     print("sup |u_{n_k+1} - u_{n_k}| on the window (monotone increments):")
-    for n_lo, n_hi, inc in zip(n_list, n_list[1:], res.increments):
+    for n_lo, n_hi, inc in zip(n_list, n_list[1:], rep["increments_sup"]):
         print(f"  n = {n_lo:7.3f} -> {n_hi:7.3f}: {inc:.6e}")
 
-    rep = res.report
     print(f"\nmin (u - subsolution)      : {rep['lower_gap_min']:+.3e}")
     print(f"max value over all runs    : {rep['max_value']:.9f}")
     print(f"max off the saturated set  : {rep['max_below_saturation']:.9f} (stays under 1)")

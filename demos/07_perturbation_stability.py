@@ -45,12 +45,13 @@ def main():
     print("\n  t        sup |u_pert - u_twin|")
     for t, v in zip(res.times, res.curve):
         print(f"{t:7.2f}  {v:.6e}")
-    print(f"\nfinal gap            : {res.final_gap:.6e}")
-    print(f"eventually decreasing: {res.eventually_decreasing}")
-    print(f"barrier domination   : min(W - u) = {res.domination_min:.3e}")
-    print(f"envelope bound holds : {res.envelope_ok}")
-    print(f"admissibility        : {res.admissibility['ok']} "
-          f"(worst far ratio {res.admissibility['worst_far_ratio']:.3f})")
+    rep = res.report
+    print(f"\nfinal gap            : {rep['final_gap']:.6e}")
+    print(f"eventually decreasing: {rep['eventually_decreasing']}")
+    print(f"barrier domination   : min(W - u) = {rep['domination_min']:.3e}")
+    print(f"envelope bound holds : {rep['envelope_ok']}")
+    print(f"admissibility        : {rep['admissibility']['ok']} "
+          f"(worst far ratio {rep['admissibility']['worst_far_ratio']:.3f})")
 
     # An inadmissible far-field bump is rejected before any time stepping.
     bad = PerturbationSpec(kind="bump", height=0.4, radius=5.0, center=(10.0, 12.0))

@@ -383,9 +383,6 @@ class ValidationReport:
     fd_step: float = DEFAULT_FD_STEP
     notes: str = ""
 
-    def to_json(self) -> str:
-        return dumps(asdict(self), indent=2)
-
 
 def case_thresholds(profile: WaveProfile, nl: CombustionNonlinearity,
                     epsilon: float, max_cot: float):
@@ -660,5 +657,5 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
             report = validated(trial, upper)[1]
         raise RuntimeError(
             "no alpha on the ladder certified; last report:\n"
-            + (report.to_json() if report is not None else "none"))
+            + (dumps(report, indent=2) if report is not None else "none"))
     return chosen

@@ -3,8 +3,10 @@
 Each subcommand maps onto one verifiable capability (profile shooting,
 surface construction, barrier certification, Cauchy simulation, the
 entire-solution iteration, the diagnostics suite, 1D speed measurement,
-and perturbation stability).  Runs land in a directory named by config
-hash + timestamp with a checksummed manifest, so sweeps stay collision
+and perturbation stability).  A subcommand body returns (passed,
+detail); `run` writes the detail JSON, or failure.json if the body
+raised, then a manifest with the SHA-256 of every file.  Runs land in a
+directory named by config hash + timestamp, so sweeps stay collision
 free and reproducible.
 
 A config is checked against one table of keys (CONFIG) before anything
@@ -135,12 +137,11 @@ def _write_csv(path, header, rows, comment="") -> None:
         writer.writerows([v if isinstance(v, int) else repr(float(v)) for v in row] for row in rows)
 
 
-def write_slice_csv(path, fld: Field, axis: int = 0) -> None:
-    """1D slice through the box center along the given axis."""
+def write_slice_csv(path, fld: Field) -> None:
+    """1D slice through the box center along the last axis."""
     g = fld.grid
-    idx = [c // 2 for c in g.counts]
-    sl = [slice(None) if k == axis else idx[k] for k in range(g.dimension)]
-    _write_csv(path, ["coordinate", "u"], zip(g.axis(axis), fld.values[tuple(sl)]))
+    idx = tuple(c // 2 for c in g.counts[:-1])
+    _write_csv(path, ["coordinate", "u"], zip(g.axis(g.dimension - 1), fld.values[idx]))
 
 
 # -- config parsing ----------------------------------------------------------
@@ -455,20 +456,10 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
     return path
 
 
-def verify_manifest(run_dir) -> bool:
-    with open(os.path.join(run_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    for name, digest in manifest["artifacts"].items():
-        path = os.path.join(run_dir, name)
-        if not os.path.isfile(path) or _sha256_file(path) != digest:
-            return False
-    return True
-
-
 def _write_json(run_dir, name, payload) -> str:
     path = os.path.join(run_dir, name)
     with open(path, "w") as fh:
-        fh.write(payload if isinstance(payload, str) else dumps(payload, indent=2))
+        fh.write(dumps(payload, indent=2))
     return path
 
 
@@ -484,14 +475,13 @@ def _cmd_profile(objs, run_dir, seed):
     grid = 0.005 * np.arange(-half_n, half_n + 1)
     _write_csv(os.path.join(run_dir, "profile.csv"), ["D", "U"], zip(grid, profile(grid)),
                comment=f"# c_f={c!r} beta0={beta0!r} tail=theta*exp(-c_f*D) on D>=0\n")
-    summary = {
+    passed = bool(resid <= 1e-6)
+    return passed, {
         "c_f": c,
         "beta0": beta0,
         "ode_residual_sup": resid,  # relative to sup |f(U)|
-        "passed": bool(resid <= 1e-6),
+        "passed": passed,
     }
-    _write_json(run_dir, "profile.json", summary)
-    return summary["passed"], "profile.json"
 
 
 def _cmd_surface(objs, run_dir, seed):
@@ -514,16 +504,15 @@ def _cmd_surface(objs, run_dir, seed):
                + ["phi", "h", "phi_minus_psi"],
                ([t[k], *x[k], phi[k] / alpha, h[k], gap[k] / alpha]
                 for k in range(min(n, 2000))))
-    summary = {
+    passed = bool(resid.max() <= 1e-9 and gap.min() >= -1e-12)
+    return passed, {
         "alpha": alpha,
         "c_hat": fit.c_hat,
         "c1_hat": fit.c1_hat,
         "max_abs_residual": float(resid.max()),
         "min_phi_minus_psi": float(gap.min()),
-        "passed": bool(resid.max() <= 1e-9 and gap.min() >= -1e-12),
+        "passed": passed,
     }
-    _write_json(run_dir, "surface.json", summary)
-    return summary["passed"], "surface.json"
 
 
 def _resolve_barrier_params(objs) -> BarrierParams:
@@ -537,8 +526,7 @@ def _cmd_barriers_validate(objs, run_dir, seed):
     spec = BarrierSampleSpec(n_samples=objs["experiment"]["n_samples"], seed=seed)
     report = validate_parameters(objs["front"], objs["profile"], objs["nl"],
                                  params, spec)
-    _write_json(run_dir, "validation.json", report.to_json())
-    return report.passed, "validation.json"
+    return report.passed, report
 
 
 def _cmd_simulate(objs, run_dir, seed):
@@ -553,20 +541,17 @@ def _cmd_simulate(objs, run_dir, seed):
                          floor=floor if exp["use_floor"] else None)
     for k, fld in enumerate(snaps):
         write_snapshot(os.path.join(run_dir, f"snapshot_{k:04d}.cflb"), fld)
-    write_slice_csv(os.path.join(run_dir, "final_slice.csv"), snaps[-1],
-                    axis=grid.dimension - 1)
     final = snaps[-1]
+    write_slice_csv(os.path.join(run_dir, "final_slice.csv"), final)
     in_bounds = bool(final.values.min() >= -1e-12
                      and final.values.max() <= 1.0 + 1e-12)
-    summary = {
+    return in_bounds, {
         "n_snapshots": len(snaps),
         "t_final": final.time,
         "min": float(final.values.min()),
         "max": float(final.values.max()),
         "passed": in_bounds,
     }
-    _write_json(run_dir, "simulate.json", summary)
-    return in_bounds, "simulate.json"
 
 
 def _cmd_entire(objs, run_dir, seed):
@@ -579,20 +564,13 @@ def _cmd_entire(objs, run_dir, seed):
     for k, vals in enumerate(result.v_hat):
         write_snapshot(os.path.join(run_dir, f"vhat_{k:04d}.cflb"),
                        Field(grid, vals, result.times[k]))
-    inc = result.increments
-    ratio_ok = len(inc) < 2 or inc[-1] <= 2.0 * inc[-2]
-    passed = bool(result.monotone_in_n and ratio_ok
-                  and result.report["lower_gap_min"] >= -1e-10
-                  and result.report["max_value"] <= 1.0 + 1e-12)
     summary = dict(result.report)
-    summary.update({
-        "monotone_in_n": result.monotone_in_n,
-        "monotonicity_worst": result.monotonicity_worst,
-        "time_derivative_min": result.time_derivative_min,
-        "passed": passed,
-    })
-    _write_json(run_dir, "entire.json", summary)
-    return passed, "entire.json"
+    inc = summary["increments_sup"]
+    ratio_ok = len(inc) < 2 or inc[-1] <= 2.0 * inc[-2]
+    summary["passed"] = bool(summary["monotone_in_n"] and ratio_ok
+                             and summary["lower_gap_min"] >= -1e-10
+                             and summary["max_value"] <= 1.0 + 1e-12)
+    return summary["passed"], summary
 
 
 def _cmd_verify(objs, run_dir, seed):
@@ -636,14 +614,13 @@ def _cmd_verify(objs, run_dir, seed):
         "half_level_cross_check": hl,
         "verdict": {"meps_monotone": meps_monotone, "mean_speed_ok": speed_ok, "passed": passed},
     }
-    _write_json(run_dir, "diagnostics.json", report)
     # one CSV per list of floats in a section: the mean-speed and gap curves
     for name, section in report.items():
         for key, val in section.items():
             if isinstance(val, list) and val and isinstance(val[0], float):
                 _write_csv(os.path.join(run_dir, f"{name}_{key}.csv"), ["index", key],
                            enumerate(val))
-    return passed, "diagnostics.json"
+    return passed, report
 
 
 def _cmd_speed(objs, run_dir, seed):
@@ -656,11 +633,10 @@ def _cmd_speed(objs, run_dir, seed):
         rows.append({"theta": fam.theta, "c_shooting": c_shoot,
                      "c_measured": fit.speed, "rel_err": rel})
         passed = passed and rel <= 0.01
-    _write_json(run_dir, "speed.json", {"rows": rows, "passed": passed})
     header = ["theta", "c_shooting", "c_measured", "rel_err"]
     _write_csv(os.path.join(run_dir, "speed.csv"), header,
                ([r[name] for name in header] for r in rows))
-    return passed, "speed.json"
+    return passed, {"rows": rows, "passed": passed}
 
 
 def _cmd_stability(objs, run_dir, seed):
@@ -674,52 +650,47 @@ def _cmd_stability(objs, run_dir, seed):
                            snapshot_dt=objs["snapshot_dt"], barriers=barriers)
     _write_csv(os.path.join(run_dir, "stability_curve.csv"), ["t", "sup_gap"],
                zip(result.times, result.curve))
-    passed = result.passed and (result.domination_min is None
-                                or result.domination_min >= -1e-9)
-    summary = {
-        "final_gap": result.final_gap,
-        "eventually_decreasing": result.eventually_decreasing,
-        "admissibility": result.admissibility,
-        "domination_min": result.domination_min,
-        "envelope_ok": result.envelope_ok,
-        "envelope_slack_min": result.envelope_slack_min,
-        "passed": bool(passed),
-    }
-    summary.update(result.report)
-    _write_json(run_dir, "stability.json", summary)
-    return bool(passed), "stability.json"
+    summary = dict(result.report)
+    dom = summary["domination_min"]
+    summary["passed"] = bool(summary["passed"] and (dom is None or dom >= -1e-9))
+    return summary["passed"], summary
 
 
+# subcommand -> (detail file name, body); a body returns (passed, detail)
 _BODIES = {
-    "profile": _cmd_profile,
-    "surface": _cmd_surface,
-    "barriers-validate": _cmd_barriers_validate,
-    "simulate": _cmd_simulate,
-    "entire": _cmd_entire,
-    "verify": _cmd_verify,
-    "speed": _cmd_speed,
-    "stability": _cmd_stability,
+    "profile": ("profile.json", _cmd_profile),
+    "surface": ("surface.json", _cmd_surface),
+    "barriers-validate": ("validation.json", _cmd_barriers_validate),
+    "simulate": ("simulate.json", _cmd_simulate),
+    "entire": ("entire.json", _cmd_entire),
+    "verify": ("diagnostics.json", _cmd_verify),
+    "speed": ("speed.json", _cmd_speed),
+    "stability": ("stability.json", _cmd_stability),
 }
 
 
 def run(cfg: dict, subcommand: str, out_dir: str, threads: int = 1,
         seed: int = 0):
-    """Execute one subcommand; returns (exit_code, run_dir, detail_path)."""
+    """Execute one subcommand; returns (exit_code, run_dir, detail_path).
+
+    The body's detail goes to its file, or {"error", "subcommand"} to
+    failure.json if the body raised a numerical error; the manifest,
+    written last, records the digest of every file."""
+    if threads < 1:
+        raise ConfigError("threads: must be >= 1")
     objs = build_objects(cfg, subcommand)
     if subcommand in SOLVER_USERS:
         objs["solver_config"] = replace(objs["solver_config"], workers=threads)
+    name, body = _BODIES[subcommand]
     run_dir = make_run_dir(out_dir, cfg)
     try:
-        passed, detail = _BODIES[subcommand](objs, run_dir, seed)
+        passed, detail = body(objs, run_dir, seed)
     except (RuntimeError, ValueError) as e:
-        detail_path = _write_json(run_dir, "failure.json",
-                                  {"error": str(e), "subcommand": subcommand})
-        write_manifest(run_dir, cfg, subcommand, False, seed, threads)
-        return EXIT_NUMERICAL, run_dir, detail_path
+        name = "failure.json"
+        passed, detail = False, {"error": str(e), "subcommand": subcommand}
+    detail_path = _write_json(run_dir, name, detail)
     write_manifest(run_dir, cfg, subcommand, passed, seed, threads)
-    detail_path = os.path.join(run_dir, detail)
-    code = EXIT_OK if passed else EXIT_NUMERICAL
-    return code, run_dir, detail_path
+    return EXIT_OK if passed else EXIT_NUMERICAL, run_dir, detail_path
 
 
 def _hold_heap():
@@ -745,29 +716,15 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=".", help="output directory root")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: CFL_THREADS, then 1)")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random sample placement in validation")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("CFL_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            print(f"config error: threads: CFL_THREADS must be an integer, got {env!r}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-    if threads < 1:
-        print("config error: threads: must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
         cfg = load_config(args.config)
         code, run_dir, detail = run(cfg, args.subcommand, args.out,
-                                    threads=threads, seed=args.seed)
+                                    threads=args.threads, seed=args.seed)
     except ConfigError as e:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)

@@ -11,7 +11,7 @@ sits at the wrong offset fails them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -342,16 +342,17 @@ def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
 
 @dataclass
 class StabilityResult:
+    """Decay curve of one perturbation.
+
+    report holds, in order: final_gap, eventually_decreasing,
+    admissibility, domination_min (min over snapshots of min(W - u)),
+    envelope_ok, envelope_slack_min (the three None without barriers),
+    passed, gap_tol, t_end, initial_gap, v_rate and rho0.
+    """
+
     times: np.ndarray
     curve: np.ndarray                 # sup |u - twin| per snapshot
-    passed: bool
-    final_gap: float
-    eventually_decreasing: bool
-    admissibility: dict
-    domination_min: float | None      # min over snapshots of min(W - u)
-    envelope_ok: bool | None
-    envelope_slack_min: float | None
-    report: dict = field(default_factory=dict)
+    report: dict
 
 
 def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
@@ -401,11 +402,20 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
     slack = 1e-9 * max(1.0, float(curve[peak]))
     eventually_decreasing = bool(
         peak < len(curve) - 1 and np.all(np.diff(curve[peak:]) <= slack))
-    passed = bool(final_gap <= STABILITY_GAP_TOL and eventually_decreasing)
-
-    domination_min = None
-    envelope_ok = None
-    envelope_slack_min = None
+    report = {
+        "final_gap": final_gap,
+        "eventually_decreasing": eventually_decreasing,
+        "admissibility": adm,
+        "domination_min": None,
+        "envelope_ok": None,
+        "envelope_slack_min": None,
+        "passed": bool(final_gap <= STABILITY_GAP_TOL and eventually_decreasing),
+        "gap_tol": STABILITY_GAP_TOL,
+        "t_end": t_end,
+        "initial_gap": float(curve[0]),
+        "v_rate": v_rate,
+        "rho0": rho0,
+    }
     if barriers is not None:
         pts = grid.points().reshape(-1, grid.dimension)
         dom = np.inf
@@ -425,20 +435,7 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
                         + float(np.max(np.abs(vbar_shift - tw.values.reshape(-1))))
                         + p.varrho * p.delta * dvhat_sup)
             slack = min(slack, envelope - curve[k])
-        domination_min = float(dom)
-        envelope_slack_min = float(slack)
-        envelope_ok = bool(slack >= 0.0)
-
-    return StabilityResult(
-        times=times, curve=curve, passed=passed, final_gap=final_gap,
-        eventually_decreasing=eventually_decreasing, admissibility=adm,
-        domination_min=domination_min, envelope_ok=envelope_ok,
-        envelope_slack_min=envelope_slack_min,
-        report={
-            "gap_tol": STABILITY_GAP_TOL,
-            "t_end": t_end,
-            "initial_gap": float(curve[0]),
-            "v_rate": v_rate,
-            "rho0": rho0,
-        })
+        report.update(domination_min=float(dom), envelope_ok=bool(slack >= 0.0),
+                      envelope_slack_min=float(slack))
+    return StabilityResult(times=times, curve=curve, report=report)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -325,17 +325,19 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
 
 @dataclass
 class EntireSolutionResult:
-    """Window snapshots of the increasing-start iteration."""
+    """Window snapshots of the increasing-start iteration.
+
+    report holds, in order: n_list, window_end, lower_gap_min,
+    strict_lower_gap_min, max_value, max_below_saturation, increments_sup
+    (sup-norm gaps between consecutive runs), monotone_in_n,
+    monotonicity_worst (most negative pointwise increment) and
+    time_derivative_min (min discrete du/dt over the window).
+    """
 
     times: np.ndarray                 # window snapshot times
     runs: dict                        # start offset n -> list of value arrays
     v_hat: list                       # snapshots of the deepest run
-    grid: Grid
-    monotone_in_n: bool
-    monotonicity_worst: float         # most negative pointwise increment
-    increments: list                  # sup-norm gaps between consecutive runs
-    time_derivative_min: float        # min discrete du/dt over the window
-    report: dict = field(default_factory=dict)
+    report: dict
 
 
 def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
@@ -414,11 +416,11 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
         "max_value": max_value,
         "max_below_saturation": below_one,
         "increments_sup": increments,
+        "monotone_in_n": bool(worst >= -1e-10),
+        "monotonicity_worst": worst,
+        "time_derivative_min": dudt_min,
     }
-    return EntireSolutionResult(
-        times=times, runs=runs, v_hat=v_hat, grid=grid,
-        monotone_in_n=bool(worst >= -1e-10), monotonicity_worst=worst,
-        increments=increments, time_derivative_min=dudt_min, report=report)
+    return EntireSolutionResult(times=times, runs=runs, v_hat=v_hat, report=report)
 
 
 @dataclass(frozen=True)

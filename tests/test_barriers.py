@@ -32,6 +32,7 @@ from curvedfronts.barriers import (
     v_star_schedule,
 )
 from curvedfronts.front_geometry import FrontConfiguration
+from curvedfronts.jsonio import dumps
 
 
 def test_mollifier_saturation_and_symmetry():
@@ -187,13 +188,18 @@ def test_validation_rejects_alpha_ten(cfg_v, profile03, nl03, params03):
 def test_validation_report_serialises(cfg_v, profile03, nl03, params03, strict_loads):
     spec = BarrierSampleSpec(n_samples=2000, seed=1)
     rep = validate_parameters(cfg_v, profile03, nl03, params03, spec=spec)
-    parsed = strict_loads(rep.to_json())
+    # dumps writes the report's fields in order: the text of its asdict
+    text = dumps(rep, indent=2)
+    assert text == dumps(dataclasses.asdict(rep), indent=2)
+    parsed = strict_loads(text)
     assert parsed["passed"] == rep.passed
     assert "min_residual_upper" in parsed
     # non-finite fields are written as null
     rep.min_residual_time = math.nan
     rep.worst_ridge_distance = math.inf
-    parsed = strict_loads(rep.to_json())
+    text = dumps(rep, indent=2)
+    assert text == dumps(dataclasses.asdict(rep), indent=2)
+    parsed = strict_loads(text)
     assert parsed["min_residual_time"] is None
     assert parsed["worst_ridge_distance"] is None
 
@@ -491,7 +497,7 @@ def test_uncertified_ladder_reports_complete_last_rung(cfg_v, profile03, nl03, s
     with pytest.raises(RuntimeError, match="no alpha on the ladder certified") as err:
         auto_parameters(cfg_v, profile03, nl03, alpha_ladder=(0.4,), pilot_samples=4000)
     text = str(err.value).split("last report:\n", 1)[1]
-    assert text == ref.to_json()
+    assert text == dumps(ref, indent=2) == dumps(dataclasses.asdict(ref), indent=2)
     last = strict_loads(text)
     assert not last["passed"] and last["min_residual_upper"] < 0.0
     # the report goes past the failed upper certificate

@@ -3,6 +3,7 @@ directories with checksummed manifests, and thread reproducibility."""
 
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -35,7 +36,6 @@ from curvedfronts.cli_io import (
     load_config,
     main,
     validate_config,
-    verify_manifest,
     write_manifest,
 )
 
@@ -84,6 +84,22 @@ def sample_field():
 
 def run_dir_of(stdout):
     return stdout.strip().splitlines()[-1]
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def checked_artifacts(run_dir):
+    """The manifest's artifacts, checked to be exactly the run directory's
+    other files, each listed with its SHA-256."""
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        artifacts = json.load(fh)["artifacts"]
+    assert set(artifacts) == set(os.listdir(run_dir)) - {"manifest.json"}
+    for name, digest in artifacts.items():
+        assert digest == sha256_of(os.path.join(run_dir, name)), name
+    return artifacts
 
 
 # -- snapshot format ---------------------------------------------------------
@@ -295,7 +311,7 @@ def test_profile_run(tmp_path, capsys):
     assert summary["ode_residual_sup"] <= 1e-6
     first = open(os.path.join(run_dir, "profile.csv")).readline()
     assert first.startswith("# c_f=") and "tail=theta*exp(-c_f*D)" in first
-    assert verify_manifest(run_dir)
+    checked_artifacts(run_dir)
     manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert manifest["subcommand"] == "profile"
     assert set(manifest["artifacts"]) == {"profile.csv", "profile.json"}
@@ -514,6 +530,27 @@ def test_stability_run_cli(tmp_path, capsys):
     assert len(curve) >= 4
 
 
+def test_numerical_failure_writes_failure_json(tmp_path, capsys, strict_loads):
+    # a far-field bump is inadmissible: the body raises before any step and
+    # run writes failure.json in place of stability.json
+    cfg = copy.deepcopy(BASE)
+    del cfg["barrier"]
+    cfg["experiment"] = {"height": 0.4, "radius": 5.0, "center": [10.0, 12.0]}
+    rc = main(["stability", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    out = capsys.readouterr()
+    assert rc == EXIT_NUMERICAL
+    run_dir = run_dir_of(out.out)
+    failure_path = os.path.join(run_dir, "failure.json")
+    assert out.err == f"numerical failure: see {failure_path}\n"
+    assert sorted(os.listdir(run_dir)) == ["failure.json", "manifest.json"]
+    failure = strict_loads(open(failure_path).read())
+    assert failure["subcommand"] == "stability"
+    assert failure["error"].startswith("inadmissible perturbation")
+    manifest = strict_loads(open(os.path.join(run_dir, "manifest.json")).read())
+    assert manifest["passed"] is False
+    assert checked_artifacts(run_dir) == {"failure.json": sha256_of(failure_path)}
+
+
 def test_stability_requires_perturbation_fields(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     rc = main(["stability", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
@@ -652,25 +689,29 @@ def test_invalid_threads_exits_2(tmp_path, capsys):
     assert "threads" in out.err
 
 
-def test_invalid_env_threads_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CFL_THREADS", "abc")
-    cfg = {"nonlinearity": dict(BASE["nonlinearity"])}
+@pytest.mark.parametrize("sub", ["profile", "simulate"])
+def test_run_rejects_threads_below_one(tmp_path, sub):
+    # checked before the config is built, for every subcommand
+    cfg = copy.deepcopy(BASE) if sub == "simulate" else {
+        "nonlinearity": dict(BASE["nonlinearity"])}
     out_dir = tmp_path / "runs"
-    rc = main(["profile", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
-    assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "config error: threads: CFL_THREADS must be an integer, got 'abc'\n")
+    with pytest.raises(ConfigError) as exc:
+        cli_io.run(cfg, sub, str(out_dir), threads=0)
+    assert exc.value.errors == ["threads: must be >= 1"]
     assert not out_dir.exists()
 
 
-def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CFL_THREADS", "3")
+def test_cfl_threads_env_is_ignored(tmp_path, capsys, monkeypatch):
+    # --threads is the one way to set the thread count, and it defaults to 1
     cfg = {"nonlinearity": dict(BASE["nonlinearity"])}
-    rc = main(["profile", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
-    out = capsys.readouterr()
-    assert rc == EXIT_OK
-    manifest = json.load(open(os.path.join(run_dir_of(out.out), "manifest.json")))
-    assert manifest["threads"] == 3
+    for env in ("abc", "3"):
+        monkeypatch.setenv("CFL_THREADS", env)
+        rc = main(["profile", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / env)])
+        out = capsys.readouterr()
+        assert rc == EXIT_OK, out.err
+        manifest = json.load(open(os.path.join(run_dir_of(out.out), "manifest.json")))
+        assert manifest["threads"] == 1
 
 
 def test_seed_recorded(tmp_path, capsys):
@@ -690,13 +731,14 @@ def test_manifest_detects_corruption(tmp_path, capsys):
     out = capsys.readouterr()
     assert rc == EXIT_OK
     run_dir = run_dir_of(out.out)
-    assert verify_manifest(run_dir)
-    with open(os.path.join(run_dir, "profile.csv"), "a") as fh:
+    artifacts = checked_artifacts(run_dir)
+    path = os.path.join(run_dir, "profile.csv")
+    with open(path, "a") as fh:
         fh.write("tampered\n")
-    assert not verify_manifest(run_dir)
-    # a listed artifact that was deleted fails the check instead of raising
-    os.remove(os.path.join(run_dir, "profile.csv"))
-    assert not verify_manifest(run_dir)
+    assert sha256_of(path) != artifacts["profile.csv"]
+    # a listed artifact that was deleted is missing from the directory
+    os.remove(path)
+    assert "profile.csv" in artifacts and not os.path.exists(path)
 
 
 def test_manifest_records_blas_threads(tmp_path, monkeypatch, strict_loads):
@@ -762,4 +804,4 @@ def test_artifacts_are_strict_json(tmp_path, strict_loads):
         "gap": None, "rows": [None, 0.5], "curve": [1.0, None, None], "n": 3, "ok": True}
     manifest = strict_loads((tmp_path / "manifest.json").read_text())
     assert sorted(manifest["artifacts"]) == ["summary.json"]
-    assert verify_manifest(str(tmp_path))
+    checked_artifacts(str(tmp_path))

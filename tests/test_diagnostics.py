@@ -204,7 +204,7 @@ def test_stability_zero_perturbation_is_exact(cfg_v, profile03, nl03, barriers03
                         snapshot_dt=1.0 / c, barriers=barriers03)
     # twin and perturbed runs are the same deterministic computation
     assert np.all(np.asarray(res.curve) == 0.0)
-    assert res.passed
+    assert res.report["passed"]
 
 
 def test_stability_bump_decays(cfg_v, profile03, nl03, barriers03):
@@ -214,15 +214,16 @@ def test_stability_bump_decays(cfg_v, profile03, nl03, barriers03):
     spec = PerturbationSpec(kind="bump", height=nl03.gamma_star / 2, radius=3.0 / c)
     res = stability_run(cfg_v, profile03, nl03, g, sc, spec, t_end=12.0 / c,
                         snapshot_dt=2.0 / c, barriers=barriers03)
-    assert res.passed
+    rep = res.report
+    assert rep["passed"]
     assert res.curve[0] == pytest.approx(nl03.gamma_star / 2, rel=1e-12)
     # transient amplification through the reaction zone, then decay
-    assert res.final_gap == pytest.approx(6.076277300890887e-3, rel=1e-6)
-    assert res.eventually_decreasing
-    assert res.final_gap < res.curve[0]
-    assert res.domination_min >= -1e-9
-    assert res.envelope_ok
-    assert res.admissibility["ok"]
+    assert rep["final_gap"] == pytest.approx(6.076277300890887e-3, rel=1e-6)
+    assert rep["eventually_decreasing"]
+    assert rep["final_gap"] < res.curve[0]
+    assert rep["domination_min"] >= -1e-9
+    assert rep["envelope_ok"]
+    assert rep["admissibility"]["ok"]
 
 
 def test_stability_rejects_far_field_perturbation(cfg_v, profile03, nl03, barriers03):

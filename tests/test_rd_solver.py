@@ -506,13 +506,13 @@ def test_entire_solution_monotone(nl03, profile03, cfg_v):
         n_list=[2.0 / c, 4.0 / c, 8.0 / c],
         window_end=1.0 / c, snapshot_dt=1.0 / c,
     )
-    assert res.monotone_in_n
-    assert res.monotonicity_worst >= -1e-10
-    # frozen regression values for this grid and ladder
-    assert res.increments[0] == pytest.approx(0.07073370675032276, rel=1e-9)
-    assert res.increments[1] == pytest.approx(0.08654835272036998, rel=1e-9)
-    assert res.time_derivative_min >= 0.0
     rep = res.report
+    assert rep["monotone_in_n"]
+    assert rep["monotonicity_worst"] >= -1e-10
+    # frozen regression values for this grid and ladder
+    assert rep["increments_sup"][0] == pytest.approx(0.07073370675032276, rel=1e-9)
+    assert rep["increments_sup"][1] == pytest.approx(0.08654835272036998, rel=1e-9)
+    assert rep["time_derivative_min"] >= 0.0
     assert rep["lower_gap_min"] >= -1e-10
     assert rep["max_value"] <= 1.0
     assert rep["max_below_saturation"] < 1.0
