@@ -35,7 +35,7 @@ def main():
     # Bump of height gamma*/2 centered on the ridge, well inside the
     # admissible class; gamma* is the burned-plateau disturbance budget.
     g = gamma_star(nl)
-    spec = PerturbationSpec(kind="bump", height=g / 2.0, radius=3.0 / c)
+    spec = PerturbationSpec(height=g / 2.0, radius=3.0 / c)
     print(f"bump height {g / 2.0} (gamma* = {g}), radius {3.0 / c:.3f}")
 
     res = stability_run(cfg, profile, nl, grid, config, spec,
@@ -54,7 +54,7 @@ def main():
           f"(worst far ratio {rep['admissibility']['worst_far_ratio']:.3f})")
 
     # An inadmissible far-field bump is rejected before any time stepping.
-    bad = PerturbationSpec(kind="bump", height=0.4, radius=5.0, center=(10.0, 12.0))
+    bad = PerturbationSpec(height=0.4, radius=5.0, center=(10.0, 12.0))
     try:
         stability_run(cfg, profile, nl, grid, config, bad,
                       t_end=1.0, snapshot_dt=0.5, rho0=5.0)

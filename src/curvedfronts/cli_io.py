@@ -256,7 +256,6 @@ CONFIG = {
         "ridge_exclusion": Key(NUMBER, {"verify": lambda c: 10.0 / c}),
         # None: the nonlinearity's own theta
         "theta_list": Key(NUMBERS, {"speed": None}, NONEMPTY),
-        "kind": Key(STRING, {"stability": "bump"}),
         "height": Key(NUMBER, {"stability": REQUIRED}),
         "radius": Key(NUMBER, {"stability": REQUIRED}),
         "center": Key(NUMBERS, {"stability": None}),
@@ -371,7 +370,7 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
             errors.append(f"experiment.center: expected {n} coordinates (front.N), "
                           f"got {len(center)}")
         out["perturbation"] = construct("experiment", lambda: PerturbationSpec(
-            kind=exp["kind"], height=float(exp["height"]), radius=float(exp["radius"]),
+            height=float(exp["height"]), radius=float(exp["radius"]),
             center=None if center is None else tuple(center)))
     if errors:
         raise ConfigError(errors)
@@ -424,12 +423,7 @@ def make_run_dir(out_dir, cfg: dict) -> str:
 
 def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
                    seed: int, threads: int) -> str:
-    from importlib import metadata  # not at module level: it adds a few ms to the import
     from . import __version__  # the package imports this module first
-    try:
-        scipy_version = metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        scipy_version = None
     artifacts = {}
     for name in sorted(os.listdir(run_dir)):
         if name == "manifest.json":
@@ -445,7 +439,7 @@ def write_manifest(run_dir, cfg: dict, subcommand: str, passed: bool,
         # recorded for reproduction; the profile table does not depend on them
         "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
         "versions": {"curvedfronts": __version__, "python": sys.version,
-                     "numpy": np.__version__, "scipy": scipy_version,
+                     "numpy": np.__version__,
                      "platform": sys.platform, "machine": os.uname().machine},
         "passed": passed,
         "artifacts": artifacts,
@@ -561,9 +555,8 @@ def _cmd_entire(objs, run_dir, seed):
                              n_list=objs["experiment"]["n_list"],
                              window_end=objs["t_end"],
                              snapshot_dt=objs["snapshot_dt"])
-    for k, vals in enumerate(result.v_hat):
-        write_snapshot(os.path.join(run_dir, f"vhat_{k:04d}.cflb"),
-                       Field(grid, vals, result.times[k]))
+    for k, fld in enumerate(result.v_hat):
+        write_snapshot(os.path.join(run_dir, f"vhat_{k:04d}.cflb"), fld)
     summary = dict(result.report)
     inc = summary["increments_sup"]
     ratio_ok = len(inc) < 2 or inc[-1] <= 2.0 * inc[-2]

@@ -37,20 +37,11 @@ __all__ = [
 ]
 
 HALF_LEVEL_MARGIN = 5.0  # half-level points this close to the box edge are dropped
-ADMISSIBLE_SAMPLES = 1000  # far points check_admissibility draws for the weighted ratio
 ADMISSIBLE_RATIO = 0.1  # largest admissible far-field perturbation / weight
 M_EPS_LEVELS = (0.25, 0.1, 0.05, 0.02, 0.01)  # the eps of the M_eps table, largest first
 GAP_BINS = 8  # ridge-distance bins of the weighted gap curve
 GAP_PASS_LEVEL = 0.05  # farthest-bin sup the weighted gap must reach
 STABILITY_GAP_TOL = 1e-2  # final sup |u - twin| a stable run must reach
-
-
-def _as_snapshot_lists(trajectory):
-    """Split a list of Field snapshots into times, value arrays and their grid."""
-    times = np.array([f.time for f in trajectory])
-    values = [f.values for f in trajectory]
-    grid = trajectory[0].grid
-    return times, values, grid
 
 
 def sandwich_and_monotonicity(trajectory, cfg: FrontConfiguration,
@@ -64,30 +55,29 @@ def sandwich_and_monotonicity(trajectory, cfg: FrontConfiguration,
     the solver floor uses, so an exactly floored run reports a zero lower
     violation.
     """
-    times, values, grid = _as_snapshot_lists(trajectory)
+    grid = trajectory[0].grid
     pts = grid.points().reshape(-1, grid.dimension)
     floor = subsolution_floor(cfg, profile, grid)
     rho_list = [2.0 / cfg.speed, 5.0 / cfg.speed, 10.0 / cfg.speed]
 
     lower_viol = 0.0
     upper_viol = 0.0
-    for tk, vk in zip(times, values):
-        lower_viol = max(lower_viol, float((floor(tk) - vk).max()))
+    for snap in trajectory:
+        lower_viol = max(lower_viol, float((floor(snap.time) - snap.values).max()))
         if barriers is not None:
-            vbar = barriers.upper(np.full(pts.shape[0], tk), pts)
-            upper_viol = max(upper_viol, float((vk.reshape(-1) - vbar).max()))
+            vbar = barriers.upper(np.full(pts.shape[0], snap.time), pts)
+            upper_viol = max(upper_viol, float((snap.values.reshape(-1) - vbar).max()))
 
     dudt_min = np.inf
     tube_floor = {rho: np.inf for rho in rho_list}
     need_tube = cfg.n_waves >= 2
     if need_tube:
-        db = ridge_distance(cfg, np.full(pts.shape[0], times[0]), pts)
-    for k in range(len(times) - 1):
-        ta, tb = times[k], times[k + 1]
-        rate = (values[k + 1] - values[k]) / (tb - ta)
+        db = ridge_distance(cfg, np.full(pts.shape[0], trajectory[0].time), pts)
+    for a, b in zip(trajectory[:-1], trajectory[1:]):
+        rate = (b.values - a.values) / (b.time - a.time)
         dudt_min = min(dudt_min, float(rate.min()))
         if need_tube:
-            da, db = db, ridge_distance(cfg, np.full(pts.shape[0], tb), pts)
+            da, db = db, ridge_distance(cfg, np.full(pts.shape[0], b.time), pts)
             d = np.maximum(da, db).reshape(grid.counts)
             for rho in rho_list:
                 inside = d <= rho
@@ -100,7 +90,7 @@ def sandwich_and_monotonicity(trajectory, cfg: FrontConfiguration,
         "dudt_min": dudt_min,
         "tube_floors": {f"{rho:.6g}": (v if np.isfinite(v) else None)
                         for rho, v in tube_floor.items()},
-        "n_snapshots": len(times),
+        "n_snapshots": len(trajectory),
     }
 
 
@@ -237,16 +227,16 @@ def weighted_gap_report(trajectory, cfg: FrontConfiguration,
     GAP_PASS_LEVEL in the farthest bin for the transition-front gap bound.
     """
     cfg.require_ridges()
-    times, values, grid = _as_snapshot_lists(trajectory)
+    grid = trajectory[0].grid
     pts = grid.points().reshape(-1, grid.dimension)
     floor = subsolution_floor(cfg, profile, grid)
 
     all_d = []
     all_ratio = []
-    for tk, vk in zip(times, values):
-        tvec = np.full(pts.shape[0], tk)
-        weight = _slab_weight(cfg, tk, pts, v_rate)
-        gap = np.abs(vk.reshape(-1) - floor(tk).reshape(-1))
+    for snap in trajectory:
+        tvec = np.full(pts.shape[0], snap.time)
+        weight = _slab_weight(cfg, snap.time, pts, v_rate)
+        gap = np.abs(snap.values.reshape(-1) - floor(snap.time).reshape(-1))
         all_d.append(ridge_distance(cfg, tvec, pts))
         all_ratio.append(gap / weight)
     d = np.concatenate(all_d)
@@ -272,17 +262,14 @@ def weighted_gap_report(trajectory, cfg: FrontConfiguration,
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Initial disturbance added on top of the subsolution."""
+    """Bump added on top of the subsolution; height 0 leaves it unperturbed."""
 
-    kind: str = "bump"            # "bump" or "none"
     height: float = 0.0
     radius: float = 1.0
     center: tuple | None = None   # defaults to a point on the t=0 ridge
 
     def __post_init__(self):
-        if self.kind not in ("bump", "none"):
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == "bump" and self.radius <= 0:
+        if self.radius <= 0:
             raise ValueError("bump radius must be positive")
 
 
@@ -296,8 +283,6 @@ def _ridge_point(cfg: FrontConfiguration, t: float) -> np.ndarray:
 
 def perturbation_values(spec: PerturbationSpec, cfg: FrontConfiguration,
                         grid: Grid) -> np.ndarray:
-    if spec.kind == "none":
-        return np.zeros(grid.counts)
     center = np.asarray(spec.center, dtype=float) if spec.center is not None \
         else _ridge_point(cfg, 0.0)
     pts = grid.points()
@@ -309,25 +294,19 @@ def perturbation_values(spec: PerturbationSpec, cfg: FrontConfiguration,
 
 
 def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
-                        profile: WaveProfile, grid: Grid, v_rate: float,
+                        vlow: np.ndarray, grid: Grid, v_rate: float,
                         rho0: float) -> dict:
-    """Initial-data admissibility: above the subsolution, inside [0,1], and
-    perturbation / weight at most ADMISSIBLE_RATIO beyond ridge distance rho0."""
-    floor = subsolution_floor(cfg, profile, grid)
-    vlow = floor(0.0)
+    """Initial-data admissibility against the t = 0 subsolution values vlow:
+    above them, inside [0,1], and perturbation / weight at most
+    ADMISSIBLE_RATIO on every cell beyond ridge distance rho0."""
     below = float((vlow - u0).max())
     out_of_range = float(max(-u0.min(), u0.max() - 1.0))
 
-    rng = np.random.default_rng(0)
-    pts_all = grid.points().reshape(-1, grid.dimension)
-    pert = (u0 - vlow).reshape(-1)
-    t0 = np.zeros(pts_all.shape[0])
-    d = ridge_distance(cfg, t0, pts_all)
-    far = np.nonzero(d > rho0)[0]
-    if far.size > ADMISSIBLE_SAMPLES:
-        far = rng.choice(far, size=ADMISSIBLE_SAMPLES, replace=False)
-    weight = _slab_weight(cfg, 0.0, pts_all[far], v_rate)
-    worst_ratio = float((pert[far] / weight).max()) if far.size else 0.0
+    pts = grid.points().reshape(-1, grid.dimension)
+    far = ridge_distance(cfg, np.zeros(pts.shape[0]), pts) > rho0
+    pert = (u0 - vlow).reshape(-1)[far]
+    weight = _slab_weight(cfg, 0.0, pts[far], v_rate)
+    worst_ratio = float((pert / weight).max()) if pert.size else 0.0
 
     ok = below <= 1e-12 and out_of_range <= 1e-12 and worst_ratio <= ADMISSIBLE_RATIO
     return {
@@ -336,7 +315,7 @@ def check_admissibility(u0: np.ndarray, cfg: FrontConfiguration,
         "out_of_range": out_of_range,
         "worst_far_ratio": worst_ratio,
         "rho0": rho0,
-        "n_far_samples": int(far.size),
+        "n_far_cells": int(pert.size),
     }
 
 
@@ -375,7 +354,7 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
     v_rate = barriers.params.v_star if barriers is not None and \
         barriers.params.v_star is not None else 1e-4
     if rho0 is None:
-        rho0 = perturbation.radius if perturbation.kind == "bump" else 1.0
+        rho0 = perturbation.radius
 
     floor = subsolution_floor(cfg, profile, grid)
     pert = perturbation_values(perturbation, cfg, grid)
@@ -384,7 +363,7 @@ def stability_run(cfg: FrontConfiguration, profile: WaveProfile,
     pert = np.minimum(pert, 1.0 - vlow0)
     u0 = vlow0 + pert
 
-    adm = check_admissibility(u0, cfg, profile, grid, v_rate, rho0)
+    adm = check_admissibility(u0, cfg, vlow0, grid, v_rate, rho0)
     if not adm["ok"]:
         raise ValueError(f"inadmissible perturbation: {adm}")
 

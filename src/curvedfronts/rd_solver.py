@@ -325,18 +325,16 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
 
 @dataclass
 class EntireSolutionResult:
-    """Window snapshots of the increasing-start iteration.
+    """The deepest run of the increasing-start iteration on the window.
 
-    report holds, in order: n_list, window_end, lower_gap_min,
-    strict_lower_gap_min, max_value, max_below_saturation, increments_sup
-    (sup-norm gaps between consecutive runs), monotone_in_n,
-    monotonicity_worst (most negative pointwise increment) and
-    time_derivative_min (min discrete du/dt over the window).
+    v_hat holds its window snapshots.  report holds, in order: n_list,
+    window_end, lower_gap_min, strict_lower_gap_min, max_value,
+    max_below_saturation, increments_sup (sup-norm gaps between consecutive
+    runs), monotone_in_n, monotonicity_worst (most negative pointwise
+    increment) and time_derivative_min (min discrete du/dt over the window).
     """
 
-    times: np.ndarray                 # window snapshot times
-    runs: dict                        # start offset n -> list of value arrays
-    v_hat: list                       # snapshots of the deepest run
+    v_hat: list                       # Field snapshots of the deepest run
     report: dict
 
 
@@ -353,7 +351,8 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
     max_i U(q_i) by O(dx^2 * elapsed) and the runs would not be ordered;
     with it, run n_{k+1} dominates the floor at t = -n_k, which is exactly
     run n_k's initial state, and ordering on the window follows from
-    monotonicity of the floored update map.
+    monotonicity of the floored update map.  Each run is compared with the
+    run before as soon as it ends, and only the later one is kept.
     """
     n_list = sorted(float(n) for n in n_list)
     boundary = make_boundary(cfg, profile)
@@ -362,32 +361,26 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
     # one explicit dt for every run: the run-vs-run ordering argument needs
     # the exact same update map on the shared time range, and every
     # solve_cauchy call below passes the same snapshot_dt to resolve_dt
-    runs = {}
-    times = None
+    worst = 0.0
+    increments = []
+    v_hat = None
     for n in n_list:
         # march to the window start, then snapshot through the window
         to_zero = solve_cauchy(Field(grid, floor(-n), -n), nl, boundary, config, 0.0,
                                snapshot_dt=snapshot_dt, floor=floor,
                                keep_all=False)
-        at_zero = to_zero[-1]
-        snaps = solve_cauchy(at_zero, nl, boundary, config, window_end,
+        snaps = solve_cauchy(to_zero[-1], nl, boundary, config, window_end,
                              snapshot_dt=snapshot_dt, floor=floor)
-        runs[n] = [s.values for s in snaps]
-        if times is None:
-            times = np.array([s.time for s in snaps])
+        if v_hat is not None:
+            gap_inf = min(float(np.min(b.values - a.values)) for a, b in zip(v_hat, snaps))
+            worst = min(worst, gap_inf)
+            increments.append(max(float(np.max(np.abs(b.values - a.values)))
+                                  for a, b in zip(v_hat, snaps)))
+        v_hat = snaps
 
-    worst = 0.0
-    increments = []
-    for a, b in zip(n_list[:-1], n_list[1:]):
-        gap_inf = min(float(np.min(vb - va)) for va, vb in zip(runs[a], runs[b]))
-        worst = min(worst, gap_inf)
-        increments.append(max(float(np.max(np.abs(vb - va)))
-                              for va, vb in zip(runs[a], runs[b])))
-
-    v_hat = runs[n_list[-1]]
     dudt_min = np.inf
-    for va, vb, ta, tb in zip(v_hat[:-1], v_hat[1:], times[:-1], times[1:]):
-        dudt_min = min(dudt_min, float(np.min((vb - va) / (tb - ta))))
+    for a, b in zip(v_hat[:-1], v_hat[1:]):
+        dudt_min = min(dudt_min, float(np.min((b.values - a.values) / (b.time - a.time))))
 
     # the lower bound is the floor itself: any other evaluation order of
     # max_i U(q_i) could differ by an ulp and show up as a fake violation
@@ -395,8 +388,9 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
     strict_gap = np.inf
     below_one = 0.0
     max_value = 0.0
-    for tk, vk in zip(times, v_hat):
-        vlow = floor(tk)
+    for snap in v_hat:
+        vk = snap.values
+        vlow = floor(snap.time)
         gap = vk - vlow
         lower_gap = min(lower_gap, float(gap.min()))
         # strict inequalities are only meaningful away from values that
@@ -420,7 +414,7 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
         "monotonicity_worst": worst,
         "time_derivative_min": dudt_min,
     }
-    return EntireSolutionResult(times=times, runs=runs, v_hat=v_hat, report=report)
+    return EntireSolutionResult(v_hat=v_hat, report=report)
 
 
 @dataclass(frozen=True)
@@ -464,30 +458,27 @@ def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
     dt = SolverConfig().resolve_dt(grid, nl, sample_dt)
     steps = round(sample_dt / dt)
     ends = np.array([1.0, 0.0])  # the ring data: burned left end, unburned right end
-    st = _Stepper(grid, nl, dt, lambda t, pts: ends)  # one row block: a pool cannot pay
+    st = _Stepper(grid, nl, dt, lambda t, pts: ends)
     times = []
     positions = []
     stop_at = 0.75 * length
-    try:
-        values = u0
-        t = 0.0
-        while t < SPEED_MAX_TIME:
-            for _ in range(steps):
-                values = st.advance(values, t + dt)
-                t += dt
-            try:
-                pos = _half_level_position(x, values)
-            except ValueError as exc:
-                raise ValueError(f"speed fit rejected: {exc}") from exc
-            times.append(t)
-            positions.append(pos)
-            if pos >= stop_at:
-                break
-        else:
-            raise RuntimeError(
-                f"front did not cross the domain within t = {SPEED_MAX_TIME}")
-    finally:
-        st.close()
+    values = u0
+    t = 0.0
+    while t < SPEED_MAX_TIME:
+        for _ in range(steps):
+            values = st.advance(values, t + dt)
+            t += dt
+        try:
+            pos = _half_level_position(x, values)
+        except ValueError as exc:
+            raise ValueError(f"speed fit rejected: {exc}") from exc
+        times.append(t)
+        positions.append(pos)
+        if pos >= stop_at:
+            break
+    else:
+        raise RuntimeError(
+            f"front did not cross the domain within t = {SPEED_MAX_TIME}")
     times = np.asarray(times)
     positions = np.asarray(positions)
     keep = times >= times[len(times) // 2]

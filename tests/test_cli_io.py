@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -602,6 +601,8 @@ EXP_ERRORS = [
     ("simulate", {}, "solver.box.counts"),
     ("entire", {"n_list": [2.0 / C, 0.3]}, "experiment.n_list[1]"),
     ("simulate", {}, "solver.dt"),
+    # a bump is the one perturbation, so kind is no key
+    ("stability", {"kind": "bump", "height": 0.4, "radius": 2.0}, "experiment.kind"),
 ]
 # solver edits per field, and the messages expected where the field alone
 # is not the message's start
@@ -616,6 +617,7 @@ MESSAGES = {
     "solver.cfl_safety": ["solver: unknown key 'cfl_safety'",
                           'solver.scheme: must be "euler"'],
     "solver.T": ["solver.T: span 1.0 is not an integer multiple of snapshot_dt 0.3"],
+    "experiment.kind": ["experiment: unknown key 'kind'"],
     "solver.dt": ["solver.dt: dt=1.0 violates the stability cap "
                   f"{SolverConfig().stable_dt(BASE_GRID, BASE_NL)}"],
 }
@@ -764,14 +766,13 @@ def test_manifest_records_versions(tmp_path, strict_loads):
     assert manifest["versions"] == {"curvedfronts": curvedfronts.__version__,
                                     "python": sys.version,
                                     "numpy": np.__version__,
-                                    "scipy": scipy.__version__,
                                     "platform": sys.platform,
                                     "machine": os.uname().machine}
 
 
 def test_import_leaves_scipy_out():
-    # the CLI shoots with the numpy DOP853 port and reads scipy's version
-    # from the package metadata, so importing it loads no scipy module
+    # the CLI shoots with the numpy DOP853 port, so importing it loads no
+    # scipy module
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, curvedfronts.cli_io; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")

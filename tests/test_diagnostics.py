@@ -21,10 +21,11 @@ from curvedfronts import (
     sandwich_and_monotonicity,
     stability_run,
     subsolution_lower,
+    subsolution_floor,
     symmetric_v,
     weighted_gap_report,
 )
-from curvedfronts.diagnostics import perturbation_values
+from curvedfronts.diagnostics import ADMISSIBLE_RATIO, perturbation_values
 
 
 def planar_cfg(speed):
@@ -151,12 +152,11 @@ def test_sandwich_on_monotone_run(cfg_v, profile03, nl03, barriers03):
         cfg_v, profile03, nl03, g, sc,
         n_list=[2.0 / c, 4.0 / c], window_end=1.0 / c, snapshot_dt=0.5 / c,
     )
-    traj = [Field(g, v, t) for v, t in zip(res.v_hat, res.times)]
-    out = sandwich_and_monotonicity(traj, cfg_v, profile03, barriers=barriers03)
+    out = sandwich_and_monotonicity(res.v_hat, cfg_v, profile03, barriers=barriers03)
     assert out["lower_violation"] <= 1e-8
     assert out["upper_violation"] <= 1e-8
     assert out["dudt_min"] >= -1e-12
-    assert out["n_snapshots"] == len(traj)
+    assert out["n_snapshots"] == len(res.v_hat)
     floors = out["tube_floors"]
     assert len(floors) == 3
     assert all(v > 0.0 for v in floors.values())
@@ -166,40 +166,53 @@ def test_sandwich_on_monotone_run(cfg_v, profile03, nl03, barriers03):
 
 
 def test_perturbation_values_bump(cfg_v, grid96):
-    spec = PerturbationSpec(kind="bump", height=0.0125, radius=10.0)
+    spec = PerturbationSpec(height=0.0125, radius=10.0)
     pv = perturbation_values(spec, cfg_v, grid96)
     assert pv.max() == pytest.approx(0.0125, rel=1e-12)
     assert np.all(pv >= 0.0)
     assert 0.0 < np.mean(pv > 0.0) < 1.0
-    none = perturbation_values(PerturbationSpec(kind="none", height=0.0, radius=1.0), cfg_v, grid96)
-    assert not none.any()
+    flat = perturbation_values(PerturbationSpec(height=0.0, radius=1.0), cfg_v, grid96)
+    assert not flat.any()
 
 
 def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
-        PerturbationSpec(kind="wiggle", height=0.1, radius=2.0)
-    with pytest.raises(ValueError):
-        PerturbationSpec(kind="bump", height=0.1, radius=-2.0)
+        PerturbationSpec(height=0.1, radius=-2.0)
 
 
 def test_admissibility_flags(cfg_v, profile03, params03, grid96):
     pts = grid96.points().reshape(-1, 2)
     u0 = subsolution_lower(cfg_v, profile03, 0.0, pts).reshape(grid96.counts)
-    good = check_admissibility(u0, cfg_v, profile03, grid96, params03.v_star, rho0=10.0)
+    vlow = subsolution_floor(cfg_v, profile03, grid96)(0.0)
+    good = check_admissibility(u0, cfg_v, vlow, grid96, params03.v_star, rho0=10.0)
     assert good["ok"]
-    below = check_admissibility(u0 - 0.01, cfg_v, profile03, grid96, params03.v_star, rho0=10.0)
+    below = check_admissibility(u0 - 0.01, cfg_v, vlow, grid96, params03.v_star, rho0=10.0)
     assert not below["ok"]
     assert below["below_subsolution"] >= 0.01 - 1e-12
-    over = check_admissibility(np.minimum(u0 + 2.0, 3.0), cfg_v, profile03, grid96, params03.v_star, rho0=10.0)
+    over = check_admissibility(np.minimum(u0 + 2.0, 3.0), cfg_v, vlow, grid96, params03.v_star, rho0=10.0)
     assert not over["ok"]
     assert over["out_of_range"] > 1e-12
+
+
+def test_admissibility_checks_every_far_cell(cfg_v, profile03, params03, grid96):
+    # one cell ahead of the front and 18 from the ridge, lifted by 0.2: its
+    # perturbation / weight is about 0.2, and a 1000-cell subsample of the
+    # far cells drawn with default_rng(0) would miss it
+    vlow = subsolution_floor(cfg_v, profile03, grid96)(0.0)
+    u0 = vlow.copy()
+    u0[47, 86] += 0.2
+    rep = check_admissibility(u0, cfg_v, vlow, grid96, params03.v_star, rho0=3.0)
+    assert rep["n_far_cells"] == 9101
+    assert rep["worst_far_ratio"] == pytest.approx(0.2, rel=1e-2)
+    assert rep["worst_far_ratio"] > ADMISSIBLE_RATIO
+    assert not rep["ok"]
 
 
 def test_stability_zero_perturbation_is_exact(cfg_v, profile03, nl03, barriers03):
     c = profile03.speed
     g = Grid((96, 96), 0.5, (-24.0, -28.0))
     sc = SolverConfig()
-    spec = PerturbationSpec(kind="none", height=0.0, radius=1.0)
+    spec = PerturbationSpec(height=0.0, radius=1.0)
     res = stability_run(cfg_v, profile03, nl03, g, sc, spec, t_end=4.0 / c,
                         snapshot_dt=1.0 / c, barriers=barriers03)
     # twin and perturbed runs are the same deterministic computation
@@ -211,7 +224,7 @@ def test_stability_bump_decays(cfg_v, profile03, nl03, barriers03):
     c = profile03.speed
     g = Grid((96, 96), 0.5, (-24.0, -28.0))
     sc = SolverConfig()
-    spec = PerturbationSpec(kind="bump", height=nl03.gamma_star / 2, radius=3.0 / c)
+    spec = PerturbationSpec(height=nl03.gamma_star / 2, radius=3.0 / c)
     res = stability_run(cfg_v, profile03, nl03, g, sc, spec, t_end=12.0 / c,
                         snapshot_dt=2.0 / c, barriers=barriers03)
     rep = res.report
@@ -231,7 +244,7 @@ def test_stability_rejects_far_field_perturbation(cfg_v, profile03, nl03, barrie
     c = profile03.speed
     g = Grid((96, 96), 0.5, (-24.0, -28.0))
     sc = SolverConfig()
-    far = PerturbationSpec(kind="bump", height=0.4, radius=5.0, center=(10.0, 12.0))
+    far = PerturbationSpec(height=0.4, radius=5.0, center=(10.0, 12.0))
     with pytest.raises(ValueError, match="inadmissible"):
         stability_run(cfg_v, profile03, nl03, g, sc, far, t_end=1.0 / c,
                       snapshot_dt=1.0 / c, barriers=barriers03, rho0=5.0)

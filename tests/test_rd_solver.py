@@ -516,9 +516,9 @@ def test_entire_solution_monotone(nl03, profile03, cfg_v):
     assert rep["lower_gap_min"] >= -1e-10
     assert rep["max_value"] <= 1.0
     assert rep["max_below_saturation"] < 1.0
-    assert len(res.v_hat) == len(res.times)
-    assert res.times[0] == 0.0
-    assert res.times[-1] == pytest.approx(1.0 / c, rel=1e-12)
+    assert len(res.v_hat) == 2
+    assert res.v_hat[0].time == 0.0
+    assert res.v_hat[-1].time == pytest.approx(1.0 / c, rel=1e-12)
 
 
 def test_entire_solution_starts_each_run_from_the_floor(nl03, profile03, monkeypatch):
@@ -564,6 +564,23 @@ def test_entire_solution_runs_share_one_dt(nl03, profile03, cfg_v, monkeypatch):
     assert len(dts) == 4 and len(set(dts)) == 1
 
 
+def test_entire_solution_holds_only_the_run_before(nl03, profile03, cfg_v):
+    # each run is compared with the one before as soon as it ends and the
+    # older is dropped, so four runs peak no higher than two
+    c = profile03.speed
+    grid = Grid((128, 128), 0.5, (-32.0, -40.0))
+    peaks = []
+    for n_list in ([2.0 / c, 4.0 / c], [2.0 / c, 4.0 / c, 8.0 / c, 16.0 / c]):
+        tracemalloc.start()
+        try:
+            entire_solution(cfg_v, profile03, nl03, grid, SolverConfig(), n_list=n_list,
+                            window_end=2.0 / c, snapshot_dt=0.5 / c)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
 def three_wave_cfg(speed):
     nus = np.array([[-1.0], [1.0], [1.0]])
     angles = np.array([math.pi / 3, math.pi / 4, 1.2])
@@ -599,5 +616,6 @@ def test_entire_solution_shift_continuity(nl03, profile03):
     kw = dict(n_list=[n], window_end=1.0 / c, snapshot_dt=1.0 / c)
     base = entire_solution(symmetric_v(math.pi / 3, c), profile03, nl03, grid, sc, **kw)
     moved = entire_solution(symmetric_v(math.pi / 3, c, shift=0.01), profile03, nl03, grid, sc, **kw)
-    d = max(float(np.max(np.abs(a - b))) for a, b in zip(base.runs[n], moved.runs[n]))
+    d = max(float(np.max(np.abs(a.values - b.values)))
+            for a, b in zip(base.v_hat, moved.v_hat))
     assert 1e-4 < d < 1e-2
