@@ -284,7 +284,8 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
 
     Snapshots are taken at u0.time + k * snapshot_dt, which must tile the
     span exactly (resolve_dt picks a step that divides snapshot_dt, so
-    snapshot times are exact); keep_all=False retains only the first and
+    snapshot times are exact), and the last one at t_end itself, which
+    that sum can miss by ulps; keep_all=False retains only the first and
     final snapshot.  Aborts at the first snapshot where some u is outside
     [-2, 2] or NaN (blow-up can only come from a mis-set step or
     boundary; the PDE itself preserves [0,1]).
@@ -306,7 +307,7 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
         out = [Field(u0.grid, values, t0)]
         for k in range(n_snaps):
             t_snap0 = t0 + k * snapshot_dt
-            t_now = t0 + (k + 1) * snapshot_dt
+            t_now = t_end if k == n_snaps - 1 else t0 + (k + 1) * snapshot_dt
             for j in range(steps_per_snap):
                 t = t_snap0 + j * dt
                 # the last step ends exactly at the snapshot's recorded time,

@@ -564,6 +564,18 @@ def test_entire_solution_runs_share_one_dt(nl03, profile03, cfg_v, monkeypatch):
     assert len(dts) == 4 and len(set(dts)) == 1
 
 
+def test_entire_solution_window_starts_at_zero(nl03, profile03, cfg_v):
+    # each march ends at its own t_end, so the window starts at 0.0 also
+    # where a start -n is not bit-exactly a whole number of snapshot
+    # intervals before it: -3.75/c + 5 * (0.75/c) is 1.8e-15
+    c = profile03.speed
+    res = entire_solution(cfg_v, profile03, nl03, Grid((32, 32), 0.5, (-8.0, -10.0)),
+                          SolverConfig(), n_list=[0.75 / c, 3.75 / c], window_end=0.75 / c,
+                          snapshot_dt=0.75 / c)
+    assert res.v_hat[0].time == 0.0
+    assert res.v_hat[-1].time == 0.75 / c
+
+
 def test_entire_solution_holds_only_the_run_before(nl03, profile03, cfg_v):
     # each run is compared with the one before as soon as it ends and the
     # older is dropped, so four runs peak no higher than two
