@@ -3,60 +3,67 @@
 The profile solves U'' + c U' + f(U) = 0 with U(-inf) = 1, U(+inf) = 0,
 U' < 0, normalized so that U(0) = theta.  Since f vanishes on [0, theta],
 the right tail is exactly U(D) = theta * exp(-c D) for D >= 0; the speed is
-the unique c for which the phase-plane trajectory shot from the burned state
+the unique c for which the phase-plane trajectory from the burned state
 matches that tail at U = theta.
 
-Shooting is done in the phase plane p(U) = -U'(D):
+In the phase plane p(u) = -U'(D) solves p' = c - f(u) / p, and the match
+is p(theta) = c * theta.  Writing p = (1 - u) g(u) takes out the zero of p
+at the burned state:
 
-    p'(U) = c - f(U) / p(U),    p(theta) = c * theta  at the matching point,
+    (1 - u) g' = g + c - a (u - theta)^p / g    on [theta, 1],
 
-seeded near U = 1 by the linearization p = mu * (1 - U) where mu is the
-positive root of mu^2 + c*mu + f'(1) = 0.  Integrating downward in U is
-contracting, so the seed error is crushed; integrating upward is unstable,
-which is why the profile's table is also built from the downward pass.
-The shots use DOP853 (Hairer, Nørsett and Wanner, *Solving Ordinary
-Differential Equations I*, §II.10) from _dop853, a numpy port of scipy's
-solve_ivp that the tests check against it bit for bit: the same steps and
-rounding, so the same c_f, without importing scipy.
+which at u = 1 reduces to g^2 + c g + f'(1) = 0, so g(1) is the rate beta0
+at which 1 - U decays into the burned state, with no seed offset.  A shot
+is one Chebyshev collocation of this equation (Trefethen, *Spectral
+Methods in MATLAB*, ch. 6, 7 and 13; Boyd, *Chebyshev and Fourier Spectral
+Methods*): Newton's method solves it at the DEGREE + 1 Chebyshev-Lobatto
+points of [theta, 1] in t = sqrt((u - theta) / (1 - theta)), where the
+equation picks the one solution that is smooth at u = 1, and the shot
+gives p(theta) = (1 - theta) g(theta).  The variable t makes
+(u - theta)^p a power of t and crowds the points towards theta, where g
+turns small for a small theta.  A shot raises ShootingCollapseError where
+Newton finds no positive g, and RuntimeError where DEGREE does not
+resolve g.
 
-The speed search is a bisection on S(c) = p(theta; c) - c*theta that stops
-at the first midpoint where a full-precision shot gives |S| <= S_TOL.  Its
-result is kept bit for bit, but most of its shots are skipped: cheap
-low-tolerance probes and then a secant on full shots first find the root
-of the full-precision S, and the bisection is replayed against it.  A
-midpoint farther than SIGN_GUARD * c from that root takes its sign from
-it, since |S| there exceeds the noise of a shot by thousands of times; a
-midpoint inside the guard gets a real shot.  Only a real shot ends the
-search, so a wrong root estimate makes it raise instead of returning a
-different c.
+The speed is the root of S(c) = p(theta; c) - c * theta, by Newton's
+method on S with dS/dc from the shot's own Jacobian.  It starts from a
+lower bound: c * int_0^1 p du = int_0^1 f du and p <= c u give
+c^2 >= 2 int_0^1 f du.  The search runs at amplitude 1 and scales the
+result by sqrt(a), since u_t = u_xx + a f(u) is the amplitude-1 equation
+in x sqrt(a) and t a; so c(a) = sqrt(a) c(1) holds to one rounding.
 
-For evaluation the profile is stored as three pieces: the right tail
-(closed form), log(1 - U(D)) on the computed span [d_joint, 0], and the
-exponential left tail beyond it.  On the span it is a table of N_PIECES =
-512 uniform pieces, each a degree-PIECE_DEGREE = 5 Chebyshev interpolant
-(the interval splitting of Trefethen, *Approximation Theory and
-Approximation Practice*) whose node values are interpolated from the
-NODE_SAMPLES = 13 shot samples nearest to each node, so no global series is
-formed.  A point finds its piece in O(1) and costs a PIECE_DEGREE-step
-Clenshaw sum per table; a second table, differentiated piece by piece,
-gives U'.  One split, by masks or by one searchsorted on ascending input,
-puts each point on a tail or the table; then __call__ gives U, and jet
-(U, U', log U) from one pass over both tables.  The pieces follow the shot
-as closely as its samples do and agree at their joints to round-off.  This
-table is the profile's only representation: ode_residual_sup checks the
-ODE on its own derivatives, and inverse solves on it, for one level or an
-array, between two closed-form tails.
+The position follows from dD/du = -1 / p:
+
+    D(u) = log((1 - u) / (1 - theta)) / beta0
+           + int_u^theta (beta0 - g) / (beta0 g (1 - v)) dv,
+
+the logarithm of the burned tail plus a smooth integral, which is fitted
+and integrated in Chebyshev form.  For evaluation the profile is stored as
+three pieces: the right tail (closed form), log(1 - U) on the span
+[d_joint, 0] with d_joint = D(1 - DELTA_LIN), and the exponential left tail
+beyond it.  On the span it is a table of N_PIECES = 640 uniform pieces,
+each a degree-PIECE_DEGREE = 5 Chebyshev interpolant (the interval
+splitting of Trefethen, *Approximation Theory and Approximation Practice*)
+whose node values s = log(1 - U) solve D(s) = D by Newton's method, with
+dD/ds = 1 / g, so no global series in D is formed.  A point finds its
+piece in O(1) and costs a PIECE_DEGREE-step Clenshaw sum per table; a
+second table, differentiated piece by piece, gives U'.  One split, by
+masks or by one searchsorted on ascending input, puts each point on a tail
+or the table; then __call__ gives U, and jet (U, U', log U) from one pass
+over both tables.  This table is the profile's only representation:
+ode_residual_sup checks the ODE on its own derivatives, and inverse solves
+on it, for one level or an array, between two closed-form tails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from ._dop853 import dop853
 from .nonlinearity import CombustionNonlinearity
 
 __all__ = [
@@ -69,218 +76,164 @@ __all__ = [
     "ode_residual_sup",
 ]
 
-DELTA_LIN = 1e-6  # seeding offset 1 - U at the burned end of the shot
-C_LO, C_HI, MAX_WIDEN = 1e-4, 2.0, 12  # find_wave_speed's first bracket, widenings
-S_TOL = 1e-12  # |S| at which find_wave_speed's bisection stops
-N_PIECES = 512  # uniform pieces of the evaluation table on [d_joint, 0]
-PIECE_DEGREE = 5  # Chebyshev degree of each piece: higher rows would hold the shot's noise
-NODE_SAMPLES = 13  # shot samples nearest to a node that fix its value
+DEGREE = 64  # Chebyshev degree of g on [theta, 1]
+# A series is resolved when its last three Chebyshev coefficients are
+# below a share of the largest: G_RTOL for g, which sets the speed, and
+# POSITION_RTOL for the position integrand, whose error reaches U only
+# through D, times |U'|, and which ode_residual_sup checks as well.  At
+# DEGREE, over theta 0.01 to 0.99, exponents 2 to 10 and amplitudes 0.01 to
+# 300, they read at most 2e-16 for g and 2e-12 for the integrand.  The
+# integrand's grow as theta falls: 1.3e-10 at theta 0.005 and 2.1e-8 at
+# 0.002, where the table's residual reads 1.5e-7, and 3.3e-7 at 0.001,
+# where it reads 2.6e-6.  At degree 8, g's read 1e-4.
+G_RTOL = 1e-11
+POSITION_RTOL = 1e-7
+NEWTON_RTOL = 1e-13  # Newton stops on a step below this share of max g, or of |log DELTA_LIN| for s
+NEWTON_STEPS = 30  # Newton steps within which a shot, or a table node, converges
+S_TOL = 1e-12  # |S| at which find_wave_speed may stop...
+STEP_RTOL = 1e-14  # ...once its Newton step is below this share of c
+MAX_SHOTS = 20  # shots after which find_wave_speed gives up
+# 1 - U at the left end d_joint of the table span.  The table's log-slope
+# there is g(1 - DELTA_LIN), off beta0 by about |g'(1)| DELTA_LIN, so U'
+# steps by about |g'(1)| DELTA_LIN^2 onto the burned tail: 7e-15 at theta 0.3
+DELTA_LIN = 1e-7
+N_PIECES = 640  # uniform pieces of the evaluation table on [d_joint, 0], 0.047 wide at theta 0.3
+PIECE_DEGREE = 5  # Chebyshev degree of each piece
 TABLE_CHUNK = 8192  # points per pass of _table_sum, so its temporaries stay in L2
 RESIDUAL_POINTS = 16384  # uniform points of [d_joint, 0] at which ode_residual_sup checks the ODE
-# find_wave_speed replays its bisection against the root of the
-# full-precision S, and a point farther than SIGN_GUARD * c from that root
-# takes its sign from it.  Near the root S' is about -0.71 at theta 0.3
-# (-0.64 to -0.82 over theta 0.2 to 0.5), while the noise of a full shot,
-# |S(rtol 1e-13) - S(rtol 1e-14)|, is at most 5e-16 there (2.5e-15 over
-# that range).  So the root is known to a few 1e-15, and |S| at the guard
-# is about 4e4 times that noise at theta 0.3, at least 4e3 times over the
-# range.
-SIGN_GUARD = 1e-10
-PROBE_RTOL = 1e-8  # the probes' S is good to about 1e-8
-# Relative step at which the secant on full shots stops.  The secant
-# converges superlinearly, so the estimate after such a step is far closer
-# than the step; 1e-15 lies under the noise of a shot for c below about 1
-# and would only let the secant wander.
-ROOT_RTOL = 1e-12
 
 _log = logging.getLogger(__name__)
 
 
 class ShootingCollapseError(RuntimeError):
-    """The phase-plane trajectory hit p = 0 before reaching U = theta.
+    """No positive g solves the phase-plane equation for this speed.
 
-    Empirically this happens when the speed candidate sits well above the
-    connection speed: the trajectory then rides the slow branch p ~ f/c,
-    which vanishes at the ignition threshold.
+    This happens when the speed candidate sits well above the connection
+    speed: the trajectory then rides the slow branch p ~ f/c, which
+    vanishes before the ignition threshold.
     """
 
 
 def decay_rate_into_burned(nl: CombustionNonlinearity, c: float) -> float:
     """Positive root beta0 of beta^2 + c*beta + f'(1) = 0: the rate at which
-    1 - U decays as D -> -inf (and the linearization slope of p at U = 1)."""
+    1 - U decays as D -> -inf (and g(1), the slope of p at U = 1)."""
     fp1 = nl.fprime_at_one
     return 0.5 * (-c + np.sqrt(c * c - 4.0 * fp1))
 
 
-def _shoot(nl: CombustionNonlinearity, c: float, t_eval=None, rtol=1e-13, atol=1e-16):
+def _lobatto(n: int):
+    """(t, 1 - t, D) at the Chebyshev-Lobatto points x_j = cos(pi j / n),
+    j = 0..n, from x = 1 down to -1: t = (1 + x) / 2 and 1 - t without
+    cancellation, and the differentiation matrix in x (Trefethen, ch. 6)
+    with each diagonal entry minus the sum of its row."""
+    j = np.arange(n + 1)
+    x = np.sin(np.pi * (n - 2 * j) / (2 * n))
+    weight = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    dm = np.outer(weight, 1.0 / weight) / (np.subtract.outer(x, x) + np.eye(n + 1))
+    dm -= np.diag(dm.sum(axis=1))
+    half = np.pi * j / (2 * n)
+    return np.cos(half) ** 2, np.sin(half) ** 2, dm
+
+
+def _cheb_coefficients(values, rtol: float, name: str, c: float):
+    """Chebyshev coefficients of the polynomial through values at the
+    Lobatto points x_j = cos(pi j / n), by the FFT of their even extension;
+    a RuntimeError unless the last three are below rtol of the largest,
+    that is unless the degree resolves the function."""
+    n = values.size - 1
+    coef = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
+    coef[0] *= 0.5
+    coef[n] *= 0.5
+    tail = np.max(np.abs(coef[-3:])) / np.max(np.abs(coef))
+    if not tail <= rtol:
+        raise RuntimeError(f"degree {n} does not resolve {name} at c = {c}: its last "
+                           f"Chebyshev coefficients reach {tail:.1e} of the largest")
+    return coef
+
+
+def _collocate(nl: CombustionNonlinearity, c: float):
+    """(g, dg/dc, Chebyshev coefficients of g) at the Lobatto points, from
+    u = 1 (j = 0) down to theta (j = DEGREE).
+
+    The variable is t = sqrt((u - theta) / (1 - theta)) = (1 + x) / 2:
+    (u - theta)^p is then a power of t and g is even in t, and the points
+    crowd towards theta, where g turns small for a small theta.  With
+    (1 - u) d/du = (1 - t)(1 + t) / t d/dx, the equation times t reads
+    F(g) = (1 - t)(1 + t) D g - t (g + c - a (u - theta)^p / g) = 0, whose
+    row at t = 0 asks dg/dx to vanish there, as it does for every g smooth
+    in u.  Newton starts from
+    1/p = 1/(c u) + 1/(beta0 (1 - u)), between the two asymptotes of p; each
+    step solves the Jacobian for F and for -dF/dc = t, so the converged shot
+    has dg/dc without another factorization.
+    """
+    theta = nl.theta
+    t, one_minus_t, dm = _lobatto(DEGREE)
+    lhs = (one_minus_t * (1.0 + t))[:, None] * dm - np.diag(t)
+    tw = t * nl.amplitude * ((1.0 - theta) * t * t) ** nl.exponent  # t a (u - theta)^p
+    u = theta + (1.0 - theta) * t * t
     mu = decay_rate_into_burned(nl, c)
-    u_start = 1.0 - DELTA_LIN
-    p_start = mu * DELTA_LIN
-
-    # plain-float closure: this sits in a hot loop inside the ODE solver
-    a, theta, expo = nl.amplitude, nl.theta, nl.exponent
-
-    def rhs(u, y):
-        fu = a * (u - theta) ** expo * (1.0 - u) if u > theta else 0.0
-        return (c - fu / y[0], -1.0 / y[0])
-
-    # a connecting trajectory satisfies p >= c*U on [theta, 1], so anything
-    # dipping below this line (scaled down, and tapered so the seed clears
-    # it) can only collapse; stop early instead of crawling to p = 0
-    floor_amp = 0.05 * min(c * nl.theta, mu * (1.0 - theta)) / (1.0 - theta)
-
-    def hit_floor(u, y):
-        return y[0] - floor_amp * (1.0 - u)
-
-    t, y, _, status = dop853(rhs, u_start, (p_start, 0.0), nl.theta, rtol, atol,
-                             t_eval=t_eval, event=hit_floor)
-    if status == 1:
-        raise ShootingCollapseError(f"trajectory hit p = 0 before U = theta at c = {c}")
-    if status == -1:
-        raise RuntimeError(f"phase-plane integration failed at c = {c}: step below 10 ulps")
-    return t, y
+    g = c * mu * u / (mu * (1.0 - theta) * one_minus_t * (1.0 + t) + c * u)
+    rhs = np.empty((DEGREE + 1, 2))
+    rhs[:, 1] = t
+    for _ in range(NEWTON_STEPS):
+        # the row sums by numpy's own reduction, not BLAS, keep the bits
+        # independent of the BLAS thread count
+        rhs[:, 0] = (lhs * g).sum(axis=1) - t * c + tw / g
+        step = np.linalg.solve(lhs - np.diag(tw / (g * g)), rhs)
+        g = g - step[:, 0]
+        if not np.all(np.isfinite(g)):
+            raise ShootingCollapseError(f"Newton diverged at c = {c}")
+        if np.max(np.abs(step[:, 0])) <= NEWTON_RTOL * np.max(np.abs(g)):
+            break
+    else:
+        raise ShootingCollapseError(f"Newton did not converge in {NEWTON_STEPS} steps at c = {c}")
+    # an iterate may dip below 0 on the way; the solution may not
+    if not np.all(g > 0.0):
+        raise ShootingCollapseError(f"no positive g at c = {c}")
+    return g, step[:, 1], _cheb_coefficients(g, G_RTOL, "g", c)
 
 
-def shoot_p(nl: CombustionNonlinearity, c: float) -> float:
-    """p(theta; c): terminal value of the full-precision phase-plane shot
-    at U = theta.  A candidate above the connection speed may collapse
-    (ShootingCollapseError)."""
+def shoot_p(nl: CombustionNonlinearity, c: float, slope: bool = False):
+    """p(theta; c) = (1 - theta) g(theta) from one collocation, and with
+    slope=True the pair (p(theta), dp(theta)/dc).  A candidate above the
+    connection speed may collapse (ShootingCollapseError)."""
     if c <= 0.0:
         raise ValueError(f"wave speed candidate must be positive, got {c}")
-    return float(_shoot(nl, c)[1][0][-1])
-
-
-def _bracket(s):
-    """Widen [C_LO, C_HI] until s(c_lo) > 0 >= s(c_hi): c_lo shrinks by 4
-    and c_hi doubles, up to MAX_WIDEN times each.  Returns (c_lo, s(c_lo),
-    c_hi, s(c_hi))."""
-    c_lo, c_hi = C_LO, C_HI
-    s_lo = s(c_lo)
-    if s_lo <= 0.0:
-        for _ in range(MAX_WIDEN):
-            c_lo *= 0.25
-            s_lo = s(c_lo)
-            if s_lo > 0.0:
-                break
-        else:
-            raise RuntimeError("could not bracket the wave speed from below")
-    s_hi = s(c_hi)
-    if s_hi > 0.0:
-        for _ in range(MAX_WIDEN):
-            c_hi *= 2.0
-            s_hi = s(c_hi)
-            if s_hi <= 0.0:
-                break
-        else:
-            raise RuntimeError("could not bracket the wave speed from above")
-    return c_lo, s_lo, c_hi, s_hi
-
-
-def _root_estimate(s_probe, s_full, c_lo: float, s_lo: float, c_hi: float, s_hi: float) -> float:
-    """Root of the full-precision S inside a probe bracket, s_probe(c_lo) >
-    0 >= s_probe(c_hi), where a collapse reads -inf.
-
-    Probes narrow the bracket by false position with the Illinois halving
-    (bisection while the upper end has collapsed) until the bracket or the
-    step is below PROBE_RTOL relative.  A secant on full shots then starts
-    from that point and a second one PROBE_RTOL above it, and stops once
-    its relative step is below ROOT_RTOL.
-    """
-    c, side = c_lo, 0
-    for _ in range(100):  # about 30 would do by bisection alone
-        if np.isfinite(s_hi):
-            c_new = c_hi - s_hi * (c_hi - c_lo) / (s_hi - s_lo)
-        else:
-            c_new = 0.5 * (c_lo + c_hi)
-        step, c = abs(c_new - c), c_new
-        s = s_probe(c)
-        if s > 0.0:
-            c_lo, s_lo = c, s
-            if side > 0:
-                s_hi *= 0.5
-            side = 1
-        else:
-            c_hi, s_hi = c, s
-            if side < 0:
-                s_lo *= 0.5
-            side = -1
-        if min(step, c_hi - c_lo) <= PROBE_RTOL * c:
-            break
-
-    c0, c1 = c, c * (1.0 + PROBE_RTOL)
-    s0 = s_full(c0)
-    for _ in range(10):
-        s1 = s_full(c1)
-        if s1 == s0 or not np.isfinite(s1):
-            break  # at the noise floor; a wild estimate makes the replay raise
-        c0, s0, c1 = c1, s1, c1 - s1 * (c1 - c0) / (s1 - s0)
-        if abs(c1 - c0) <= ROOT_RTOL * c1:
-            break
-    return c1
+    g, dg_dc = _collocate(nl, c)[:2]
+    p = float((1.0 - nl.theta) * g[-1])
+    return (p, float((1.0 - nl.theta) * dg_dc[-1])) if slope else p
 
 
 def find_wave_speed(nl: CombustionNonlinearity) -> float:
-    """Unique speed c with S(c) = 0, by bracketing sweep plus bisection
-    until |S| <= S_TOL (or the bracket collapses to machine width).
+    """Unique speed c with S(c) = p(theta; c) - c*theta = 0.
 
-    S(c) = p(theta; c) - c*theta is strictly decreasing; a collapsed shot
-    counts as S < 0.  The result is, bit for bit, that of a full-precision
-    shot at every point of the sweep and the bisection, but most of those
-    shots are skipped.  _root_estimate first finds the root of the
-    full-precision S (probes narrow the bracket, then a secant on full
-    shots); the sweep and the bisection are then replayed.  A point farther
-    than SIGN_GUARD * c from that root takes its sign from it, which is
-    safe because |S| there is thousands of times the noise of a shot (see
-    SIGN_GUARD); a point inside the guard gets a real full shot.  Only a
-    real shot with |S| <= S_TOL ends the search, so a wrong root estimate
-    cannot return a different c: the bracket loses the root and the search
-    raises.  The probe count, the full-shot count and the final |S| go to
-    the module logger at DEBUG.
+    Newton's method on S at amplitude 1, from the lower bound
+    sqrt(2 int_0^1 f du), halving c after a collapsed shot; the result is
+    scaled by sqrt(a).  It stops at the first shot with |S| <= S_TOL whose
+    Newton step is at most STEP_RTOL * c, and returns that shot's c, or
+    raises RuntimeError after MAX_SHOTS shots.  The shot count and the
+    final |S| go to the module logger at DEBUG.
     """
-    theta = nl.theta
-    n_probe = n_full = 0
-
-    def s_probe(c):
-        nonlocal n_probe
-        n_probe += 1
+    unit = dataclasses.replace(nl, amplitude=1.0)
+    theta, p = nl.theta, nl.exponent
+    # sqrt(2 int_0^1 f du) at amplitude 1, below the root
+    c = float(np.sqrt(2.0 * (1.0 - theta) ** (p + 2.0) / ((p + 1.0) * (p + 2.0))))
+    s = np.inf
+    for shots in range(1, MAX_SHOTS + 1):
         try:
-            # a cheap shot, whose S is good to about 1e-8
-            return float(_shoot(nl, c, rtol=1e-6, atol=1e-12)[1][0][-1]) - c * theta
+            p_theta, slope = shoot_p(unit, c, slope=True)
         except ShootingCollapseError:
-            return -np.inf
-
-    def s_full(c):
-        nonlocal n_full
-        n_full += 1
-        try:
-            return shoot_p(nl, c) - c * theta
-        except ShootingCollapseError:
-            return -np.inf
-
-    root = _root_estimate(s_probe, s_full, *_bracket(s_probe))
-
-    def s_replay(c):
-        if abs(c - root) > SIGN_GUARD * root:
-            return np.inf if c < root else -np.inf
-        return s_full(c)
-
-    c_lo, _, c_hi, _ = _bracket(s_replay)
-    c_mid, s_mid = 0.5 * (c_lo + c_hi), np.inf
-    while c_hi - c_lo > 4e-16 * max(1.0, c_hi):
-        c_mid = 0.5 * (c_lo + c_hi)
-        s_mid = s_replay(c_mid)
-        if abs(s_mid) <= S_TOL:
-            break
-        if s_mid > 0.0:
-            c_lo = c_mid
-        else:
-            c_hi = c_mid
-    _log.debug("find_wave_speed: c = %r after %d probes and %d full shots, |S(c)| = %.3e",
-               c_mid, n_probe, n_full, abs(s_mid))
-    if not abs(s_mid) <= S_TOL:
-        raise RuntimeError(
-            f"bisection collapsed at c = {c_mid} with matching residual {s_mid:.3e} > {S_TOL}")
-    return c_mid
+            c *= 0.5
+            continue
+        s = p_theta - c * theta
+        step = s / (slope - theta)
+        if abs(s) <= S_TOL and abs(step) <= STEP_RTOL * c:
+            c = float(np.sqrt(nl.amplitude) * c)
+            _log.debug("find_wave_speed: c = %r after %d shots, |S(c)| = %.3e at amplitude 1",
+                       c, shots, abs(s))
+            return c
+        c -= step
+    raise RuntimeError(f"no wave speed after {MAX_SHOTS} shots: c = {c}, |S| = {abs(s):.3e}")
 
 
 @dataclass(frozen=True)
@@ -296,8 +249,8 @@ class WaveProfile:
     d_joint: float  # left end of the computed span; 1 - U decays at beta0 beyond it
     # Chebyshev coefficients of log(1 - U) on the pieces of [d_joint, 0]:
     # row m holds degree m of every piece, so a Clenshaw step gathers one row
-    _table: np.ndarray  # (PIECE_DEGREE + 1, N_PIECES) = (6, 512)
-    _slope_table: np.ndarray  # (PIECE_DEGREE, N_PIECES) = (5, 512): d/dD of _table
+    _table: np.ndarray  # (PIECE_DEGREE + 1, N_PIECES) = (6, 640)
+    _slope_table: np.ndarray  # (PIECE_DEGREE, N_PIECES) = (5, 640): d/dD of _table
     _centres: np.ndarray  # (N_PIECES,): midpoints of the pieces
     _piece_width: float
     _log_one_minus_at_joint: float
@@ -408,70 +361,77 @@ class WaveProfile:
         return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
-def _piece_tables(d_samples, g_samples):
-    """Tabulate log(1 - U) on N_PIECES uniform pieces of the sampled span.
+def _piece_tables(d_joint: float, log_one_minus):
+    """Tabulate log(1 - U) on N_PIECES uniform pieces of [d_joint, 0].
 
     Each piece is the degree-PIECE_DEGREE interpolant at the Chebyshev
     points of the first kind, whose coefficients follow from the discrete
-    orthogonality of T_0..T_M on those points.  The value at each point is
-    that of the polynomial through the NODE_SAMPLES samples nearest to it
-    (Neville's scheme on abscissae measured from the point), so the nodes
-    follow the shot as closely as its samples do (PIECE_DEGREE + 1 would
-    not).  Returns the value table, the table of D-derivatives (both one
-    row per degree), the piece centres and the piece width.
+    orthogonality of T_0..T_M on those points; log_one_minus gives the
+    values at an array of those points.  Returns the value table, the table
+    of D-derivatives (both one row per degree), the piece centres and the
+    piece width.
     """
-    lo, hi = float(d_samples[0]), float(d_samples[-1])
-    width = (hi - lo) / N_PIECES
-    centres = lo + width * (np.arange(N_PIECES) + 0.5)
-    n, w = PIECE_DEGREE + 1, NODE_SAMPLES
+    width = -d_joint / N_PIECES
+    centres = d_joint + width * (np.arange(N_PIECES) + 0.5)
+    n = PIECE_DEGREE + 1
     nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    at = (centres[:, None] + 0.5 * width * nodes).ravel()
-    first = np.clip(np.searchsorted(d_samples, at) - w // 2, 0, d_samples.size - w)
-    window = first[:, None] + np.arange(w)
-    x = d_samples[window] - at[:, None]
-    g = g_samples[window]
-    for m in range(1, w):  # Neville: column i -> interpolant of samples i..i+m, at the node
-        g = (x[:, :w - m] * g[:, 1:] - x[:, m:] * g[:, :-1]) / (x[:, :w - m] - x[:, m:])
+    g = log_one_minus((centres[:, None] + 0.5 * width * nodes).ravel())
     coef = (2.0 / n) * g.reshape(N_PIECES, n) @ chebyshev.chebvander(nodes, PIECE_DEGREE)
     coef[:, 0] *= 0.5
     slope = chebyshev.chebder(coef, axis=1) * (2.0 / width)
     return np.ascontiguousarray(coef.T), np.ascontiguousarray(slope.T), centres, width
 
 
-def _log_one_minus_samples(nl: CombustionNonlinearity, c: float):
-    """(D, log(1 - U)) along the downward phase-plane pass, sorted by D and
-    anchored so that D(theta) = 0."""
+def build_profile(nl: CombustionNonlinearity, c: float | None = None) -> WaveProfile:
+    """Solve for the profile and build its piece table.
+
+    One collocation at c gives g; D(u) is anchored so that U(0) = theta
+    exactly, and each table node solves D(s) = D for s = log(1 - U).
+    """
+    if c is None:
+        c = find_wave_speed(nl)
     theta = nl.theta
-    # sample the shot at points log-spaced in 1 - U so the D-grid is even
-    n_pass = 24001
-    w = np.exp(np.linspace(np.log(DELTA_LIN), np.log(1.0 - theta), n_pass))
-    u_eval = 1.0 - w
-    u_eval[-1] = theta
-    u_pass, (p_vals, d_raw) = _shoot(nl, c, t_eval=u_eval)
-    mismatch = abs(p_vals[-1] - c * theta)
+    g, _, g_coef = _collocate(nl, c)
+    mismatch = abs((1.0 - theta) * g[-1] - c * theta)
     if mismatch > 1e-9:
         raise RuntimeError(
             f"phase-plane matching residual {mismatch:.3e}; speed candidate is not converged")
 
-    d_samples = d_raw - d_raw[-1]  # now D(theta) = 0, D <= 0 along the pass
-    g_samples = np.log(1.0 - u_pass)  # log(1 - U)
-    order = np.argsort(d_samples)
-    return d_samples[order], g_samples[order]
+    beta0 = decay_rate_into_burned(nl, c)
+    t, one_minus_t = _lobatto(DEGREE)[:2]
+    # (beta0 - g) / (beta0 g (1 - u)) du/dx at the Lobatto points, with
+    # du/dx = (1 - theta) t; at x = 1, where g = beta0 and 1 - t vanish, its
+    # limit is dg/dx / beta0^2, and T_k'(1) = k^2
+    integrand = np.empty_like(g)
+    integrand[0] = (np.arange(DEGREE + 1) ** 2 * g_coef).sum() / beta0**2
+    integrand[1:] = (beta0 - g[1:]) * t[1:] / (beta0 * g[1:] * one_minus_t[1:] * (1.0 + t[1:]))
+    # its integral from theta, zero at x = -1
+    integral = chebyshev.chebint(
+        _cheb_coefficients(integrand, POSITION_RTOL, "the position integrand", c), lbnd=-1.0)
+    s_theta, s_lo = np.log(1.0 - theta), np.log(DELTA_LIN)
 
+    def position(s):
+        """(D, x) at 1 - U = e^s, where t^2 = 1 - e^s / (1 - theta)."""
+        x = 2.0 * np.sqrt(-np.expm1(s - s_theta)) - 1.0
+        return (s - s_theta) / beta0 - chebyshev.chebval(x, integral), x
 
-def build_profile(nl: CombustionNonlinearity, c: float | None = None) -> WaveProfile:
-    """Solve for the profile and build its piece table.
+    def log_one_minus(d):
+        # Newton on D(s) = d from the logarithmic term alone; dD/ds = 1 / g.
+        # The clamp keeps s, and so x, in range while Newton settles
+        s = np.clip(s_theta + beta0 * d, s_lo - 1.0, s_theta)
+        for _ in range(NEWTON_STEPS):
+            d_s, x = position(s)
+            step = (d_s - d) * chebyshev.chebval(x, g_coef)
+            s = np.clip(s - step, s_lo - 1.0, s_theta)
+            if np.max(np.abs(step)) <= NEWTON_RTOL * -s_lo:
+                return s
+        raise RuntimeError(f"table nodes did not converge in {NEWTON_STEPS} Newton steps")
 
-    The downward phase-plane pass supplies (U, D) samples; D is anchored by
-    shifting so that U(0) = theta exactly.
-    """
-    if c is None:
-        c = find_wave_speed(nl)
-    d_samples, g_samples = _log_one_minus_samples(nl, c)
-    table, slope_table, centres, width = _piece_tables(d_samples, g_samples)
+    d_joint = float(position(s_lo)[0])
+    table, slope_table, centres, width = _piece_tables(d_joint, log_one_minus)
     return WaveProfile(
-        speed=c, beta0=decay_rate_into_burned(nl, c), anchor=nl.theta,
-        d_joint=float(d_samples[0]), _table=table, _slope_table=slope_table,
+        speed=c, beta0=beta0, anchor=theta,
+        d_joint=d_joint, _table=table, _slope_table=slope_table,
         _centres=centres, _piece_width=width,
         # the left tail continues the first piece from its end s = -1
         _log_one_minus_at_joint=float(chebyshev.chebval(-1.0, table[:, 0])),

@@ -771,8 +771,8 @@ def test_manifest_records_versions(tmp_path, strict_loads):
 
 
 def test_import_leaves_scipy_out():
-    # the CLI shoots with the numpy DOP853 port, so importing it loads no
-    # scipy module
+    # the package needs numpy only, so importing the CLI loads no scipy
+    # module
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, curvedfronts.cli_io; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")

@@ -1,10 +1,9 @@
-"""Planar traveling wave U(D) with speed c: shooting solver (the numpy
-DOP853 port against scipy's solve_ivp, bit for bit), the replayed
-bisection of the speed search, decay rates, evaluator accuracy (the
-piecewise table against a tighter shot than the one it is built from, and
-its independence of the BLAS thread count), the ODE residual of the table
-and the inputs it must reject, the inverse towards both ends, and the
-amplitude scaling law."""
+"""Planar traveling wave U(D) with speed c: the collocation shot and the
+Newton speed search, checked against scipy's solve_ivp as an independent
+reference (the speed is a root of its shot, and the table follows its
+tighter pass), decay rates, evaluator accuracy and independence of the
+BLAS thread count, the ODE residual of the table and the inputs it must
+reject, the inverse towards both ends, and the amplitude scaling law."""
 
 import dataclasses
 import functools
@@ -12,13 +11,12 @@ import logging
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 
 from curvedfronts import (
     Grid,
@@ -33,8 +31,8 @@ from curvedfronts import (
     sandwich_and_monotonicity,
     shoot_p,
 )
-from curvedfronts import _dop853, wave_profile
-from curvedfronts.wave_profile import N_PIECES, SIGN_GUARD
+from curvedfronts import wave_profile
+from curvedfronts.wave_profile import N_PIECES
 
 # Bisection-converged speeds, frozen once the shooting solver stabilised.
 SPEEDS = {
@@ -42,15 +40,14 @@ SPEEDS = {
     0.3: 0.26343617168072303,
     0.5: 0.12151061635796,
 }
-# The exact floats the plain bisection, one full shot per midpoint, returns
-# for these cases (and for amplitude 4 at theta 0.3); the replayed search
-# must return the same bits.
+# The exact floats the search returns for these cases (and for amplitude 4
+# at theta 0.3, twice that of amplitude 1); every artifact rests on them.
 EXACT_SPEEDS = {
-    0.2: 0.3669938065558144,
-    0.3: 0.26343617168072303,
-    0.5: 0.12151061635796295,
+    0.2: 0.3669938065551964,
+    0.3: 0.263436171681936,
+    0.5: 0.12151061635810964,
 }
-EXACT_SPEED_A4 = 0.5268723433645284
+EXACT_SPEED_A4 = 0.526872343363872
 
 
 @pytest.mark.parametrize("theta", sorted(SPEEDS))
@@ -65,32 +62,48 @@ def test_search_pays_few_full_shots(monkeypatch, caplog, nl03):
     shots = []
     real = wave_profile.shoot_p
 
-    def counting(nl, c):
+    def counting(nl, c, **kwargs):
         shots.append(c)
-        return real(nl, c)
+        return real(nl, c, **kwargs)
 
     monkeypatch.setattr(wave_profile, "shoot_p", counting)
     with caplog.at_level(logging.DEBUG, logger=wave_profile.__name__):
         assert find_wave_speed(nl03) == EXACT_SPEEDS[0.3]
-    assert 0 < len(shots) <= 14  # the plain bisection pays 39
+    assert 0 < len(shots) <= 8  # 5 here; the plain bisection paid 39
     # the search's own telemetry reports the same count
     (record,) = [r for r in caplog.records if r.name == wave_profile.__name__]
-    assert f"and {len(shots)} full shots" in record.getMessage()
+    assert f"after {len(shots)} shots" in record.getMessage()
 
 
-@pytest.mark.parametrize("shift", [1e-6, -1e-6, 0.3 * SIGN_GUARD * EXACT_SPEEDS[0.3]],
-                         ids=["above", "below", "inside-guard"])
-def test_wrong_root_estimate_cannot_return_silently(monkeypatch, nl03, shift):
-    # a root estimate off by more than the guard misreads midpoint signs,
-    # the bracket loses the root and the search raises; one inside the
-    # guard changes nothing
-    real = wave_profile._root_estimate
-    monkeypatch.setattr(wave_profile, "_root_estimate", lambda *args: real(*args) + shift)
-    if abs(shift) > SIGN_GUARD * EXACT_SPEEDS[0.3]:
-        with pytest.raises(RuntimeError, match="bisection collapsed"):
-            find_wave_speed(nl03)
-    else:
-        assert find_wave_speed(nl03) == EXACT_SPEEDS[0.3]
+def test_search_halves_after_a_collapse(monkeypatch, nl03):
+    # a collapsed shot sends the search back to half its speed, from which
+    # Newton climbs to the same root
+    real, tried = wave_profile.shoot_p, []
+
+    def first_collapses(nl, c, **kwargs):
+        tried.append(c)
+        if len(tried) == 1:
+            raise ShootingCollapseError("forced")
+        return real(nl, c, **kwargs)
+
+    monkeypatch.setattr(wave_profile, "shoot_p", first_collapses)
+    assert find_wave_speed(nl03) == pytest.approx(EXACT_SPEEDS[0.3], rel=1e-14)
+    assert tried[1] == 0.5 * tried[0]
+
+
+def test_search_gives_up_after_max_shots(monkeypatch, nl03):
+    # a search that cannot meet its stop rule says so instead of returning
+    monkeypatch.setattr(wave_profile, "S_TOL", -1.0)
+    with pytest.raises(RuntimeError, match=f"after {wave_profile.MAX_SHOTS} shots"):
+        find_wave_speed(nl03)
+
+
+def test_unresolved_degree_raises(monkeypatch, nl03):
+    # at degree 8 the last Chebyshev coefficients of g read 1e-4 of the
+    # largest: the shot says so rather than return an unresolved p(theta)
+    monkeypatch.setattr(wave_profile, "DEGREE", 8)
+    with pytest.raises(RuntimeError, match="degree 8 does not resolve g"):
+        shoot_p(nl03, EXACT_SPEEDS[0.3])
 
 
 def test_speed_matches_tail_slope(nl03, profile03):
@@ -106,37 +119,37 @@ def test_shooting_collapses_above_connection_speed(nl03):
         shoot_p(nl03, 0.5)
 
 
-# -- the numpy DOP853 port against scipy's solve_ivp -------------------------
+# -- scipy's solve_ivp as the independent reference --------------------------
 
-# The nonlinearities on which the speed search was checked bit for bit, with
-# their connection speeds, as (theta, amplitude, exponent, sigma): c_f.
+# Nonlinearities across the parameter range, as (theta, amplitude, exponent,
+# sigma), with the exact speeds the search returns for them.
 PORT_CASES = {
     (0.2, 1.0, 2.0, 0.1): EXACT_SPEEDS[0.2],
     (0.3, 1.0, 2.0, 0.1): EXACT_SPEEDS[0.3],
     (0.5, 1.0, 2.0, 0.1): EXACT_SPEEDS[0.5],
     (0.3, 4.0, 2.0, 0.1): EXACT_SPEED_A4,
-    (0.1, 2.0, 3.0, 0.1): 0.46996823773188545,
-    (0.4, 0.5, 2.5, 0.05): 0.09704935639914636,
-    (0.05, 1.0, 2.0, 0.1): 0.5927088951058981,
-    (0.9, 1.0, 2.0, 0.1): 0.004204095243470602,
-    (0.7, 10.0, 2.0, 0.1): 0.12780130231148967,
-    (0.3, 0.01, 2.0, 0.1): 0.026343617168572107,
-    (0.3, 300.0, 2.0, 0.1): 4.562848339045765,
+    (0.1, 2.0, 3.0, 0.1): 0.4699682377333104,
+    (0.4, 0.5, 2.5, 0.05): 0.09704935639932867,
+    (0.05, 1.0, 2.0, 0.1): 0.5927088951062397,
+    (0.9, 1.0, 2.0, 0.1): 0.004204095243108363,
+    (0.7, 10.0, 2.0, 0.1): 0.12780130231170223,
+    (0.3, 0.01, 2.0, 0.1): 0.0263436171681936,
+    (0.3, 300.0, 2.0, 0.1): 4.562848339045507,
 }
-# shots at and near c_f, and far above (where most collapse) and below it
-PORT_FACTORS = (1.0, 1.0 + 1e-9, 1.0 - 1e-7, 1.3, 3.0, 0.5, 0.01)
+SEED = 1e-6  # 1 - U where the scipy shot starts on the linearization p = beta0 (1 - U)
 
 
 def _pass_points(theta):
-    """The 24001 output points of the profile pass (_log_one_minus_samples)."""
-    w = np.exp(np.linspace(np.log(wave_profile.DELTA_LIN), np.log(1.0 - theta), 24001))
+    """24001 levels of U from 1 - SEED down to theta, log-spaced in 1 - U."""
+    w = np.exp(np.linspace(np.log(SEED), np.log(1.0 - theta), 24001))
     u = 1.0 - w
     u[-1] = theta
     return u
 
 
 def _scipy_shot(nl, c, t_eval, rtol, atol):
-    """The shot as solve_ivp takes it: status 1 is a collapse."""
+    """The phase-plane shot p' = c - f/p, D' = -1/p from U = 1 - SEED down to
+    theta as solve_ivp's DOP853 takes it: status 1 is a collapse."""
     mu = decay_rate_into_burned(nl, c)
     a, theta, expo = nl.amplitude, nl.theta, nl.exponent
 
@@ -151,79 +164,23 @@ def _scipy_shot(nl, c, t_eval, rtol, atol):
 
     hit_floor.terminal = True
     hit_floor.direction = -1
-    return solve_ivp(rhs, (1.0 - wave_profile.DELTA_LIN, theta), (mu * wave_profile.DELTA_LIN, 0.0),
+    return solve_ivp(rhs, (1.0 - SEED, theta), (mu * SEED, 0.0),
                      method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, events=hit_floor)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["falling", "rising"])
-def test_port_event_fires_where_solve_ivp_stops(sign):
-    # y = 1 - t integrated from t = 1 down to 0: 1/2 - y falls through 0
-    def event(t, y):
-        return sign * (0.5 - y[0])
-
-    event.terminal, event.direction = True, -1
-    ref = solve_ivp(lambda t, y: (-1.0,), (1.0, 0.0), (0.0,), method="DOP853", events=event)
-    status = _dop853.dop853(lambda t, y: (-1.0,), 1.0, (0.0,), 0.0, 1e-3, 1e-6, event=event)[3]
-    assert status == ref.status == (1 if sign > 0 else 0)
-
-
 @pytest.mark.parametrize("params", sorted(PORT_CASES), ids=str)
-def test_port_replays_solve_ivp(monkeypatch, params):
-    # every kind of shot _shoot takes: full precision, probe and profile pass
-    # (the pass only at c_f and 3 c_f, to keep this quick).  The shots at
-    # 3 c_f collapse for theta < 0.7, those at 1.3 c_f for theta 0.05 and 0.1
+def test_speed_is_a_root_of_scipys_shot(params):
+    # scipy's rtol-1e-13 S(c) = p(theta) - c theta changes sign within a
+    # relative 1e-10 of c_f: its root lies within 8e-14 of c_f
     nl = make_combustion(*params)
-    runs = []
-    real = wave_profile.dop853
-
-    def recording(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(wave_profile, "dop853", recording)
-    for factor in PORT_FACTORS:
-        c = PORT_CASES[params] * factor
-        shots = [(None, 1e-13, 1e-16), (None, 1e-6, 1e-12)]
-        if factor in (1.0, 3.0):
-            shots.append((_pass_points(nl.theta), 1e-13, 1e-16))
-        for t_eval, rtol, atol in shots:
-            ref = _scipy_shot(nl, c, t_eval, rtol, atol)
-            assert ref.status in (0, 1)
-            try:
-                t, y = wave_profile._shoot(nl, c, t_eval=t_eval, rtol=rtol, atol=atol)
-            except ShootingCollapseError:
-                assert ref.status == 1
-                continue
-            assert ref.status == 0
-            assert np.array_equal(t, ref.t) and np.array_equal(y, ref.y)
-            assert runs[-1][2] == ref.nfev
-
-
-def test_port_tableau_is_scipys():
-    assert np.array_equal(_dop853.A[:12, :12], DOP853.A)
-    assert np.array_equal(_dop853.A[13:], DOP853.A_EXTRA)
-    assert np.array_equal(_dop853.B, DOP853.B)
-    assert np.array_equal(_dop853.C[:12], DOP853.C)
-    assert np.array_equal(_dop853.C[13:], DOP853.C_EXTRA)
-    for name in ("E3", "E5", "D"):
-        assert np.array_equal(getattr(_dop853, name), getattr(DOP853, name)), name
-
-
-def test_port_fails_where_solve_ivp_fails():
-    # NaN below t = 0.5: every step across it is rejected until the step
-    # falls below ten ulps of t
-    def rhs(t, y):
-        return (-y[0] if t > 0.5 else np.nan, 1.0)
-
-    ref = solve_ivp(rhs, (1.0, 0.0), (1.0, 0.0), method="DOP853", rtol=1e-13, atol=1e-16)
-    t, y, nfev, status = _dop853.dop853(rhs, 1.0, (1.0, 0.0), 0.0, 1e-13, 1e-16)
-    assert ref.status == status == -1
-    assert np.array_equal(t, ref.t) and np.array_equal(y, ref.y) and nfev == ref.nfev
-    # a NaN from the first call fails at once (solve_ivp would loop forever)
-    assert _dop853.dop853(lambda t, y: (np.nan,), 1.0, (1.0,), 0.0, 1e-13, 1e-16)[3] == -1
-    nan_nl = SimpleNamespace(theta=0.3, amplitude=np.nan, exponent=2.0, fprime_at_one=-0.49)
-    with pytest.raises(RuntimeError, match="phase-plane integration failed"):
-        shoot_p(nan_nl, 0.3)
+    c = find_wave_speed(nl)
+    assert c == PORT_CASES[params]
+    s = []
+    for factor in (1.0 - 1e-10, 1.0 + 1e-10):
+        ref = _scipy_shot(nl, c * factor, None, 1e-13, 1e-16)
+        assert ref.status == 0
+        s.append(ref.y[0][-1] - c * factor * nl.theta)
+    assert s[0] > 0.0 > s[1]
 
 
 def test_anchor_and_range(profile03):
@@ -255,7 +212,7 @@ def test_beta0_reference_and_quadratic_identity(nl03, profile03):
 
 def test_ode_residual(nl03, profile03):
     # U'' + c U' + f(U) = 0 from the table's own derivatives, relative to
-    # sup |f(U)|: 7.8e-9 here
+    # sup |f(U)|: 1.8e-9 here
     assert ode_residual_sup(profile03, nl03) < 1e-6
 
 
@@ -279,7 +236,7 @@ def _built(theta, amplitude, exponent):
 
 @ACROSS_PROFILES
 def test_ode_residual_across_families(theta, amplitude, exponent):
-    # one relative bound for every family: these read 6.7e-9 to 6.3e-8
+    # one relative bound for every family: these read 1.1e-9 to 5.4e-8
     nl, profile = _built(theta, amplitude, exponent)
     assert ode_residual_sup(profile, nl) < 1e-6
 
@@ -404,10 +361,14 @@ def test_u_pow_and_log_u_consistency(profile03):
 
 
 def test_amplitude_scaling_doubles_speed(nl03, profile03):
-    # u_t - u_xx = 4 f(u) travels at 2c with profile U(2 D)
+    # u_t - u_xx = a f(u) travels at sqrt(a) c with profile U(sqrt(a) D);
+    # the search scales the amplitude-1 speed by sqrt(a), so the law holds to
+    # one rounding (the bisection broke it by 4.7e-12 to 1.9e-11 relative)
+    for a in (0.01, 4.0, 300.0):
+        c_a = find_wave_speed(make_combustion(theta=0.3, amplitude=a, exponent=2.0, sigma=0.1))
+        assert c_a == pytest.approx(np.sqrt(a) * profile03.speed, rel=1e-15, abs=0.0)
     nl4 = make_combustion(theta=0.3, amplitude=4.0, exponent=2.0, sigma=0.1)
     c4 = find_wave_speed(nl4)
-    assert c4 == pytest.approx(2.0 * profile03.speed, rel=1e-9)
     assert c4 == EXACT_SPEED_A4
     prof4 = build_profile(nl4, c=c4)
     D = np.linspace(-12.0, 25.0, 500)
@@ -428,27 +389,26 @@ def _breakpoints(profile):
 
 
 def test_piecewise_table_follows_a_tighter_shot(nl03, profile03):
-    # the table is built from the rtol-1e-13 pass; an rtol-3e-14 pass at the
-    # same levels of U is the reference, and the table may stray from it by
-    # no more than those samples do (compared at a common D through U' =
-    # -p), plus round-off
-    c = profile03.speed
-    u_ref, (p_ref, d_ref) = wave_profile._shoot(nl03, c, t_eval=_pass_points(0.3), rtol=3e-14)
-    _, (_, d_raw) = wave_profile._shoot(nl03, c, t_eval=_pass_points(0.3))
-    d_ref = d_ref - d_ref[-1]
-    samples_off = np.max(np.abs(p_ref * ((d_raw - d_raw[-1]) - d_ref)))
-    assert samples_off < 1e-13
-    assert np.max(np.abs(profile03(d_ref) - u_ref)) <= samples_off + 1e-14
+    # scipy's rtol-3e-14 pass at c_f, anchored so that D(theta) = 0, is the
+    # reference where 1 - U >= 1e-5, past the error of its linear seed (U
+    # is 4.9e-13 off at the seed, and 1e-16 off at 1 - U = 1e-4): there U
+    # and 1 - U read 1.7e-14 off it, and U' = -p 2.9e-13
+    ref = _scipy_shot(nl03, profile03.speed, _pass_points(0.3), 3e-14, 1e-16)
+    assert ref.status == 0
+    keep = 1.0 - ref.t >= 1e-5
+    u_ref, p_ref, d_ref = ref.t[keep], ref.y[0][keep], (ref.y[1] - ref.y[1][-1])[keep]
+    assert np.max(np.abs(profile03(d_ref) - u_ref)) <= 1e-13
     _, u1, log_u = profile03.jet(d_ref)
-    assert np.max(np.abs(-np.expm1(log_u) - (1.0 - u_ref))) <= samples_off + 1e-14
-    assert np.max(np.abs(u1 + p_ref)) <= 3e-12
+    assert np.max(np.abs(-np.expm1(log_u) - (1.0 - u_ref))) <= 1e-13
+    assert np.max(np.abs(u1 + p_ref)) <= 1e-12
 
 
 @ACROSS_PROFILES
 def test_piecewise_table_is_continuous_at_breakpoints(theta, amplitude, exponent):
-    # the piece joints, plus the joint to the exponential left tail; each
-    # piece interpolates its own samples, so U' jumps by their noise: at
-    # most 8.4e-13 over these profiles
+    # the piece joints, plus the joint to the exponential left tail.  U'
+    # jumps by the round-off of the node values at the piece joints, at
+    # most 1.3e-13 over these profiles, and by about |g'(1)| DELTA_LIN^2 at
+    # the tail joint, at most 2.8e-14
     profile = _built(theta, amplitude, exponent)[1]
     b = np.append(_breakpoints(profile), profile.d_joint)
     below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
