@@ -21,9 +21,9 @@ points of [theta, 1] in t = sqrt((u - theta) / (1 - theta)), where the
 equation picks the one solution that is smooth at u = 1, and the shot
 gives p(theta) = (1 - theta) g(theta).  The variable t makes
 (u - theta)^p a power of t and crowds the points towards theta, where g
-turns small for a small theta.  A shot raises ShootingCollapseError where
-Newton finds no positive g, and RuntimeError where DEGREE does not
-resolve g.
+turns small for a small theta.  A shot gives p(theta) and, from its own
+Jacobian, dp(theta)/dc; it raises ShootingCollapseError where Newton
+finds no positive g, and RuntimeError where DEGREE does not resolve g.
 
 The speed is the root of S(c) = p(theta; c) - c * theta, by Newton's
 method on S with dS/dc from the shot's own Jacobian.  It starts from a
@@ -79,15 +79,15 @@ __all__ = [
 DEGREE = 64  # Chebyshev degree of g on [theta, 1]
 # A series is resolved when its last three Chebyshev coefficients are
 # below a share of the largest: G_RTOL for g, which sets the speed, and
-# POSITION_RTOL for the position integrand, whose error reaches U only
-# through D, times |U'|, and which ode_residual_sup checks as well.  At
-# DEGREE, over theta 0.01 to 0.99, exponents 2 to 10 and amplitudes 0.01 to
-# 300, they read at most 2e-16 for g and 2e-12 for the integrand.  The
-# integrand's grow as theta falls: 1.3e-10 at theta 0.005 and 2.1e-8 at
-# 0.002, where the table's residual reads 1.5e-7, and 3.3e-7 at 0.001,
-# where it reads 2.6e-6.  At degree 8, g's read 1e-4.
+# POSITION_RTOL for the position integrand.  At DEGREE, over theta 0.01 to
+# 0.99, exponents 2 to 10 and amplitudes 0.01 to 300, they read at most
+# 2e-16 for g and 2e-12 for the integrand.  The integrand's grow as theta
+# falls (3.3e-7 at 0.001), so build_profile tries POSITION_DEGREES in turn:
+# 128 resolves theta 0.001, 512 1e-5 and 1024 1e-6, where g's read 4e-13
+# and the table's residual 2e-8.  At degree 8, g's read 1e-4.
 G_RTOL = 1e-11
-POSITION_RTOL = 1e-7
+POSITION_RTOL = 1e-11
+POSITION_DEGREES = tuple(DEGREE << k for k in range(5))  # DEGREE to 16 DEGREE
 NEWTON_RTOL = 1e-13  # Newton stops on a step below this share of max g, or of |log DELTA_LIN| for s
 NEWTON_STEPS = 30  # Newton steps within which a shot, or a table node, converges
 S_TOL = 1e-12  # |S| at which find_wave_speed may stop...
@@ -117,38 +117,31 @@ class ShootingCollapseError(RuntimeError):
 def decay_rate_into_burned(nl: CombustionNonlinearity, c: float) -> float:
     """Positive root beta0 of beta^2 + c*beta + f'(1) = 0: the rate at which
     1 - U decays as D -> -inf (and g(1), the slope of p at U = 1)."""
-    fp1 = nl.fprime_at_one
-    return 0.5 * (-c + np.sqrt(c * c - 4.0 * fp1))
+    return 0.5 * (-c + np.sqrt(c * c - 4.0 * nl.fprime_at_one))
 
 
 def _lobatto(n: int):
-    """(t, 1 - t, D) at the Chebyshev-Lobatto points x_j = cos(pi j / n),
-    j = 0..n, from x = 1 down to -1: t = (1 + x) / 2 and 1 - t without
-    cancellation, and the differentiation matrix in x (Trefethen, ch. 6)
-    with each diagonal entry minus the sum of its row."""
-    j = np.arange(n + 1)
-    x = np.sin(np.pi * (n - 2 * j) / (2 * n))
-    weight = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
-    dm = np.outer(weight, 1.0 / weight) / (np.subtract.outer(x, x) + np.eye(n + 1))
-    dm -= np.diag(dm.sum(axis=1))
-    half = np.pi * j / (2 * n)
-    return np.cos(half) ** 2, np.sin(half) ** 2, dm
+    """(t, 1 - t) at the Chebyshev-Lobatto points x_j = cos(pi j / n), j = 0..n,
+    from x = 1 down to -1: t = (1 + x) / 2, and 1 - t without cancellation."""
+    half = np.pi * np.arange(n + 1) / (2 * n)
+    return np.cos(half) ** 2, np.sin(half) ** 2
 
 
-def _cheb_coefficients(values, rtol: float, name: str, c: float):
+def _cheb_coefficients(values):
     """Chebyshev coefficients of the polynomial through values at the
-    Lobatto points x_j = cos(pi j / n), by the FFT of their even extension;
-    a RuntimeError unless the last three are below rtol of the largest,
-    that is unless the degree resolves the function."""
+    Lobatto points x_j = cos(pi j / n), by the FFT of their even extension,
+    and the share of the largest that the last three reach: the degree
+    resolves the function where that share is at round-off."""
     n = values.size - 1
     coef = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
     coef[0] *= 0.5
     coef[n] *= 0.5
-    tail = np.max(np.abs(coef[-3:])) / np.max(np.abs(coef))
-    if not tail <= rtol:
-        raise RuntimeError(f"degree {n} does not resolve {name} at c = {c}: its last "
-                           f"Chebyshev coefficients reach {tail:.1e} of the largest")
-    return coef
+    return coef, np.max(np.abs(coef[-3:])) / np.max(np.abs(coef))
+
+
+def _unresolved(n: int, name: str, c: float, tail: float) -> RuntimeError:
+    return RuntimeError(f"degree {n} does not resolve {name} at c = {c}: its last "
+                        f"Chebyshev coefficients reach {tail:.1e} of the largest")
 
 
 def _collocate(nl: CombustionNonlinearity, c: float):
@@ -161,13 +154,19 @@ def _collocate(nl: CombustionNonlinearity, c: float):
     (1 - u) d/du = (1 - t)(1 + t) / t d/dx, the equation times t reads
     F(g) = (1 - t)(1 + t) D g - t (g + c - a (u - theta)^p / g) = 0, whose
     row at t = 0 asks dg/dx to vanish there, as it does for every g smooth
-    in u.  Newton starts from
-    1/p = 1/(c u) + 1/(beta0 (1 - u)), between the two asymptotes of p; each
-    step solves the Jacobian for F and for -dF/dc = t, so the converged shot
-    has dg/dc without another factorization.
+    in u.  Newton starts from 1/p = 1/(c u) + 1/(beta0 (1 - u)), between the
+    two asymptotes of p; each step solves the Jacobian for F and for
+    -dF/dc = t, so the converged shot has dg/dc from the same factorization.
     """
     theta = nl.theta
-    t, one_minus_t, dm = _lobatto(DEGREE)
+    t, one_minus_t = _lobatto(DEGREE)
+    # the differentiation matrix in x (Trefethen, ch. 6), each diagonal
+    # entry minus the sum of its row
+    j = np.arange(DEGREE + 1)
+    x = np.sin(np.pi * (DEGREE - 2 * j) / (2 * DEGREE))
+    weight = np.where((j == 0) | (j == DEGREE), 2.0, 1.0) * (-1.0) ** j
+    dm = np.outer(weight, 1.0 / weight) / (np.subtract.outer(x, x) + np.eye(DEGREE + 1))
+    dm -= np.diag(dm.sum(axis=1))
     lhs = (one_minus_t * (1.0 + t))[:, None] * dm - np.diag(t)
     tw = t * nl.amplitude * ((1.0 - theta) * t * t) ** nl.exponent  # t a (u - theta)^p
     u = theta + (1.0 - theta) * t * t
@@ -190,18 +189,20 @@ def _collocate(nl: CombustionNonlinearity, c: float):
     # an iterate may dip below 0 on the way; the solution may not
     if not np.all(g > 0.0):
         raise ShootingCollapseError(f"no positive g at c = {c}")
-    return g, step[:, 1], _cheb_coefficients(g, G_RTOL, "g", c)
+    coef, tail = _cheb_coefficients(g)
+    if not tail <= G_RTOL:
+        raise _unresolved(DEGREE, "g", c, tail)
+    return g, step[:, 1], coef
 
 
-def shoot_p(nl: CombustionNonlinearity, c: float, slope: bool = False):
-    """p(theta; c) = (1 - theta) g(theta) from one collocation, and with
-    slope=True the pair (p(theta), dp(theta)/dc).  A candidate above the
-    connection speed may collapse (ShootingCollapseError)."""
+def shoot_p(nl: CombustionNonlinearity, c: float) -> tuple[float, float]:
+    """(p(theta; c), dp(theta)/dc) from one collocation, p(theta) being
+    (1 - theta) g(theta).  A candidate above the connection speed may
+    collapse (ShootingCollapseError)."""
     if c <= 0.0:
         raise ValueError(f"wave speed candidate must be positive, got {c}")
     g, dg_dc = _collocate(nl, c)[:2]
-    p = float((1.0 - nl.theta) * g[-1])
-    return (p, float((1.0 - nl.theta) * dg_dc[-1])) if slope else p
+    return float((1.0 - nl.theta) * g[-1]), float((1.0 - nl.theta) * dg_dc[-1])
 
 
 def find_wave_speed(nl: CombustionNonlinearity) -> float:
@@ -221,7 +222,7 @@ def find_wave_speed(nl: CombustionNonlinearity) -> float:
     s = np.inf
     for shots in range(1, MAX_SHOTS + 1):
         try:
-            p_theta, slope = shoot_p(unit, c, slope=True)
+            p_theta, slope = shoot_p(unit, c)
         except ShootingCollapseError:
             c *= 0.5
             continue
@@ -398,16 +399,23 @@ def build_profile(nl: CombustionNonlinearity, c: float | None = None) -> WavePro
             f"phase-plane matching residual {mismatch:.3e}; speed candidate is not converged")
 
     beta0 = decay_rate_into_burned(nl, c)
-    t, one_minus_t = _lobatto(DEGREE)[:2]
     # (beta0 - g) / (beta0 g (1 - u)) du/dx at the Lobatto points, with
     # du/dx = (1 - theta) t; at x = 1, where g = beta0 and 1 - t vanish, its
-    # limit is dg/dx / beta0^2, and T_k'(1) = k^2
-    integrand = np.empty_like(g)
-    integrand[0] = (np.arange(DEGREE + 1) ** 2 * g_coef).sum() / beta0**2
-    integrand[1:] = (beta0 - g[1:]) * t[1:] / (beta0 * g[1:] * one_minus_t[1:] * (1.0 + t[1:]))
-    # its integral from theta, zero at x = -1
-    integral = chebyshev.chebint(
-        _cheb_coefficients(integrand, POSITION_RTOL, "the position integrand", c), lbnd=-1.0)
+    # limit is dg/dx / beta0^2, and T_k'(1) = k^2.  1/g has poles about
+    # sqrt(theta) off t = 0, so for a small theta the integrand is sampled
+    # again on the series of g at twice the degree until its fit resolves
+    for n in POSITION_DEGREES:
+        t, one_minus_t = _lobatto(n)
+        gn = g if n == DEGREE else chebyshev.chebval(2.0 * t - 1.0, g_coef)
+        integrand = np.empty_like(gn)
+        integrand[0] = (np.arange(DEGREE + 1) ** 2 * g_coef).sum() / beta0**2
+        integrand[1:] = (beta0 - gn[1:]) * t[1:] / (beta0 * gn[1:] * one_minus_t[1:] * (1.0 + t[1:]))
+        coef, tail = _cheb_coefficients(integrand)
+        if tail <= POSITION_RTOL:
+            break
+    else:
+        raise _unresolved(n, "the position integrand", c, tail)
+    integral = chebyshev.chebint(coef, lbnd=-1.0)  # from theta, zero at x = -1
     s_theta, s_lo = np.log(1.0 - theta), np.log(DELTA_LIN)
 
     def position(s):

@@ -11,6 +11,7 @@ import logging
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,9 +63,9 @@ def test_search_pays_few_full_shots(monkeypatch, caplog, nl03):
     shots = []
     real = wave_profile.shoot_p
 
-    def counting(nl, c, **kwargs):
+    def counting(nl, c):
         shots.append(c)
-        return real(nl, c, **kwargs)
+        return real(nl, c)
 
     monkeypatch.setattr(wave_profile, "shoot_p", counting)
     with caplog.at_level(logging.DEBUG, logger=wave_profile.__name__):
@@ -80,11 +81,11 @@ def test_search_halves_after_a_collapse(monkeypatch, nl03):
     # Newton climbs to the same root
     real, tried = wave_profile.shoot_p, []
 
-    def first_collapses(nl, c, **kwargs):
+    def first_collapses(nl, c):
         tried.append(c)
         if len(tried) == 1:
             raise ShootingCollapseError("forced")
-        return real(nl, c, **kwargs)
+        return real(nl, c)
 
     monkeypatch.setattr(wave_profile, "shoot_p", first_collapses)
     assert find_wave_speed(nl03) == pytest.approx(EXACT_SPEEDS[0.3], rel=1e-14)
@@ -106,11 +107,27 @@ def test_unresolved_degree_raises(monkeypatch, nl03):
         shoot_p(nl03, EXACT_SPEEDS[0.3])
 
 
+def test_unresolved_position_integrand_raises(monkeypatch):
+    # at theta 0.001 the integrand needs degree 128: capped at 64,
+    # build_profile says so rather than build an unresolved table
+    monkeypatch.setattr(wave_profile, "POSITION_DEGREES", (64,))
+    nl = make_combustion(theta=0.001, amplitude=1.0, exponent=2.0, sigma=0.1)
+    with pytest.raises(RuntimeError, match="degree 64 does not resolve the position integrand"):
+        build_profile(nl)
+
+
+def test_nan_shot_raises():
+    # a shot whose Newton iterates turn NaN collapses instead of returning NaN
+    nan_nl = SimpleNamespace(theta=0.3, amplitude=np.nan, exponent=2.0, fprime_at_one=-0.49)
+    with pytest.raises(ShootingCollapseError, match="Newton diverged"):
+        shoot_p(nan_nl, 0.3)
+
+
 def test_speed_matches_tail_slope(nl03, profile03):
     # at the connection speed the shot lands on the exponential-tail
     # slope |U'| = c theta at the ignition level
     c = profile03.speed
-    assert shoot_p(nl03, c) == pytest.approx(c * nl03.theta, abs=1e-10)
+    assert shoot_p(nl03, c)[0] == pytest.approx(c * nl03.theta, abs=1e-10)
 
 
 
@@ -216,12 +233,13 @@ def test_ode_residual(nl03, profile03):
     assert ode_residual_sup(profile03, nl03) < 1e-6
 
 
-# the ten profiles whose residuals and joint jumps CHANGES.md reports, as
-# (theta, amplitude, exponent): the speed-checked ones, a steep and two
-# low-threshold families, a low amplitude and two other exponents
+# the eleven profiles whose residuals and joint jumps CHANGES.md reports, as
+# (theta, amplitude, exponent): the speed-checked ones, a steep and three
+# low-threshold families, a low amplitude and two other exponents; at theta
+# 0.001 the position integrand needs twice the degree of g
 PROFILE_CASES = [(0.2, 1.0, 2.0), (0.3, 1.0, 2.0), (0.5, 1.0, 2.0), (0.3, 4.0, 2.0),
                  (0.3, 16.0, 2.0), (0.05, 1.0, 2.0), (0.1, 1.0, 2.0), (0.3, 1.0, 3.0),
-                 (0.3, 1.0, 2.5), (0.1, 0.5, 2.0)]
+                 (0.3, 1.0, 2.5), (0.1, 0.5, 2.0), (0.001, 1.0, 2.0)]
 ACROSS_PROFILES = pytest.mark.parametrize(
     "theta, amplitude, exponent", PROFILE_CASES,
     ids=[f"theta{t}-amplitude{a}" + (f"-exponent{p}" if p != 2.0 else "")
@@ -407,8 +425,8 @@ def test_piecewise_table_follows_a_tighter_shot(nl03, profile03):
 def test_piecewise_table_is_continuous_at_breakpoints(theta, amplitude, exponent):
     # the piece joints, plus the joint to the exponential left tail.  U'
     # jumps by the round-off of the node values at the piece joints, at
-    # most 1.3e-13 over these profiles, and by about |g'(1)| DELTA_LIN^2 at
-    # the tail joint, at most 2.8e-14
+    # most 6.6e-13 over these profiles (1.3e-13 above theta 0.001), and by
+    # about |g'(1)| DELTA_LIN^2 at the tail joint, at most 2.8e-14
     profile = _built(theta, amplitude, exponent)[1]
     b = np.append(_breakpoints(profile), profile.d_joint)
     below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
