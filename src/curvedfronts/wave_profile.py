@@ -117,7 +117,8 @@ class ShootingCollapseError(RuntimeError):
 def decay_rate_into_burned(nl: CombustionNonlinearity, c: float) -> float:
     """Positive root beta0 of beta^2 + c*beta + f'(1) = 0: the rate at which
     1 - U decays as D -> -inf (and g(1), the slope of p at U = 1)."""
-    return 0.5 * (-c + np.sqrt(c * c - 4.0 * nl.fprime_at_one))
+    fp1 = nl.fprime_at_one
+    return 0.5 * (-c + np.sqrt(c * c - 4.0 * fp1))
 
 
 def _lobatto(n: int):
