@@ -55,7 +55,7 @@ def main():
     for t in (0.0, 4.0, 8.0, 12.0):
         u = subsolution_lower(planar, profile, t, grid.points().reshape(-1, 2))
         snaps.append(Field(grid, u.reshape(grid.counts), time=t))
-    ms = mean_speed_estimate(snaps, planar, None)
+    ms = mean_speed_estimate(snaps, planar, profile, None)
     print(f"\nmean speed estimate: {ms['gamma_hat']:.9f} from {len(snaps)} snapshots "
           f"(rel err {abs(ms['gamma_hat'] - c) / c:.2e})")
 

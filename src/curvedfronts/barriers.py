@@ -66,6 +66,9 @@ SAMPLE_OFFSET_RANGE = (-22.0, 22.0)
 SAMPLE_W_T_RANGE = (0.05, 8.0)
 # samples per pass of a chain-rule residual; its temporaries grow with the chunk
 RESIDUAL_CHUNK = 4096
+TIME_TERM_SAMPLES = 20000  # samples of the tail layer that fit_time_term_constant bounds
+ALPHA_LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)  # the alphas auto_parameters tries, in order
+PILOT_SAMPLES = 20000  # samples of each rung's pilot certification
 
 
 def mollifier_omega(s):
@@ -304,24 +307,23 @@ def _in_chunks(fn, t, z):
     return out
 
 
-def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z,
-                       h_fd: float = DEFAULT_FD_STEP):
+def parabolic_residual(field_fn, nl: CombustionNonlinearity, t, z):
     """Sampled residual L v = v_t - Lap v - f(v) by 4th-order stencils.
 
     t has shape (npts,) and z shape (npts, N).  field_fn(t, z) is called
     once, on all 1 + 4 (N + 1) stencil points of every sample, with shapes
     (m,) and (m, N); the time derivative and the Laplacian use the 5-point
-    weights on [-2h, -h, 0, h, 2h].  Returns (residual, excluded), where
-    excluded marks samples whose stencil touches the clamp v >= 1 (the min
-    with 1 kinks the field there, so the finite differences are not
-    trustworthy).
+    weights on [-2h, -h, 0, h, 2h], h = DEFAULT_FD_STEP.  Returns (residual,
+    excluded), where excluded marks samples whose stencil touches the clamp
+    v >= 1 (the min with 1 kinks the field there, so the finite differences
+    are not trustworthy).
     """
     t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
     npts, ndim = z.shape
-    shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * h_fd
-    d1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h_fd)
-    d2_off = np.array([-1.0, 16.0, 16.0, -1.0]) / (12.0 * h_fd**2)
-    d2_center = -30.0 / (12.0 * h_fd**2)
+    shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * DEFAULT_FD_STEP
+    d1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * DEFAULT_FD_STEP)
+    d2_off = np.array([-1.0, 16.0, 16.0, -1.0]) / (12.0 * DEFAULT_FD_STEP**2)
+    d2_center = -30.0 / (12.0 * DEFAULT_FD_STEP**2)
 
     t_all = [t] + [t + s for s in shifts] + [t] * (4 * ndim)
     z_all = [z] * 5
@@ -445,16 +447,15 @@ def _upper_certificate(barriers: BarrierSet, spec: BarrierSampleSpec):
             float(np.min(res[live])) if np.any(live) else float("nan"))
 
 
-def fit_time_term_constant(barriers: BarrierSet,
-                           spec: BarrierSampleSpec, n: int = 20000) -> float:
-    """Bound on -(d_t - Lap) of the tail layer, fitted by sampling.
+def fit_time_term_constant(barriers: BarrierSet, spec: BarrierSampleSpec) -> float:
+    """Bound on -(d_t - Lap) of the tail layer, fitted on TIME_TERM_SAMPLES samples.
 
     The time-shifted barrier needs (d_t - Lap)(e^(-lam t) g) >= -(lam + C*)
     e^(-lam t) with g the tail weight; since 0 <= g <= 1 it suffices to bound
     -(d_t - Lap) g.  The time-bending factor pi'(t) stays in [1, 2] under the
     rho*delta*lam <= 1 cap, hence the factor 2 on the fitted minimum.
     """
-    t, z, _ = _sample_points(barriers, spec, n, *SAMPLE_T_RANGE, seed_offset=1)
+    t, z, _ = _sample_points(barriers, spec, TIME_TERM_SAMPLES, *SAMPLE_T_RANGE, seed_offset=1)
 
     def tail_residual(tc, zc):
         _, _, tail, _, _, tail_t, lap_tail = barriers._jet(tc, zc)
@@ -593,18 +594,16 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
 
 
 def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
-                    nl: CombustionNonlinearity,
-                    alpha_ladder=(0.4, 0.2, 0.1, 0.05, 0.025),
-                    pilot_samples: int = 20000) -> BarrierParams:
+                    nl: CombustionNonlinearity) -> BarrierParams:
     """Concrete certified barrier parameters for a configuration.
 
     Fits the surface comparison constants, takes the largest admissible
-    tail exponent and a conservative amplitude, then walks alpha down a
-    ladder until a pilot residual certification passes, stepping one extra
-    rung for safety; a rung whose upper barrier alone fails is rejected
-    before the rest.  The time-shift gain follows the explicit recipe
-    rho = 3 (||f'|| + lam + C*) / (lam kappa c_f) with the fitted C*, and
-    delta is capped so that rho * delta * lam <= 1.
+    tail exponent and a conservative amplitude, then walks alpha down
+    ALPHA_LADDER until a pilot certification on PILOT_SAMPLES samples
+    passes, stepping one extra rung for safety; a rung whose upper barrier
+    alone fails is rejected before the rest.  The time-shift gain follows
+    the explicit recipe rho = 3 (||f'|| + lam + C*) / (lam kappa c_f) with
+    the fitted C*, and delta is capped so that rho * delta * lam <= 1.
     """
     fit = fit_surface_constants(ScaledSurface(cfg, 1.0))
     max_cot = float(np.max(1.0 / np.tan(cfg.angles)))
@@ -616,7 +615,7 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     lam = 0.5 * min(-nl.fprime_at_one / 4.0, beta * c * c / 16.0)
     x_prime, x_double_prime, kappa = case_thresholds(profile, nl, epsilon, max_cot)
     f_lip = nl.max_abs_derivative(0.0, 1.0)
-    pilot = BarrierSampleSpec(n_samples=pilot_samples)
+    pilot = BarrierSampleSpec(n_samples=PILOT_SAMPLES)
 
     def validated(trial, upper):
         alpha = trial.params.alpha
@@ -635,7 +634,7 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                                          upper_certificate=upper)
 
     chosen = report = None
-    for alpha in alpha_ladder:
+    for alpha in ALPHA_LADDER:
         trial = BarrierSet(cfg, profile, nl,
                            BarrierParams(epsilon=epsilon, alpha=alpha, beta=beta,
                                          delta=g / 8.0, lam=lam, varrho=1.0))
@@ -652,7 +651,7 @@ def auto_parameters(cfg: FrontConfiguration, profile: WaveProfile,
             # the safety rung failed; keep the rung that passed
             break
     if chosen is None:
-        if alpha_ladder and report is None:
+        if report is None:
             # the last rung failed its upper certificate; complete its report
             report = validated(trial, upper)[1]
         raise RuntimeError(

@@ -350,7 +350,7 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
         if len(counts) != n:
             errors.append(f"solver.box.counts: expected {n} axes (front.N), "
                           f"got {len(counts)}")
-        if subcommand == "verify" and n != 2:  # the half-level checks read 2D fields
+        if subcommand == "verify" and n != 2:  # no 3D verify config is validated yet
             errors.append(f"front.N: verify needs 2 space dimensions, got {n}")
         grid = out["grid"] = construct("solver.box", lambda: Grid(
             tuple(counts), float(solver["dx"]), tuple(solver["box"]["origin"])))
@@ -376,7 +376,10 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
         raise ConfigError(errors)
 
     if subcommand != "speed":
-        profile = out["profile"] = build_profile(out["nl"])
+        try:  # a law every constructor accepts can still defeat the profile build
+            profile = out["profile"] = build_profile(out["nl"])
+        except RuntimeError as e:
+            raise ConfigError(f"nonlinearity: {e}")
         exp = {name: v(profile.speed) if callable(v) else v for name, v in exp.items()}
     if subcommand in FRONT_USERS:
         waves = blocks["front"]["waves"]
@@ -464,9 +467,10 @@ def _cmd_profile(objs, run_dir, seed):
     profile = objs["profile"]
     c, beta0 = profile.speed, profile.beta0
     resid = ode_residual_sup(profile, objs["nl"])
-    # the table sampled at step 0.005 on [-W, W], W = max(16 / c, 16 / beta0, |d_joint| + 4)
-    half_n = int(np.ceil(max(16.0 / c, 16.0 / beta0, abs(profile.d_joint) + 4.0) / 0.005))
-    grid = 0.005 * np.arange(-half_n, half_n + 1)
+    # the table on [-W, W] at step 0.005, or at 2^16 + 1 points where that step takes more
+    width = max(16.0 / c, 16.0 / beta0, abs(profile.d_joint) + 4.0)
+    step = max(0.005, width / 2**15)
+    grid = step * np.arange(-np.ceil(width / step), np.ceil(width / step) + 1)
     _write_csv(os.path.join(run_dir, "profile.csv"), ["D", "U"], zip(grid, profile(grid)),
                comment=f"# c_f={c!r} beta0={beta0!r} tail=theta*exp(-c_f*D) on D>=0\n")
     passed = bool(resid <= 1e-6)
@@ -588,7 +592,7 @@ def _cmd_verify(objs, run_dir, seed):
     meps_monotone = all(mvals[k] <= mvals[k + 1] + 1e-12
                         for k in range(len(mvals) - 1))
     ridge_exclusion = float(exp["ridge_exclusion"])
-    ms = mean_speed_estimate(traj, front, ridge_exclusion)
+    ms = mean_speed_estimate(traj, front, profile, ridge_exclusion)
     wg = weighted_gap_report(traj, front, profile,
                              v_rate=params.v_star or 1e-4)
     hl = half_level_cross_check(traj[-1], front, profile,

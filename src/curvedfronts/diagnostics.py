@@ -4,9 +4,10 @@ Turns the qualitative statements about curved fronts (sandwiching between
 the barriers, monotonicity in time, interface localization M_eps, global
 mean speed, weighted gap decay, stability under admissible perturbations)
 into quantitative report sections over solver snapshots.  The mean speed
-and the half-level check read the snapshots' own {u = 1/2} sets away from
-the box edge and the ridge, so a front that moves at the wrong speed or
-sits at the wrong offset fails them.
+and the half-level check read the snapshots' own {u = 1/2} crossings along
+the last axis, placed by the profile's inverse, away from the box edge and
+the ridge, so a front that moves at the wrong speed or sits at the wrong
+offset fails them, in any dimension.
 """
 
 from __future__ import annotations
@@ -127,39 +128,28 @@ def extract_interface_and_Meps(fld: Field, cfg: FrontConfiguration) -> list:
     return out
 
 
-def _half_level_points(fld: Field, cfg: FrontConfiguration,
+def _half_level_points(fld: Field, cfg: FrontConfiguration, profile: WaveProfile,
                        exclude_ridge_radius: float | None) -> np.ndarray:
-    """Linear-interpolated crossings of u = 1/2 along grid lines (2D), at
-    least HALF_LEVEL_MARGIN inside the box and, when a radius is given,
-    farther than it from the time-t ridge."""
+    """Crossings of u = 1/2 between neighbours on the last axis, at least
+    HALF_LEVEL_MARGIN inside the box and, when a radius is given, farther
+    than it from the time-t ridge.  Each sits where D = U^{-1}(u), taken
+    linear between its two nodes, reaches U^{-1}(1/2): on a snapshot
+    U(min_i q_i) that is exact wherever one facet holds both nodes."""
     g = fld.grid
-    if g.dimension != 2:
-        raise ValueError("half-level extraction implemented for 2D fields")
-    u = fld.values
-    x = g.axis(0)
-    y = g.axis(1)
-    pts = []
-    for axis in (0, 1):
-        a = u if axis == 0 else u.T
-        c0, c1 = (x, y) if axis == 0 else (y, x)
-        sgn = a - 0.5
-        hit = sgn[:-1, :] * sgn[1:, :] < 0
-        i, j = np.nonzero(hit)
-        frac = sgn[i, j] / (sgn[i, j] - sgn[i + 1, j])
-        coord0 = c0[i] + frac * (c0[i + 1] - c0[i])
-        coord1 = c1[j]
-        p = np.stack([coord0, coord1], axis=-1)
-        pts.append(p if axis == 0 else p[:, ::-1])
-    pts = np.concatenate(pts, axis=0)
-    lo = [g.origin[k] + HALF_LEVEL_MARGIN for k in range(2)]
-    hi = [g.origin[k] + (g.counts[k] - 1) * g.dx - HALF_LEVEL_MARGIN
-          for k in range(2)]
-    keep = ((pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
-            & (pts[:, 1] >= lo[1]) & (pts[:, 1] <= hi[1]))
-    pts = pts[keep]
+    lo = np.array(g.origin) + HALF_LEVEL_MARGIN
+    hi = np.array(g.origin) + g.dx * (np.array(g.counts) - 1) - HALF_LEVEL_MARGIN
+    idx = np.nonzero((fld.values[..., :-1] - 0.5) * (fld.values[..., 1:] - 0.5) < 0)
+    pts = np.array(g.origin) + g.dx * np.stack(idx, axis=-1)  # the lower nodes
+    lead = np.all((pts[:, :-1] >= lo[:-1]) & (pts[:, :-1] <= hi[:-1]), axis=-1)
+    pts, idx = pts[lead], tuple(i[lead] for i in idx)
+    n = pts.shape[0]
+    levels = np.concatenate([fld.values[idx], fld.values[idx[:-1] + (idx[-1] + 1,)], [0.5]])
+    # inverse takes levels inside (0, 1) only; a node at 0 or 1 gets a finite D
+    d = profile.inverse(np.clip(levels, np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
+    pts[:, -1] += g.dx * (d[-1] - d[:n]) / (d[n:-1] - d[:n])
+    pts = pts[(pts[:, -1] >= lo[-1]) & (pts[:, -1] <= hi[-1])]
     if exclude_ridge_radius is not None and pts.shape[0]:
-        far = spatial_ridge_distance(cfg, fld.time, pts) > exclude_ridge_radius
-        pts = pts[far]
+        pts = pts[spatial_ridge_distance(cfg, fld.time, pts) > exclude_ridge_radius]
     if pts.shape[0] == 0:
         raise ValueError(f"no half-level crossings at t = {fld.time:.6g} "
                          "left after exclusions")
@@ -177,7 +167,7 @@ def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
     ridge the field genuinely bulges ahead of the polytope, so callers
     checking profile consistency exclude a ridge neighborhood.
     """
-    pts = _half_level_points(fld, cfg, exclude_ridge_radius)
+    pts = _half_level_points(fld, cfg, profile, exclude_ridge_radius)
     t = np.full(pts.shape[0], fld.time)
     level_q = min_q(cfg, t, pts)
     return {
@@ -189,6 +179,7 @@ def half_level_cross_check(fld: Field, cfg: FrontConfiguration,
 
 
 def mean_speed_estimate(trajectory, cfg: FrontConfiguration,
+                        profile: WaveProfile,
                         exclude_ridge_radius: float | None) -> dict:
     """Global mean speed read off the {u = 1/2} sets of the snapshots.
 
@@ -204,7 +195,7 @@ def mean_speed_estimate(trajectory, cfg: FrontConfiguration,
     times = np.array([f.time for f in trajectory])
     positions, n_points = [], []
     for fld in trajectory:
-        pts = _half_level_points(fld, cfg, exclude_ridge_radius)
+        pts = _half_level_points(fld, cfg, profile, exclude_ridge_radius)
         # min_i (z . e_i + tau_i) is z . e_i + tau_i on the facet attaining min_i q_i
         positions.append(float(np.median(min_q(cfg, 0.0, pts))))
         n_points.append(int(pts.shape[0]))

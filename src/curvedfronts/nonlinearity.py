@@ -74,10 +74,13 @@ class CombustionNonlinearity:
         return out
 
     def max_abs_derivative(self, lo: float, hi: float) -> float:
-        """sup |f'| over [lo, hi], estimated on a dense grid; used for
-        explicit-step Lipschitz caps."""
-        grid = np.linspace(lo, hi, 8193)
-        return float(np.max(np.abs(self.derivative(grid))))
+        """sup |f'| over [lo, hi], the Lipschitz constant of explicit steps: the
+        largest |f'| at lo, at hi, and, clamped into [lo, hi], at the one
+        interior extremum of f' and at the clamp 1 + sigma, beyond which f' = 0."""
+        p = self.exponent
+        peak = self.theta + (p - 1.0) * (1.0 - self.theta) / (p + 1.0)  # f'' = 0
+        u = np.clip(np.array([lo, hi, peak, 1.0 + self.sigma]), lo, hi)
+        return float(np.max(np.abs(self.derivative(u))))
 
 
 def _derivative_sandwich_holds(nl: CombustionNonlinearity, gamma: float) -> bool:

@@ -213,8 +213,8 @@ def find_wave_speed(nl: CombustionNonlinearity) -> float:
     sqrt(2 int_0^1 f du), halving c after a collapsed shot; the result is
     scaled by sqrt(a).  It stops at the first shot with |S| <= S_TOL whose
     Newton step is at most STEP_RTOL * c, and returns that shot's c, or
-    raises RuntimeError after MAX_SHOTS shots.  The shot count and the
-    final |S| go to the module logger at DEBUG.
+    raises RuntimeError after MAX_SHOTS shots or at a candidate c <= 0.
+    The shot count and the final |S| go to the module logger at DEBUG.
     """
     unit = dataclasses.replace(nl, amplitude=1.0)
     theta, p = nl.theta, nl.exponent
@@ -222,6 +222,8 @@ def find_wave_speed(nl: CombustionNonlinearity) -> float:
     c = float(np.sqrt(2.0 * (1.0 - theta) ** (p + 2.0) / ((p + 1.0) * (p + 2.0))))
     s = np.inf
     for shots in range(1, MAX_SHOTS + 1):
+        if not c > 0.0:  # as the bound does at a large exponent
+            raise RuntimeError(f"no wave speed: candidate c = {c} after {shots - 1} shots")
         try:
             p_theta, slope = shoot_p(unit, c)
         except ShootingCollapseError:

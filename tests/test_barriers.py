@@ -301,7 +301,7 @@ def _tail_residual(B, t, z):
     return tail_t - lap_tail
 
 
-def test_tail_weight_residual_fd_converges_at_order_four(barriers03):
+def test_tail_weight_residual_fd_converges_at_order_four(barriers03, monkeypatch):
     # the fit's g_t - Lap g of g = T(eta), against 4th-order stencils of g
     spec = BarrierSampleSpec(seed=9)
     t, z, _ = barriers._sample_points(barriers03, spec, 4000, *barriers.SAMPLE_T_RANGE)
@@ -312,7 +312,8 @@ def test_tail_weight_residual_fd_converges_at_order_four(barriers03):
 
     errors = []
     for h in (0.02, 0.01, 0.005):
-        fd, _ = parabolic_residual(g_field, np.zeros_like, t, z, h)
+        monkeypatch.setattr(barriers, "DEFAULT_FD_STEP", h)
+        fd, _ = parabolic_residual(g_field, np.zeros_like, t, z)
         errors.append(np.max(np.abs(fd - exact)))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders >= 3.5) & (orders <= 4.5)), (errors, orders)
@@ -345,8 +346,9 @@ def test_fd_cross_check_catches_a_dropped_term(cfg_v, profile03, nl03, params03,
 def _certify_with_chunk(B, chunk, samples, spec, monkeypatch):
     monkeypatch.setattr(barriers, "RESIDUAL_CHUNK", chunk)
     (t, z), (tw, zw) = samples
+    monkeypatch.setattr(barriers, "TIME_TERM_SAMPLES", t.shape[0])
     return (*B.upper_residual(t, z), *B.time_upper_residual(tw, zw),
-            fit_time_term_constant(B, spec, n=t.shape[0]))
+            fit_time_term_constant(B, spec))
 
 
 @FRONTS
@@ -425,7 +427,7 @@ def test_residual_chunk_sums_the_profile_table_four_times(barriers03, monkeypatc
 # and, when nothing certifies, report the same last rung.
 
 
-def _full_validation_ladder(cfg, profile, nl, alpha_ladder, pilot_samples):
+def _full_validation_ladder(cfg, profile, nl):
     fit = fit_surface_constants(ScaledSurface(cfg, 1.0))
     max_cot = float(np.max(1.0 / np.tan(cfg.angles)))
     beta = beta_star_bound(fit.c1_hat, max_cot)
@@ -435,9 +437,9 @@ def _full_validation_ladder(cfg, profile, nl, alpha_ladder, pilot_samples):
     lam = 0.5 * min(-nl.fprime_at_one / 4.0, beta * c * c / 16.0)
     x_prime, x_double_prime, kappa = case_thresholds(profile, nl, eps, max_cot)
     f_lip = nl.max_abs_derivative(0.0, 1.0)
-    pilot = BarrierSampleSpec(n_samples=pilot_samples, seed=0)
+    pilot = BarrierSampleSpec(n_samples=barriers.PILOT_SAMPLES, seed=0)
     chosen = report = None
-    for alpha in alpha_ladder:
+    for alpha in barriers.ALPHA_LADDER:
         trial = BarrierParams(epsilon=eps, alpha=alpha, beta=beta, delta=g / 8.0,
                               lam=lam, varrho=1.0)
         c_star = fit_time_term_constant(BarrierSet(cfg, profile, nl, trial), pilot)
@@ -470,8 +472,7 @@ def _count_calls(monkeypatch, name):
 def test_ladder_matches_full_validation_ladder(cfg_v, profile03, nl03, params03):
     # rungs 0.4, 0.2 and 0.1 fail on their upper residuals, 0.05 passes and
     # 0.025 is the safety rung
-    ref, _ = _full_validation_ladder(cfg_v, profile03, nl03,
-                                     (0.4, 0.2, 0.1, 0.05, 0.025), 20000)
+    ref, _ = _full_validation_ladder(cfg_v, profile03, nl03)
     for f in dataclasses.fields(ref):
         assert getattr(params03, f.name) == getattr(ref, f.name), f.name
 
@@ -481,10 +482,12 @@ def test_ladder_matches_full_validation_ladder(cfg_v, profile03, nl03, params03)
     ((0.05, 0.4), 0.05),              # the safety rung fails its upper certificate
 ])
 def test_ladder_safety_rung(ladder, alpha, cfg_v, profile03, nl03, monkeypatch):
-    ref, _ = _full_validation_ladder(cfg_v, profile03, nl03, ladder, 4000)
+    monkeypatch.setattr(barriers, "ALPHA_LADDER", ladder)
+    monkeypatch.setattr(barriers, "PILOT_SAMPLES", 4000)
+    ref, _ = _full_validation_ladder(cfg_v, profile03, nl03)
     validations = _count_calls(monkeypatch, "validate_parameters")
     fits = _count_calls(monkeypatch, "fit_time_term_constant")
-    got = auto_parameters(cfg_v, profile03, nl03, alpha_ladder=ladder, pilot_samples=4000)
+    got = auto_parameters(cfg_v, profile03, nl03)
     assert got == ref
     assert got.alpha == alpha
     # a rung whose upper certificate fails is neither fitted nor validated
@@ -492,10 +495,13 @@ def test_ladder_safety_rung(ladder, alpha, cfg_v, profile03, nl03, monkeypatch):
     assert len(validations) == len(fits) == n_validated
 
 
-def test_uncertified_ladder_reports_complete_last_rung(cfg_v, profile03, nl03, strict_loads):
-    _, ref = _full_validation_ladder(cfg_v, profile03, nl03, (0.4,), 4000)
+def test_uncertified_ladder_reports_complete_last_rung(cfg_v, profile03, nl03, strict_loads,
+                                                       monkeypatch):
+    monkeypatch.setattr(barriers, "ALPHA_LADDER", (0.4,))
+    monkeypatch.setattr(barriers, "PILOT_SAMPLES", 4000)
+    _, ref = _full_validation_ladder(cfg_v, profile03, nl03)
     with pytest.raises(RuntimeError, match="no alpha on the ladder certified") as err:
-        auto_parameters(cfg_v, profile03, nl03, alpha_ladder=(0.4,), pilot_samples=4000)
+        auto_parameters(cfg_v, profile03, nl03)
     text = str(err.value).split("last report:\n", 1)[1]
     assert text == dumps(ref, indent=2) == dumps(dataclasses.asdict(ref), indent=2)
     last = strict_loads(text)

@@ -12,6 +12,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -673,6 +674,62 @@ def test_profile_built_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert rc == EXIT_OK
     assert len(calls) == 1
+
+
+# laws that pass every constructor check but defeat the profile build
+UNBUILDABLE_LAWS = [
+    (1e-8, 2.0, "degree 1024 does not resolve the position integrand"),
+    (0.9999999, 2.0, "table nodes did not converge"),
+    (0.3, 50.0, "degree 64 does not resolve g"),
+    (0.3, 200.0, "degree 64 does not resolve g"),
+]
+
+
+@pytest.mark.parametrize("theta, p, message", UNBUILDABLE_LAWS)
+def test_unbuildable_profile_exits_2_before_run_dir(tmp_path, capsys, theta, p, message):
+    cfg = {"nonlinearity": {"theta": theta, "a": 1.0, "p": p, "sigma": 0.1}}
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main(["profile", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
+    out = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert f"config error: nonlinearity: {message}" in out.err
+    assert "Traceback" not in out.err
+    assert os.listdir(out_dir) == []
+
+
+def test_profile_csv_caps_its_points(tmp_path, capsys):
+    # at theta 0.999, c_f is about 5e-7, so step 0.005 would take 15.7e9
+    # points; the step widens to keep 2^16 + 1
+    cfg = {"nonlinearity": {"theta": 0.999, "a": 1.0, "p": 2.0, "sigma": 0.1}}
+    rc = main(["profile", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    run_dir = run_dir_of(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    with open(os.path.join(run_dir, "profile.csv")) as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+    d = np.array([float(r[0]) for r in rows])
+    c_f = json.load(open(os.path.join(run_dir, "profile.json")))["c_f"]
+    assert len(rows) == 2**16 + 1
+    assert d[-1] == -d[0] == pytest.approx(16.0 / c_f, rel=1e-12)
+
+
+def _accepted(lo, hi):
+    # a band where profiles build, and the whole range the config table accepts
+    return (st.floats(lo, hi, exclude_min=lo == 0.0)
+            | st.floats(lo, exclude_min=lo == 0.0, allow_infinity=False))
+
+
+@settings(max_examples=20)
+@given(theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       a=_accepted(0.0, 100.0), p=_accepted(2.0, 20.0), sigma=_accepted(0.0, 1.0))
+def test_profile_exit_codes_property(theta, a, p, sigma):
+    # any law the config table accepts ends in an exit code, never an exception
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"nonlinearity": {"theta": theta, "a": a, "p": p, "sigma": sigma}}, fh)
+        assert main(["profile", "--config", path, "--out", out]) in (
+            EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -18,6 +18,7 @@ from curvedfronts import (
     half_level_cross_check,
     mean_speed_estimate,
     min_q,
+    ridge_distance,
     sandwich_and_monotonicity,
     stability_run,
     subsolution_lower,
@@ -25,7 +26,7 @@ from curvedfronts import (
     symmetric_v,
     weighted_gap_report,
 )
-from curvedfronts.diagnostics import ADMISSIBLE_RATIO, perturbation_values
+from curvedfronts.diagnostics import ADMISSIBLE_RATIO, _half_level_points, perturbation_values
 
 
 def planar_cfg(speed):
@@ -83,7 +84,7 @@ def _exact_trajectory(cfg, profile, grid):
 def test_mean_speed_of_exact_trajectory(cfg_v, profile03, grid96):
     # the half-level sets of U(min_i q_i) move at c
     c = profile03.speed
-    ms = mean_speed_estimate(_exact_trajectory(cfg_v, profile03, grid96), cfg_v, 5.0)
+    ms = mean_speed_estimate(_exact_trajectory(cfg_v, profile03, grid96), cfg_v, profile03, 5.0)
     assert abs(ms["gamma_hat"] - c) / c <= 1e-4
     assert ms["times"] == [k / c for k in range(5)]
     assert len(ms["positions"]) == 5 and min(ms["n_points"]) > 0
@@ -94,16 +95,51 @@ def test_mean_speed_reads_the_snapshot_times(cfg_v, profile03, grid96):
     c = profile03.speed
     late = [Field(f.grid, f.values, 1.05 * f.time)
             for f in _exact_trajectory(cfg_v, profile03, grid96)]
-    ms = mean_speed_estimate(late, cfg_v, 5.0)
+    ms = mean_speed_estimate(late, cfg_v, profile03, 5.0)
     assert abs(ms["gamma_hat"] - c) / c > 0.02
 
 
 def test_mean_speed_input_validation(cfg_v, profile03, grid96):
     traj = _exact_trajectory(cfg_v, profile03, grid96)
     with pytest.raises(ValueError, match="at least 2 snapshots"):
-        mean_speed_estimate(traj[:1], cfg_v, 5.0)
+        mean_speed_estimate(traj[:1], cfg_v, profile03, 5.0)
     with pytest.raises(ValueError, match="no half-level crossings"):
-        mean_speed_estimate(traj, cfg_v, 100.0)  # no point that far from the ridge
+        mean_speed_estimate(traj, cfg_v, profile03, 100.0)  # no point that far from the ridge
+
+
+@pytest.mark.parametrize("front", ["planar", "v", "pyramid"])
+def test_half_level_positions_are_exact_on_exact_snapshots(front, cfg_v, profile03, grid96):
+    # u = U(min_i q_i) with q linear along the last axis between nodes of one
+    # facet: D = U^{-1}(u) is linear there, so each crossing is exact wherever
+    # the front sits in its cell (t = 0, 4, 8, 12 are not whole cells), in 2D
+    # and 3D alike
+    c = profile03.speed
+    pyramid = FrontConfiguration(3, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                 np.full(4, math.pi / 3), np.zeros(4), c)
+    cfg, grid, radius = {
+        "planar": (planar_cfg(c), grid96, None),
+        "v": (cfg_v, grid96, 5.0),
+        "pyramid": (pyramid, Grid((40, 40, 40), 0.5, (-10.0, -10.0, -10.0)), 2.0),
+    }[front]
+    traj = [exact_field(cfg, profile03, grid, t) for t in (0.0, 4.0, 8.0, 12.0)]
+    ms = mean_speed_estimate(traj, cfg, profile03, radius)
+    assert abs(ms["gamma_hat"] - c) <= 1e-12
+    assert min(ms["n_points"]) >= 50
+    for fld in traj:
+        assert half_level_cross_check(fld, cfg, profile03, radius)["discrepancy"] <= 1e-12
+
+
+def test_half_level_points_of_a_step_field_are_finite(profile03, grid96):
+    # nodes at exactly 0 and 1 are clipped into (0, 1) before inverting: each
+    # crossing stays finite and between its two nodes
+    cfg = planar_cfg(profile03.speed)
+    y = grid96.axis(1)
+    step = Field(grid96, np.broadcast_to((y < 0.25).astype(float), grid96.counts), 0.0)
+    pts = _half_level_points(step, cfg, profile03, None)
+    assert pts.shape == (76, 2) and np.all(np.isfinite(pts))
+    assert np.all((pts[:, 1] > 0.0) & (pts[:, 1] < 0.5))
+    out = half_level_cross_check(step, cfg, profile03)
+    assert all(math.isfinite(out[key]) for key in ("median_offset", "discrepancy"))
 
 
 def test_half_level_cross_check_planar(profile03, grid96):
@@ -202,7 +238,10 @@ def test_admissibility_checks_every_far_cell(cfg_v, profile03, params03, grid96)
     u0 = vlow.copy()
     u0[47, 86] += 0.2
     rep = check_admissibility(u0, cfg_v, vlow, grid96, params03.v_star, rho0=3.0)
-    assert rep["n_far_cells"] == 9101
+    # two cells lie within 1e-15 of rho0, so the count follows c_f's last bits
+    pts = grid96.points().reshape(-1, 2)
+    assert rep["n_far_cells"] == np.count_nonzero(
+        ridge_distance(cfg_v, np.zeros(pts.shape[0]), pts) > 3.0)
     assert rep["worst_far_ratio"] == pytest.approx(0.2, rel=1e-2)
     assert rep["worst_far_ratio"] > ADMISSIBLE_RATIO
     assert not rep["ok"]

@@ -88,6 +88,23 @@ def test_lipschitz_bound():
     assert np.all(np.abs(nl(u) - nl(v)) <= L * np.abs(u - v) + 1e-14)
 
 
+@pytest.mark.parametrize("theta, exponent", [(0.1, 7.0), (0.3, 2.0), (0.3, 2.5), (0.7, 10.0)])
+def test_max_abs_derivative_is_the_sup(theta, exponent):
+    # on the solver's and the barriers' intervals the sup sits at an end,
+    # which a dense sample hits bit for bit; on an interior interval around
+    # the extremum of f' the sample falls short of it (by 3e-10 to 3e-9 here)
+    nl = make_combustion(theta=theta, amplitude=0.5, exponent=exponent, sigma=0.1)
+    for lo, hi in ((-nl.sigma, 1.0 + nl.sigma), (0.0, 1.0)):
+        dense = np.linspace(lo, hi, 8193)
+        assert nl.max_abs_derivative(lo, hi) == np.max(np.abs(nl.derivative(dense)))
+    peak = theta + (exponent - 1.0) * (1.0 - theta) / (exponent + 1.0)
+    lo, hi = peak - 0.1 * (1.0 - theta), peak + 0.05 * (1.0 - theta)
+    sup = nl.max_abs_derivative(lo, hi)
+    dense = np.max(np.abs(nl.derivative(np.linspace(lo, hi, 8193))))
+    assert sup == pytest.approx(abs(nl.derivative(peak)), rel=1e-15)
+    assert dense < sup
+
+
 def test_gamma_star_reference_value():
     # for (0.3, 1, 2, 0.1) the cap min{theta/4, (1-theta)/2, sigma/4} binds
     nl = make_combustion(theta=0.3, amplitude=1.0, exponent=2.0, sigma=0.1)

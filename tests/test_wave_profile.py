@@ -99,6 +99,14 @@ def test_search_gives_up_after_max_shots(monkeypatch, nl03):
         find_wave_speed(nl03)
 
 
+def test_search_stops_at_a_speed_bound_that_underflows():
+    # at exponent 1e17 the lower bound sqrt(2 int f) reads 0.0: the search
+    # raises RuntimeError, which the CLI reports as a config error, rather
+    # than hand shoot_p a speed it rejects
+    with pytest.raises(RuntimeError, match=r"no wave speed: candidate c = 0\.0 after 0 shots"):
+        find_wave_speed(make_combustion(theta=0.3, amplitude=1.0, exponent=1e17, sigma=0.1))
+
+
 def test_unresolved_degree_raises(monkeypatch, nl03):
     # at degree 8 the last Chebyshev coefficients of g read 1e-4 of the
     # largest: the shot says so rather than return an unresolved p(theta)
