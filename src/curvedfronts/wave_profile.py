@@ -222,7 +222,7 @@ def find_wave_speed(nl: CombustionNonlinearity) -> float:
     c = float(np.sqrt(2.0 * (1.0 - theta) ** (p + 2.0) / ((p + 1.0) * (p + 2.0))))
     s = np.inf
     for shots in range(1, MAX_SHOTS + 1):
-        if not c > 0.0:  # as the bound does at a large exponent
+        if not c > 0.0:  # the bound underflows to 0 at a large exponent
             raise RuntimeError(f"no wave speed: candidate c = {c} after {shots - 1} shots")
         try:
             p_theta, slope = shoot_p(unit, c)
