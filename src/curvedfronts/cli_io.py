@@ -377,7 +377,8 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
 
     if subcommand != "speed":
         try:  # a law every constructor accepts can still defeat the profile build
-            profile = out["profile"] = build_profile(out["nl"])
+            with np.errstate(all="ignore"):  # whose warnings would precede the error
+                profile = out["profile"] = build_profile(out["nl"])
         except RuntimeError as e:
             raise ConfigError(f"nonlinearity: {e}")
         exp = {name: v(profile.speed) if callable(v) else v for name, v in exp.items()}

@@ -9,16 +9,18 @@ are compared against: subsolution_floor gives its grid values (the floor and
 each run's initial state) and make_boundary its values on the boundary ring
 (the Dirichlet data, by the floor's formula each step), so comparisons with
 the analytic barriers carry over to the discrete runs.  The floor evaluates
-U once per distinct value of min_i q_i and gathers the grid.
+U once per distinct value of min_i q_i, kept for the last time asked, and
+gathers the grid.  solve_cauchy holds it between refreshes HOLD_STEPS steps
+apart: U(q - c t) rises with t, so it stays a lower bound that never falls.
 
 Each step is one pass over cache-sized blocks of leading-axis rows (about
 BLOCK_CELLS cells each), swept as flat ranges with each axis's neighbours
 at -+ its stride, so each ufunc makes one contiguous pass (the ring data
 overwrite the ring cells in a range).  With several workers the blocks run
 on a thread pool, and a floored step first hands the pool one task that
-evaluates the floor and the boundary ring data at the step's end time:
-neither depends on the new state, so it runs beside the sweep instead of
-after it.  Every cell's update is the same sequence of elementwise
+evaluates the ring data at the step's end time and the floor at its refresh
+time: neither depends on the new state, so it runs beside the sweep instead
+of after it.  Every cell's update is the same sequence of elementwise
 floating-point operations whichever block or thread computes it, and the
 only reductions (the blow-up check, once per snapshot) are a min and a max,
 which are exact, so results are bit-identical for any block layout and any
@@ -52,6 +54,7 @@ __all__ = [
 
 BLOCK_CELLS = 32768  # cells per row block: 256 KiB per float64 array
 CFL_SAFETY = 0.8  # fraction of the monotone step bound 1 / (2N/dx^2 + L)
+HOLD_STEPS = 32  # steps between floor refreshes within a snapshot interval
 SPEED_MAX_TIME = 20000.0  # model time after which measure_speed_1d gives up
 
 
@@ -166,14 +169,24 @@ def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
 
     All facets move with the same speed, so min_i q_i(t, z) = base(z) - c*t.
     The sorted distinct values of base and their map to the grid are kept;
-    per call the profile takes the shifted values, still ascending, in three
-    slices, and one gather fills the grid with the bits of U(base - c*t).
+    at a new t the profile fills a held buffer from the shifted values, still
+    ascending, in three slices, and each call gathers a new grid from it with
+    the bits of U(base - c*t); calls must not overlap, as they share the buffer.
     """
     pts = grid.points().reshape(-1, grid.dimension)
     uq, inv = np.unique(_fold(np.minimum, pts @ cfg.directions.T + cfg.shifts),
                         return_inverse=True)
     inv, c = inv.reshape(grid.counts), cfg.speed
-    return lambda t: profile(uq - c * t, ascending=True).take(inv)
+    held, held_t = np.empty_like(uq), None
+
+    def floor(t):
+        nonlocal held_t
+        if t != held_t:
+            held_t = None  # a failed evaluation leaves no stale entry
+            profile(uq - c * t, ascending=True, out=held)
+            held_t = t
+        return held.take(inv)
+    return floor
 
 
 def make_boundary(cfg: FrontConfiguration, profile: WaveProfile):
@@ -198,9 +211,8 @@ class _Stepper:
     Lap u + f(u) on its cells, ring cells too, and writes the update straight
     into the output buffer, out = u + dt * (Lap u + f(u)).  The optional floor
     callable t -> grid-shaped values is applied as a pointwise max after
-    each completed step.  With a pool (workers > 1) the blocks run on it;
-    so does, for a floored step, the evaluation of the floor and the ring
-    data at the step's end time, queued ahead of the blocks.  The plain
+    each completed step; with a pool (workers > 1) the blocks, and the floor
+    and ring task before them, run on it.  The plain
     scheme transports fronts at a slightly wrong discrete speed, so the
     subsolution is not preserved under discretization; flooring by it
     restores the comparison structure (the floored update is still a
@@ -249,17 +261,17 @@ class _Stepper:
         else:  # map queues every block before it waits on the first
             list(self.pool.map(lambda b: self._block(*b, u, out), self.blocks))
 
-    def _ring_and_floor(self, t):
-        """Ring data and floor values (None without a floor) at time t."""
-        return self.boundary(t, self.ring_points), None if self.floor is None else self.floor(t)
+    def _ring_and_floor(self, t, t_floor):
+        """Ring data at time t, floor values (None without a floor) at t_floor."""
+        return self.boundary(t, self.ring_points), self.floor and self.floor(t_floor)
 
-    def advance(self, values: np.ndarray, t_new: float) -> np.ndarray:
+    def advance(self, values: np.ndarray, t_new: float, t_floor) -> np.ndarray:
         """One step of length dt ending at time t_new; returns the new state.
 
-        The ring and the floor are evaluated at t_new.  On a pool, a floored
-        step evaluates both in one task submitted before the sweep, and they
-        are applied after it, in the same order as without a pool.  values
-        is only read.  The result is one of the stepper's two buffers,
+        The ring is evaluated at t_new and the floor at t_floor.  On a pool,
+        a floored step evaluates both in one task submitted before the sweep,
+        and they are applied after it, in the same order as without a pool.
+        values is only read.  The result is one of the stepper's two buffers,
         whichever values is not, so it stays valid while it is fed back in
         and is overwritten two steps later; a caller that keeps a state
         longer must copy it.
@@ -268,9 +280,9 @@ class _Stepper:
         new = a if values is b else b
         pending = None
         if self.pool is not None and self.floor is not None:
-            pending = self.pool.submit(self._ring_and_floor, t_new)
+            pending = self.pool.submit(self._ring_and_floor, t_new, t_floor)
         self._sweep(values, new)
-        ring, floor = self._ring_and_floor(t_new) if pending is None else pending.result()
+        ring, floor = pending.result() if pending else self._ring_and_floor(t_new, t_floor)
         new.ravel()[self.ring] = ring
         if floor is not None:
             np.maximum(new, floor, out=new)
@@ -288,7 +300,11 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
     that sum can miss by ulps; keep_all=False retains only the first and
     final snapshot.  Aborts at the first snapshot where some u is outside
     [-2, 2] or NaN (blow-up can only come from a mis-set step or
-    boundary; the PDE itself preserves [0,1]).
+    boundary; the PDE itself preserves [0,1]).  A step applies the floor
+    at its last refresh, each HOLD_STEPS-th step from a snapshot's start and
+    each snapshot's last step: U(base - c t) rises with t, so the held floor
+    is a lower bound of floor(t) that never decreases, and as with a fresh
+    floor the floored map keeps order and a run from a floor rises in time.
     """
     t0 = u0.time
     span = t_end - t0
@@ -305,14 +321,17 @@ def solve_cauchy(u0: Field, nl: CombustionNonlinearity, boundary,
         values = u0.values.copy()
         values.ravel()[st.ring] = boundary(t0, st.ring_points)
         out = [Field(u0.grid, values, t0)]
+        t_floor = t0
         for k in range(n_snaps):
             t_snap0 = t0 + k * snapshot_dt
             t_now = t_end if k == n_snaps - 1 else t0 + (k + 1) * snapshot_dt
             for j in range(steps_per_snap):
-                t = t_snap0 + j * dt
-                # the last step ends exactly at the snapshot's recorded time,
-                # so a floored snapshot sits on or above floor(t_now) bit for bit
-                values = st.advance(values, t_now if j == steps_per_snap - 1 else t + dt)
+                last = j == steps_per_snap - 1
+                # the last step ends exactly at the snapshot's recorded time and
+                # refreshes the floor, so a snapshot sits on or above floor(t_now)
+                t_new = t_now if last else t_snap0 + j * dt + dt
+                t_floor = t_new if last or (j + 1) % HOLD_STEPS == 0 else t_floor
+                values = st.advance(values, t_new, t_floor)
             # written so that NaN fails it: a NaN compares False both ways
             if not (values.min() >= -2.0 and values.max() <= 2.0):
                 raise RuntimeError(
@@ -467,7 +486,7 @@ def measure_speed_1d(nl: CombustionNonlinearity, dx: float = 0.25,
     t = 0.0
     while t < SPEED_MAX_TIME:
         for _ in range(steps):
-            values = st.advance(values, t + dt)
+            values = st.advance(values, t + dt, None)
             t += dt
         try:
             pos = _half_level_position(x, values)

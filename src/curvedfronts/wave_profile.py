@@ -304,11 +304,11 @@ class WaveProfile:
         span = (d >= self.d_joint) & ~pos
         return d, scalar, ~(pos | span), span, pos
 
-    def __call__(self, d, ascending: bool = False):
-        """U(D) for any real D; ascending=True takes an ascending 1-D array
-        and gives the same bits without masks."""
+    def __call__(self, d, ascending: bool = False, out=None):
+        """U(D) for any real D, in out if given; ascending=True takes an
+        ascending 1-D array and gives the same bits without masks."""
         d, scalar, burned, span, pos = self._split(d, ascending)
-        out = np.empty_like(d)
+        out = np.empty_like(d) if out is None else out
         u = -self.speed * d[pos]  # anchor * exp(-c D), in place
         out[pos] = np.multiply(np.exp(u, out=u), self.anchor, out=u)
         for sel, g in ((span, self._table_sum(self._table, d[span])[0]),

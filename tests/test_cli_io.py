@@ -698,6 +698,21 @@ def test_unbuildable_profile_exits_2_before_run_dir(tmp_path, capsys, theta, p, 
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("theta, p, message", UNBUILDABLE_LAWS)
+def test_unbuildable_profile_writes_only_the_config_error(tmp_path, capfd, theta, p, message):
+    # run as `python -m curvedfronts`, with the default warning filters, so
+    # a RuntimeWarning of the failing build would reach stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    cfg = {"nonlinearity": {"theta": theta, "a": 1.0, "p": p, "sigma": 0.1}}
+    proc = subprocess.run([sys.executable, "-m", "curvedfronts", "profile", "--config",
+                           write_cfg(tmp_path, cfg), "--out", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    err = capfd.readouterr().err
+    assert proc.returncode == EXIT_CONFIG
+    assert err.startswith(f"config error: nonlinearity: {message}")
+    assert all(line.startswith("config error:") for line in err.splitlines())
+
+
 def test_profile_csv_caps_its_points(tmp_path, capsys):
     # at theta 0.999, c_f is about 5e-7, so step 0.005 would take 15.7e9
     # points; the step widens to keep 2^16 + 1

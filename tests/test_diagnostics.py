@@ -26,6 +26,7 @@ from curvedfronts import (
     symmetric_v,
     weighted_gap_report,
 )
+from curvedfronts import rd_solver
 from curvedfronts.diagnostics import ADMISSIBLE_RATIO, _half_level_points, perturbation_values
 
 
@@ -259,7 +260,7 @@ def test_stability_zero_perturbation_is_exact(cfg_v, profile03, nl03, barriers03
     assert res.report["passed"]
 
 
-def test_stability_bump_decays(cfg_v, profile03, nl03, barriers03):
+def check_stability_bump_decays(cfg_v, profile03, nl03, barriers03, final_gap):
     c = profile03.speed
     g = Grid((96, 96), 0.5, (-24.0, -28.0))
     sc = SolverConfig()
@@ -270,12 +271,23 @@ def test_stability_bump_decays(cfg_v, profile03, nl03, barriers03):
     assert rep["passed"]
     assert res.curve[0] == pytest.approx(nl03.gamma_star / 2, rel=1e-12)
     # transient amplification through the reaction zone, then decay
-    assert rep["final_gap"] == pytest.approx(6.076277300890887e-3, rel=1e-6)
+    assert rep["final_gap"] == pytest.approx(final_gap, rel=1e-6)
     assert rep["eventually_decreasing"]
     assert rep["final_gap"] < res.curve[0]
     assert rep["domination_min"] >= -1e-9
     assert rep["envelope_ok"]
     assert rep["admissibility"]["ok"]
+
+
+def test_stability_bump_decays(cfg_v, profile03, nl03, barriers03, monkeypatch):
+    # the floor refreshed at every step, as before it was held
+    monkeypatch.setattr(rd_solver, "HOLD_STEPS", 1)
+    check_stability_bump_decays(cfg_v, profile03, nl03, barriers03, 6.076277300890887e-3)
+
+
+def test_stability_bump_decays_with_held_floor(cfg_v, profile03, nl03, barriers03):
+    # the floor held for HOLD_STEPS steps: the final gap rises by 0.4%
+    check_stability_bump_decays(cfg_v, profile03, nl03, barriers03, 6.100293029981496e-3)
 
 
 def test_stability_rejects_far_field_perturbation(cfg_v, profile03, nl03, barriers03):

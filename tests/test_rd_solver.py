@@ -207,8 +207,8 @@ def floored_bump_gap(nl, profile, cfg, seed, cell, height):
     u = lift + (1.0 - lift) * np.random.default_rng(seed).uniform(0.0, 1.0, grid.counts)
     bumped = u.copy()
     bumped[cell] += height
-    low = stepper.advance(u, dt).copy()
-    return float(np.min(stepper.advance(bumped, dt) - low))
+    low = stepper.advance(u, dt, dt).copy()
+    return float(np.min(stepper.advance(bumped, dt, dt) - low))
 
 
 @settings(max_examples=40)
@@ -218,6 +218,51 @@ def test_floored_update_map_preserves_order(nl03, profile03, cfg_v, seed, i, j, 
     # the property the step rule keeps: raising one cell lowers no cell
     # of the floored update, the floor and the ring included
     assert floored_bump_gap(nl03, profile03, cfg_v, seed, (i, j), height) >= -1e-12
+
+
+def held_floor_steps(nl, profile, cfg, u0, hold):
+    """Every step's state, and the snapshots, of a floored run on ORDER_GRID
+    from u0 at t = 0 to t = 1, snapshots every 0.5, the floor refreshed
+    every hold steps."""
+    states = []
+
+    class Recording(rd_solver._Stepper):
+        def advance(self, *args):
+            new = super().advance(*args)
+            states.append(new.copy())
+            return new
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rd_solver, "HOLD_STEPS", hold)
+        mp.setattr(rd_solver, "_Stepper", Recording)
+        snaps = solve_cauchy(Field(ORDER_GRID, u0, 0.0), nl, make_boundary(cfg, profile),
+                             SolverConfig(), 1.0, 0.5,
+                             floor=subsolution_floor(cfg, profile, ORDER_GRID))
+    return states, snaps
+
+
+@settings(max_examples=40)
+@given(hold=st.integers(1, 16), i=st.integers(1, 22), j=st.integers(1, 22),
+       height=st.floats(min_value=1e-3, max_value=1.0))
+def test_held_floor_map_preserves_order_and_time_monotonicity(nl03, profile03, cfg_v,
+                                                              hold, i, j, height):
+    # a floor held for `hold` steps is still a lower bound that never
+    # decreases: runs from ordered states stay ordered at every step, a run
+    # from the floor rises at every step, and every snapshot sits on or
+    # above the fresh floor
+    floor = subsolution_floor(cfg_v, profile03, ORDER_GRID)
+    start = floor(0.0)
+    bumped = start.copy()
+    bumped[i, j] += height
+    low, low_snaps = held_floor_steps(nl03, profile03, cfg_v, start, hold)
+    high, high_snaps = held_floor_steps(nl03, profile03, cfg_v, bumped, hold)
+    assert len(low) == len(high) > 16
+    for before, after in zip([start] + low, low):
+        assert np.min(after - before) >= -1e-12
+    for a, b in zip(low, high):
+        assert np.min(b - a) >= -1e-12
+    for snap in low_snaps + high_snaps:
+        assert np.all(snap.values >= floor(snap.time))
 
 
 def test_floored_order_check_fails_past_the_monotone_bound(nl03, profile03, cfg_v,
@@ -309,10 +354,11 @@ def test_floor_is_the_profile_on_the_grid_bit_for_bit(profile03, name, t):
     assert np.array_equal(got, profile03(base - cfg.speed * t))
 
 
-def test_floor_call_allocates_little_and_returns_a_new_array(cfg_v, profile03):
-    # the 512^2 grid of the `entire` benchmark: a call holds the shifted
-    # distinct values, their profile values and the gathered result, so its
-    # peak is 1.5 times the result's size, at every time
+def test_floor_call_allocates_little_and_returns_a_new_array(cfg_v, profile03, monkeypatch):
+    # the 512^2 grid of the `entire` benchmark: the profile values of the
+    # distinct base values fill a buffer the floor allocated when it was
+    # built, so a call holds the shifted distinct values and the gathered
+    # result, and its peak is about the result's size, at every time
     floor = subsolution_floor(cfg_v, profile03, Grid((512, 512), 0.5, (-128.0, -140.0)))
     for t in (-400.0, -4.0, 0.0, 2.0, 400.0):
         tracemalloc.start()
@@ -321,9 +367,16 @@ def test_floor_call_allocates_little_and_returns_a_new_array(cfg_v, profile03):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * got.nbytes, (t, peak)
-    # callers keep floor values as a Field's state
-    assert not np.shares_memory(floor(0.0), floor(0.0))
+        assert peak <= 1.25 * got.nbytes, (t, peak)
+    # a call at the held time evaluates no profile, only gathers; callers
+    # keep floor values as a Field's state, so each call gives a new array
+    calls = []
+    evaluate = type(profile03).__call__
+    monkeypatch.setattr(type(profile03), "__call__",
+                        lambda self, *a, **k: calls.append(1) or evaluate(self, *a, **k))
+    first, second = floor(0.0), floor(0.0)
+    assert calls == [1]
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
 
 
 def counted(fn, calls):
@@ -497,7 +550,7 @@ def test_measured_1d_speed_converges_at_second_order(nl03, profile03):
         assert math.log2(coarse / fine) >= 1.8
 
 
-def test_entire_solution_monotone(nl03, profile03, cfg_v):
+def check_entire_solution_monotone(nl03, profile03, cfg_v, increments_sup):
     c = profile03.speed
     grid = Grid((64, 64), 0.5, (-16.0, -20.0))
     sc = SolverConfig()
@@ -510,8 +563,8 @@ def test_entire_solution_monotone(nl03, profile03, cfg_v):
     assert rep["monotone_in_n"]
     assert rep["monotonicity_worst"] >= -1e-10
     # frozen regression values for this grid and ladder
-    assert rep["increments_sup"][0] == pytest.approx(0.07073370675032276, rel=1e-9)
-    assert rep["increments_sup"][1] == pytest.approx(0.08654835272036998, rel=1e-9)
+    assert rep["increments_sup"][0] == pytest.approx(increments_sup[0], rel=1e-9)
+    assert rep["increments_sup"][1] == pytest.approx(increments_sup[1], rel=1e-9)
     assert rep["time_derivative_min"] >= 0.0
     assert rep["lower_gap_min"] >= -1e-10
     assert rep["max_value"] <= 1.0
@@ -519,6 +572,19 @@ def test_entire_solution_monotone(nl03, profile03, cfg_v):
     assert len(res.v_hat) == 2
     assert res.v_hat[0].time == 0.0
     assert res.v_hat[-1].time == pytest.approx(1.0 / c, rel=1e-12)
+
+
+def test_entire_solution_monotone(nl03, profile03, cfg_v, monkeypatch):
+    # the floor refreshed at every step, as before it was held
+    monkeypatch.setattr(rd_solver, "HOLD_STEPS", 1)
+    check_entire_solution_monotone(nl03, profile03, cfg_v,
+                                   (0.07073370675032276, 0.08654835272036998))
+
+
+def test_entire_solution_monotone_with_held_floor(nl03, profile03, cfg_v):
+    # the floor held for HOLD_STEPS steps: the increments move by about 5e-6
+    check_entire_solution_monotone(nl03, profile03, cfg_v,
+                                   (0.07072845087908619, 0.0865466848767964))
 
 
 def test_entire_solution_starts_each_run_from_the_floor(nl03, profile03, monkeypatch):
