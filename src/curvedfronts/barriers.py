@@ -174,14 +174,6 @@ class BarrierSet:
         xi = eta / np.sqrt(1.0 + _fold(np.add, grad * grad))
         return eta, xi, h
 
-    def eta(self, t, z):
-        """Vertical offset y - phi / alpha from the sharpened surface: the
-        eta of _frame without the gradient and the flatness."""
-        z = np.asarray(z, dtype=float)
-        a = self.params.alpha
-        phi = self.surface.solve_phi(a * np.asarray(t, dtype=float), a * z[..., :-1])
-        return z[..., -1] - phi / a
-
     def tail_weight(self, eta):
         """U^beta(eta) w(eta) + (1 - w(eta)) in [0, 1]."""
         w, _, _ = mollifier_omega(eta)
@@ -551,7 +543,7 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
                                  seed_offset=13)
     w_val, res_w = barriers.time_upper_residual(t_w, z_w)
     exc_w = w_val >= 1.0
-    eta_w = barriers.eta(barriers.shift_time(t_w), z_w)
+    eta_w = barriers._frame(barriers.shift_time(t_w), z_w)[0]
     cases_w = _stratify(res_w, exc_w, eta_w, x_prime, x_double_prime, RESIDUAL_TOL)
     live_w = ~exc_w
     min_w = float(np.min(res_w[live_w])) if np.any(live_w) else float("nan")

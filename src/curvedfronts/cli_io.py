@@ -693,10 +693,9 @@ def run(cfg: dict, subcommand: str, out_dir: str, threads: int = 1,
 
 def _hold_heap():
     """Fix glibc's mmap and trim thresholds at 32 and 64 MiB; a no-op
-    where mallopt is missing.  A floored step frees and reallocates
-    grid-sized temporaries every step; under glibc's default dynamic
-    thresholds each may be returned to the kernel and faulted in afresh,
-    so a run's speed would hang on what large transients preceded it."""
+    where mallopt is missing.  The certification frees and reallocates
+    arrays over its 100k samples many times; under glibc's default dynamic
+    thresholds each may be returned to the kernel and faulted in afresh."""
     try:
         import ctypes
         mallopt = ctypes.CDLL(None).mallopt

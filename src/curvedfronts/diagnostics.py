@@ -19,7 +19,7 @@ import numpy as np
 from .barriers import BarrierSet
 from .front_geometry import (FrontConfiguration, _slab_weight, min_q,
                              ridge_distance, interface_distance,
-                             spatial_ridge_distance)
+                             spatial_ridge_distance, subsolution_lower)
 from .nonlinearity import CombustionNonlinearity
 from .rd_solver import (Grid, Field, SolverConfig, solve_cauchy, make_boundary,
                         subsolution_floor)
@@ -52,19 +52,17 @@ def sandwich_and_monotonicity(trajectory, cfg: FrontConfiguration,
 
     Reports max of (V_lower - u)+ and (u - V_upper)+ over all snapshots,
     the global min of the discrete du/dt, and the ridge-tube floors
-    k_hat(rho) at rho = 2/c, 5/c and 10/c.  The lower bound is evaluated through the same code path
-    the solver floor uses, so an exactly floored run reports a zero lower
-    violation.
+    k_hat(rho) at rho = 2/c, 5/c and 10/c.
     """
     grid = trajectory[0].grid
     pts = grid.points().reshape(-1, grid.dimension)
-    floor = subsolution_floor(cfg, profile, grid)
     rho_list = [2.0 / cfg.speed, 5.0 / cfg.speed, 10.0 / cfg.speed]
 
     lower_viol = 0.0
     upper_viol = 0.0
     for snap in trajectory:
-        lower_viol = max(lower_viol, float((floor(snap.time) - snap.values).max()))
+        lower = subsolution_lower(cfg, profile, snap.time, pts)
+        lower_viol = max(lower_viol, float((lower - snap.values.reshape(-1)).max()))
         if barriers is not None:
             vbar = barriers.upper(np.full(pts.shape[0], snap.time), pts)
             upper_viol = max(upper_viol, float((snap.values.reshape(-1) - vbar).max()))
@@ -220,14 +218,13 @@ def weighted_gap_report(trajectory, cfg: FrontConfiguration,
     cfg.require_ridges()
     grid = trajectory[0].grid
     pts = grid.points().reshape(-1, grid.dimension)
-    floor = subsolution_floor(cfg, profile, grid)
 
     all_d = []
     all_ratio = []
     for snap in trajectory:
         tvec = np.full(pts.shape[0], snap.time)
         weight = _slab_weight(cfg, snap.time, pts, v_rate)
-        gap = np.abs(snap.values.reshape(-1) - floor(snap.time).reshape(-1))
+        gap = np.abs(snap.values.reshape(-1) - subsolution_lower(cfg, profile, snap.time, pts))
         all_d.append(ridge_distance(cfg, tvec, pts))
         all_ratio.append(gap / weight)
     d = np.concatenate(all_d)

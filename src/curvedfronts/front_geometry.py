@@ -5,7 +5,7 @@ e_i = (nu_i * cos(theta_i), sin(theta_i)) with angles theta_i in (0, pi/2]
 and nu_i on the unit sphere of the horizontal coordinates, together with
 shifts tau_i and a common normal speed c.  The moving polytope is
 
-    P(t) = { z : min_i q_i(t, z) >= 0 },   q_i(t, z) = z . e_i - c t + tau_i,
+    P(t) = { z : min_i q_i(t, z) >= 0 },   q_i(t, z) = (z . e_i + tau_i) - c t,
 
 whose boundary is the front interface; ridges are pairwise facet
 intersections.  All distances below are Euclidean, either in space-time
@@ -132,10 +132,11 @@ def _as_points(cfg: FrontConfiguration, z) -> np.ndarray:
 
 
 def q_values(cfg: FrontConfiguration, t, z) -> np.ndarray:
-    """q_i(t, z) = z . e_i - c t + tau_i, shape (..., n)."""
+    """q_i(t, z) = (z . e_i + tau_i) - c t, shape (..., n); the shift by c t
+    comes last, so min_i q_i(t, z) is min_i q_i(0, z) - c t bit for bit."""
     z = _as_points(cfg, z)
     t = np.asarray(t, dtype=float)
-    return z @ cfg.directions.T - cfg.speed * t[..., None] + cfg.shifts
+    return (z @ cfg.directions.T + cfg.shifts) - cfg.speed * t[..., None]
 
 
 def min_q(cfg: FrontConfiguration, t, z) -> np.ndarray:

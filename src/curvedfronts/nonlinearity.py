@@ -50,16 +50,24 @@ class CombustionNonlinearity:
 
     def _clamp(self, u):
         # the bits of np.clip, NaN included, at less per-call overhead
-        return np.minimum(np.maximum(u, -self.sigma), 1.0 + self.sigma)
+        w = np.maximum(u, -self.sigma)
+        return np.minimum(w, 1.0 + self.sigma, out=w if np.ndim(w) else None)
 
     def __call__(self, u):
-        """f(u), vectorized; arguments are clamped to [-sigma, 1 + sigma]."""
+        """f(u), vectorized; arguments are clamped to [-sigma, 1 + sigma].  An
+        array takes two temporaries, w and 1 - w, and the scalar expression's
+        operations in its order, in place, so the same bits."""
         uu = np.asarray(u, dtype=float)
         w = self._clamp(uu)
-        out = self.amplitude * np.maximum(w - self.theta, 0.0) ** self.exponent * (1.0 - w)
         if uu.ndim == 0:
-            return float(out)
-        return out
+            return float(self.amplitude * np.maximum(w - self.theta, 0.0) ** self.exponent * (1.0 - w))
+        one_minus = 1.0 - w
+        w -= self.theta
+        np.maximum(w, 0.0, out=w)
+        w **= self.exponent
+        w *= self.amplitude
+        w *= one_minus
+        return w
 
     def derivative(self, u):
         """f'(u); zero on the clamped exterior and on [-sigma, theta]."""

@@ -7,7 +7,7 @@ and keeps [0, 1]; as dt = O(dx^2), its O(dt) error is the stencil's O(dx^2).
 The subsolution max_i U(q_i) of the planar waves is the one object the runs
 are compared against: subsolution_floor gives its grid values (the floor and
 each run's initial state) and make_boundary its values on the boundary ring
-(the Dirichlet data, by the floor's formula each step), so comparisons with
+(the Dirichlet data), both from front_geometry's min_q, so comparisons with
 the analytic barriers carry over to the discrete runs.  The floor evaluates
 U once per distinct value of min_i q_i, kept for the last time asked, and
 gathers the grid.  solve_cauchy holds it between refreshes HOLD_STEPS steps
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .front_geometry import FrontConfiguration, _fold
+from .front_geometry import FrontConfiguration, min_q, subsolution_lower
 from .nonlinearity import CombustionNonlinearity
 from .wave_profile import WaveProfile
 
@@ -167,15 +167,15 @@ def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
                       grid: Grid):
     """Floor callable t -> max_i U(q_i) on the grid, a new array per call.
 
-    All facets move with the same speed, so min_i q_i(t, z) = base(z) - c*t.
-    The sorted distinct values of base and their map to the grid are kept;
-    at a new t the profile fills a held buffer from the shifted values, still
-    ascending, in three slices, and each call gathers a new grid from it with
-    the bits of U(base - c*t); calls must not overlap, as they share the buffer.
+    All facets move with the same speed, so min_q(t) = base - c*t with
+    base = min_q(0), bit for bit.  The sorted distinct values of base and
+    their map to the grid are kept; at a new t the profile fills a held
+    buffer from the shifted values, still ascending, in three slices, and
+    each call gathers a new grid from it with the bits of subsolution_lower;
+    calls must not overlap, as they share the buffer.
     """
     pts = grid.points().reshape(-1, grid.dimension)
-    uq, inv = np.unique(_fold(np.minimum, pts @ cfg.directions.T + cfg.shifts),
-                        return_inverse=True)
+    uq, inv = np.unique(min_q(cfg, 0.0, pts), return_inverse=True)
     inv, c = inv.reshape(grid.counts), cfg.speed
     held, held_t = np.empty_like(uq), None
 
@@ -191,9 +191,8 @@ def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
 
 def make_boundary(cfg: FrontConfiguration, profile: WaveProfile):
     """Dirichlet data callable (t, points) -> max_i U(q_i(t, points)): the
-    subsolution on the boundary ring, by the floor's formula, with its bits."""
-    return lambda t, pts: profile(
-        _fold(np.minimum, pts @ cfg.directions.T + cfg.shifts) - cfg.speed * t)
+    subsolution on the boundary ring."""
+    return lambda t, pts: subsolution_lower(cfg, profile, t, pts)
 
 
 def _row_blocks(counts: tuple):
@@ -402,8 +401,6 @@ def entire_solution(cfg: FrontConfiguration, profile: WaveProfile,
     for a, b in zip(v_hat[:-1], v_hat[1:]):
         dudt_min = min(dudt_min, float(np.min((b.values - a.values) / (b.time - a.time))))
 
-    # the lower bound is the floor itself: any other evaluation order of
-    # max_i U(q_i) could differ by an ulp and show up as a fake violation
     lower_gap = np.inf
     strict_gap = np.inf
     below_one = 0.0

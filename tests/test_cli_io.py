@@ -417,10 +417,9 @@ def test_simulate_far_from_time_zero(tmp_path, capsys, t_end, code, n_snapshots)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
 def test_floored_steps_keep_their_temporaries(tmp_path):
-    # main fixes glibc's mmap and trim thresholds, so the temporaries of a
-    # floored 160^2 step are reused from the heap rather than faulted in
-    # afresh each step (about 77k minor faults over these 200 steps
-    # without the policy, under 1k with it)
+    # main fixes glibc's mmap and trim thresholds, and a floored 160^2 step
+    # reuses its temporaries from the heap rather than faulting them in
+    # afresh each step (under 1k minor faults over these 200 steps)
     cfg = copy.deepcopy(BASE)
     del cfg["barrier"]
     cfg["solver"].update({"box": {"counts": [160, 160], "origin": [-40.0, -40.0]},

@@ -350,7 +350,7 @@ def test_folded_sites_match_reductions_bitwise(make_cfg):
     t[:4] = (0.0, -0.0, np.inf, -np.inf)
     with np.errstate(invalid="ignore"):
         assert _same_bits(min_q(cfg, t, z), _min_q_reference(cfg, t, z))
-        q = z @ cfg.directions.T - cfg.speed * 0.7 + cfg.shifts
+        q = (z @ cfg.directions.T + cfg.shifts) - cfg.speed * 0.7
         ref = np.minimum(1.0, np.exp(-0.4 * (q / np.sin(cfg.angles)).min(axis=1)))
         assert _same_bits(_slab_weight(cfg, 0.7, z, 0.4), ref)
     assert _same_bits(min_q(cfg, 1.0, z[5]), _min_q_reference(cfg, 1.0, z[5]))

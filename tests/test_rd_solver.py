@@ -5,6 +5,10 @@ and the monotone entire-solution construction."""
 
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -15,6 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvedfronts import (
+    BarrierParams,
+    BarrierSet,
     Field,
     FrontConfiguration,
     Grid,
@@ -265,6 +271,28 @@ def test_held_floor_map_preserves_order_and_time_monotonicity(nl03, profile03, c
         assert np.all(snap.values >= floor(snap.time))
 
 
+def test_floor_is_held_at_the_last_refresh(nl03, profile03, cfg_v, monkeypatch):
+    # each step applies the floor at the end of the last refresh step: every
+    # HOLD_STEPS-th step counted from a snapshot's start, and each
+    # snapshot's last step; 11 steps a snapshot, so a short group ends each
+    monkeypatch.setattr(rd_solver, "HOLD_STEPS", 3)
+    floor = subsolution_floor(cfg_v, profile03, ORDER_GRID)
+    bc = make_boundary(cfg_v, profile03)
+    ends, held = [], []
+    solve_cauchy(Field(ORDER_GRID, floor(0.0), 0.0), nl03,
+                 lambda t, pts: ends.append(t) or bc(t, pts), SolverConfig(), 1.5, 0.5,
+                 floor=lambda t: held.append(t) or floor(t))
+    ends = ends[1:]  # the first ring call sets the initial state
+    per_snap = len(ends) // 3
+    assert per_snap == 11 and len(held) == len(ends)
+    expected, last = [], 0.0
+    for i, t in enumerate(ends):
+        if (i % per_snap + 1) % 3 == 0 or i % per_snap == per_snap - 1:
+            last = t
+        expected.append(last)
+    assert held == expected
+
+
 def test_floored_order_check_fails_past_the_monotone_bound(nl03, profile03, cfg_v,
                                                            monkeypatch):
     # at 1.5 times the bound a cell's weight on itself is about -0.4, so
@@ -321,8 +349,9 @@ def floor_case(name, c):
     (x_1 = 0 for the V, x_2 = 0 for the pyramid), so base values repeat."""
     if name == "1d-off-centre":
         # FrontConfiguration starts at N = 2, and the floor reads only
-        # directions, shifts and speed: two facing planar waves on a line
-        cfg = SimpleNamespace(directions=np.array([[1.0], [-1.0]]),
+        # dimension, directions, shifts and speed: two facing planar waves
+        # on a line
+        cfg = SimpleNamespace(dimension=1, directions=np.array([[1.0], [-1.0]]),
                               shifts=np.array([0.5, -1.5]), speed=c)
         return cfg, Grid((301,), 0.25, (-40.3,))
     if name == "v-2d-mirror":
@@ -667,9 +696,8 @@ def three_wave_cfg(speed):
 
 @pytest.mark.parametrize("front", ["v-2d", "pyramid-3d", "three-wave-2d"])
 def test_ring_data_match_the_floor(front, profile03, cfg_v):
-    # the ring data and the floor evaluate max_i U(q_i) by one formula,
-    # U(min_i (z . e_i + tau_i) - c t), so they agree bit for bit, also
-    # where some tau_i != 0
+    # the ring data and the floor evaluate max_i U(q_i) through min_q, so
+    # they agree bit for bit, also where some tau_i != 0
     c = profile03.speed
     if front == "v-2d":
         cfg, grid = cfg_v, Grid((160, 160), 0.379598592562289, (-30.0, -35.0))
@@ -683,6 +711,51 @@ def test_ring_data_match_the_floor(front, profile03, cfg_v):
     bc = make_boundary(cfg, profile03)
     for t in np.linspace(-20.0, 20.0, 81):
         assert np.array_equal(bc(t, ring_points), floor(t).ravel()[ring])
+
+
+@pytest.mark.parametrize("name", ["v-2d-off-centre", "three-wave-2d-mirror",
+                                  "pyramid-3d-mirror"])
+@settings(max_examples=40)
+@given(t=st.floats(min_value=-200.0, max_value=200.0))
+def test_barrier_lower_ring_and_floor_agree_bit_for_bit(nl03, profile03, name, t):
+    # the barriers' lower bound, the ring data and the floor all read
+    # front_geometry's min_q, so they agree bit for bit where tau_i != 0
+    cfg, grid = floor_case(name, profile03.speed)
+    params = BarrierParams(epsilon=0.01, alpha=0.1, beta=0.1, delta=0.01, lam=0.1, varrho=1.0)
+    pts = grid.points().reshape(-1, grid.dimension)
+    ring = grid.ring_indices()
+    floor = subsolution_floor(cfg, profile03, grid)(t).ravel()
+    assert np.array_equal(BarrierSet(cfg, profile03, nl03, params).lower(t, pts), floor)
+    assert np.array_equal(make_boundary(cfg, profile03)(t, pts[ring]), floor[ring])
+
+
+LIBRARY_RUN = """
+import math, resource
+from curvedfronts import (Field, Grid, SolverConfig, build_profile, make_boundary,
+                          make_combustion, solve_cauchy, subsolution_floor, symmetric_v)
+nl = make_combustion(0.3, 1.0, 2.0, 0.1)
+profile = build_profile(nl)
+c = profile.speed
+cfg = symmetric_v(math.pi / 3, c)
+grid = Grid((160, 160), 0.379598592562289, (-30.0, -35.0))
+floor = subsolution_floor(cfg, profile, grid)
+r0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+solve_cauchy(Field(grid, floor(-4.0 / c), -4.0 / c), nl, make_boundary(cfg, profile),
+             SolverConfig(), 0.0, 4.0 / c, floor=floor, keep_all=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - r0)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap behaviour")
+def test_library_floored_run_reuses_its_temporaries():
+    # a floored 160^2 run over 4/c in a fresh interpreter, under glibc's
+    # default heap thresholds: a step's few grid-sized temporaries are
+    # reused from the heap (about 160 minor faults; 90k when the reaction
+    # term allocated eight arrays a call)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_RUN], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert int(proc.stdout.strip().splitlines()[-1]) < 20_000
 
 
 def test_entire_solution_shift_continuity(nl03, profile03):
