@@ -241,7 +241,7 @@ CONFIG = {
         "snapshot_interval": Key(NUMBER, _required(SOLVER_USERS), POSITIVE),
     }),
     "experiment": Key(OBJECT, dict.fromkeys(SUBCOMMANDS, {}), table={
-        "alpha": Key(NUMBER, {"surface": 1.0}),
+        "alpha": Key(NUMBER, {"surface": 1.0}, POSITIVE),
         # validation draws n_samples // 8 points for its t = 0 check
         "n_samples": Key(INTEGER, {"surface": 20000,
                                    "barriers-validate": 100_000},
@@ -256,7 +256,8 @@ CONFIG = {
         "ridge_exclusion": Key(NUMBER, {"verify": lambda c: 10.0 / c}),
         # None: the nonlinearity's own theta
         "theta_list": Key(NUMBERS, {"speed": None}, NONEMPTY),
-        "height": Key(NUMBER, {"stability": REQUIRED}),
+        "height": Key(NUMBER, {"stability": REQUIRED},
+                      (lambda v: v >= 0, "must be nonnegative")),
         "radius": Key(NUMBER, {"stability": REQUIRED}),
         "center": Key(NUMBERS, {"stability": None}),
     }),

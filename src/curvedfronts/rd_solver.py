@@ -8,10 +8,10 @@ The subsolution max_i U(q_i) of the planar waves is the one object the runs
 are compared against: subsolution_floor gives its grid values (the floor and
 each run's initial state) and make_boundary its values on the boundary ring
 (the Dirichlet data), both from front_geometry's min_q, so comparisons with
-the analytic barriers carry over to the discrete runs.  The floor evaluates
-U once per distinct value of min_i q_i, kept for the last time asked, and
-gathers the grid.  solve_cauchy holds it between refreshes HOLD_STEPS steps
-apart: U(q - c t) rises with t, so it stays a lower bound that never falls.
+the analytic barriers carry over to the discrete runs.  The floor keeps one
+read-only grid array, for the last time asked, and solve_cauchy holds it
+between refreshes HOLD_STEPS steps apart: U(q - c t) rises with t, so it
+stays a lower bound that never falls.
 
 Each step is one pass over cache-sized blocks of leading-axis rows (about
 BLOCK_CELLS cells each), swept as flat ranges with each axis's neighbours
@@ -37,7 +37,7 @@ import numpy as np
 
 from .front_geometry import FrontConfiguration, min_q, subsolution_lower
 from .nonlinearity import CombustionNonlinearity
-from .wave_profile import WaveProfile
+from .wave_profile import TABLE_CHUNK, WaveProfile
 
 __all__ = [
     "Grid",
@@ -165,27 +165,27 @@ def _snapshot_count(t0: float, t_end: float, snapshot_dt: float) -> int:
 
 def subsolution_floor(cfg: FrontConfiguration, profile: WaveProfile,
                       grid: Grid):
-    """Floor callable t -> max_i U(q_i) on the grid, a new array per call.
+    """Floor callable t -> max_i U(q_i) on the grid, one read-only array per t.
 
     All facets move with the same speed, so min_q(t) = base - c*t with
-    base = min_q(0), bit for bit.  The sorted distinct values of base and
-    their map to the grid are kept; at a new t the profile fills a held
-    buffer from the shifted values, still ascending, in three slices, and
-    each call gathers a new grid from it with the bits of subsolution_lower;
-    calls must not overlap, as they share the buffer.
+    base = min_q(0), bit for bit.  At a new t the profile fills a new grid
+    array from the shifted base, TABLE_CHUNK values at a time so that its
+    temporaries stay small, with the bits of subsolution_lower; every call
+    at that t returns the same array.  A refresh never refills an array,
+    so one a caller holds keeps its values.
     """
-    pts = grid.points().reshape(-1, grid.dimension)
-    uq, inv = np.unique(min_q(cfg, 0.0, pts), return_inverse=True)
-    inv, c = inv.reshape(grid.counts), cfg.speed
-    held, held_t = np.empty_like(uq), None
+    base, c = min_q(cfg, 0.0, grid.points()).ravel(), cfg.speed
+    held_t, held = None, None
 
     def floor(t):
-        nonlocal held_t
+        nonlocal held_t, held
         if t != held_t:
-            held_t = None  # a failed evaluation leaves no stale entry
-            profile(uq - c * t, ascending=True, out=held)
-            held_t = t
-        return held.take(inv)
+            values = np.empty_like(base)
+            for lo in range(0, base.size, TABLE_CHUNK):
+                values[lo:lo + TABLE_CHUNK] = profile(base[lo:lo + TABLE_CHUNK] - c * t)
+            values.flags.writeable = False
+            held_t, held = t, values.reshape(grid.counts)
+        return held
     return floor
 
 

@@ -48,11 +48,11 @@ whose node values s = log(1 - U) solve D(s) = D by Newton's method, with
 dD/ds = 1 / g, so no global series in D is formed.  A point finds its
 piece in O(1) and costs a PIECE_DEGREE-step Clenshaw sum per table; a
 second table, differentiated piece by piece, gives U'.  One split, by
-masks or by one searchsorted on ascending input, puts each point on a tail
-or the table; then __call__ gives U, and jet (U, U', log U) from one pass
-over both tables.  This table is the profile's only representation:
-ode_residual_sup checks the ODE on its own derivatives, and inverse solves
-on it, for one level or an array, between two closed-form tails.
+masks, puts each point on a tail or the table; then __call__ gives U, and
+jet (U, U', log U) from one pass over both tables.  This table is the
+profile's only representation: ode_residual_sup checks the ODE on its
+own derivatives, and inverse solves on it, for one level or an array,
+between two closed-form tails.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ MAX_SHOTS = 20  # shots after which find_wave_speed gives up
 DELTA_LIN = 1e-7
 N_PIECES = 640  # uniform pieces of the evaluation table on [d_joint, 0], 0.047 wide at theta 0.3
 PIECE_DEGREE = 5  # Chebyshev degree of each piece
-TABLE_CHUNK = 8192  # points per pass of _table_sum, so its temporaries stay in L2
+TABLE_CHUNK = 8192  # points per pass of _table_sum and per floor profile call: temporaries stay in L2
 RESIDUAL_POINTS = 16384  # uniform points of [d_joint, 0] at which ode_residual_sup checks the ODE
 
 _log = logging.getLogger(__name__)
@@ -288,27 +288,21 @@ class WaveProfile:
         g = d - self.d_joint  # then in place, with the bits of g_joint + beta0 * g
         return np.add(np.multiply(g, self.beta0, out=g), self._log_one_minus_at_joint, out=g)
 
-    def _split(self, d, ascending: bool = False):
+    def _split(self, d):
         """(d, scalar, burned, span, pos) for a scalar or an array of D: d as
-        an array of at least one dimension, and where it lies on the burned
-        tail, the table span and the right tail D >= 0, as masks or, for an
-        ascending 1-D array, as three contiguous slices."""
+        an array of at least one dimension, and the masks of where it lies
+        on the burned tail, the table span and the right tail D >= 0."""
         d = np.asarray(d, dtype=float)
         scalar = d.ndim == 0
         d = np.atleast_1d(d)
-        if ascending:
-            # side="left", as the masks: d_joint is in the span, -0.0 in the right tail
-            j, k = np.searchsorted(d, (self.d_joint, 0.0))
-            return d, scalar, slice(0, j), slice(j, k), slice(k, None)
         pos = d >= 0.0
         span = (d >= self.d_joint) & ~pos
         return d, scalar, ~(pos | span), span, pos
 
-    def __call__(self, d, ascending: bool = False, out=None):
-        """U(D) for any real D, in out if given; ascending=True takes an
-        ascending 1-D array and gives the same bits without masks."""
-        d, scalar, burned, span, pos = self._split(d, ascending)
-        out = np.empty_like(d) if out is None else out
+    def __call__(self, d):
+        """U(D) for any real D."""
+        d, scalar, burned, span, pos = self._split(d)
+        out = np.empty_like(d)
         u = -self.speed * d[pos]  # anchor * exp(-c D), in place
         out[pos] = np.multiply(np.exp(u, out=u), self.anchor, out=u)
         for sel, g in ((span, self._table_sum(self._table, d[span])[0]),

@@ -373,8 +373,8 @@ def floor_case(name, c):
 @settings(max_examples=40)
 @given(t=st.floats(min_value=-200.0, max_value=200.0))
 def test_floor_is_the_profile_on_the_grid_bit_for_bit(profile03, name, t):
-    # evaluating the sorted distinct values in slices gives each cell the
-    # bits of the masked evaluation of the whole grid
+    # evaluating the shifted base values TABLE_CHUNK at a time gives each
+    # cell the bits of one evaluation of the whole grid
     cfg, grid = floor_case(name, profile03.speed)
     pts = grid.points().reshape(-1, grid.dimension)
     base = np.min(pts @ cfg.directions.T + cfg.shifts, axis=-1).reshape(grid.counts)
@@ -383,11 +383,11 @@ def test_floor_is_the_profile_on_the_grid_bit_for_bit(profile03, name, t):
     assert np.array_equal(got, profile03(base - cfg.speed * t))
 
 
-def test_floor_call_allocates_little_and_returns_a_new_array(cfg_v, profile03, monkeypatch):
-    # the 512^2 grid of the `entire` benchmark: the profile values of the
-    # distinct base values fill a buffer the floor allocated when it was
-    # built, so a call holds the shifted distinct values and the gathered
-    # result, and its peak is about the result's size, at every time
+def test_floor_refresh_allocates_little_and_holds_one_read_only_array(cfg_v, profile03,
+                                                                       monkeypatch):
+    # the 512^2 grid of the `entire` benchmark: a refresh fills a new grid
+    # array TABLE_CHUNK values at a time, so its peak is about the result's
+    # size, at every time
     floor = subsolution_floor(cfg_v, profile03, Grid((512, 512), 0.5, (-128.0, -140.0)))
     for t in (-400.0, -4.0, 0.0, 2.0, 400.0):
         tracemalloc.start()
@@ -397,15 +397,22 @@ def test_floor_call_allocates_little_and_returns_a_new_array(cfg_v, profile03, m
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * got.nbytes, (t, peak)
-    # a call at the held time evaluates no profile, only gathers; callers
-    # keep floor values as a Field's state, so each call gives a new array
+    # a call at the held time evaluates no profile and returns the held
+    # array, which callers only read; a refresh makes a new array, so an
+    # array a caller keeps, such as a Field's state, keeps its values
     calls = []
     evaluate = type(profile03).__call__
     monkeypatch.setattr(type(profile03), "__call__",
-                        lambda self, *a, **k: calls.append(1) or evaluate(self, *a, **k))
-    first, second = floor(0.0), floor(0.0)
-    assert calls == [1]
-    assert np.array_equal(first, second) and not np.shares_memory(first, second)
+                        lambda self, d: calls.append(1) or evaluate(self, d))
+    first = floor(0.0)
+    kept, refresh_calls = first.copy(), len(calls)
+    assert refresh_calls > 0
+    assert floor(0.0) is first and len(calls) == refresh_calls
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.5
+    later = floor(2.0)
+    assert not np.shares_memory(later, first) and not np.array_equal(later, kept)
+    assert np.array_equal(first, kept)
 
 
 def counted(fn, calls):

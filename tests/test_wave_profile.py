@@ -522,26 +522,24 @@ def test_inverse_takes_arrays(profile03):
         profile03.inverse(np.array([0.5, 1.0]))
 
 
-def test_ascending_route_at_the_slice_boundaries(profile03):
-    # the ascending route must put d_joint in the table span and both zeros
-    # in the right tail, as the masks do.  The table misses theta at D = 0
-    # by about an ulp, but meets the burned tail at d_joint bit for bit, so
-    # a copy with the burned tail shifted shows a point on the wrong side
-    # of that boundary too
+def test_masks_route_at_the_split_boundaries(profile03):
+    # d_joint lies in the table span and both zeros in the right tail.  The
+    # table misses theta at D = 0 by about an ulp, so the zeros read theta
+    # exactly; it meets the burned tail at d_joint bit for bit, so a copy
+    # with the burned tail shifted shows on which side each point falls
     shifted = dataclasses.replace(
         profile03, _log_one_minus_at_joint=profile03._log_one_minus_at_joint + 1e-3)
-    for p in (profile03, shifted):
-        d = np.sort([x for edge in (p.d_joint, 0.0, -0.0)
-                     for x in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))])
-        want = np.array([p(x) for x in d])
-        assert np.array_equal(p(d, ascending=True), want)
-        assert np.array_equal(p(d), want)
-    assert profile03(np.array([-0.0, 0.0]), ascending=True).tolist() == [0.3, 0.3]
+    d_joint = profile03.d_joint
+    d = np.array([np.nextafter(d_joint, -np.inf), d_joint, np.nextafter(d_joint, np.inf)])
+    assert (shifted(d) == profile03(d)).tolist() == [False, True, True]
+    assert profile03(np.array([-0.0, 0.0])).tolist() == [0.3, 0.3]
+    assert profile03(-0.0) == profile03(0.0) == 0.3
 
 
 def test_floored_run_has_zero_lower_violation(cfg_v, profile03, nl03):
-    # the solver floor and the check both call subsolution_floor at the
-    # snapshot times, so a floored run sits on or above it bit for bit
+    # the solver floor refreshes at each snapshot time, and the check reads
+    # subsolution_lower there, with the floor's bits, so a floored run sits
+    # on or above it bit for bit
     c = profile03.speed
     g = Grid((48, 48), 0.5, (-12.0, -16.0))
     res = entire_solution(cfg_v, profile03, nl03, g, SolverConfig(),
