@@ -19,9 +19,9 @@ w', w''), are sampled densely and certified against a fixed tolerance.
 Where the unclamped value is at least 1, v = 1 solves the PDE, so exactly
 the clamped samples are excluded.  The 4th-order finite differences of
 parabolic_residual cross-check the formula on the least residuals.
-Residuals run in chunks of RESIDUAL_CHUNK samples; solve_phi's bits depend
-on its call's Newton count, so off the V of the standard schedule a chunk
-can move residuals by round-off.
+Residuals run in chunks of RESIDUAL_CHUNK samples; solve_phi gives a point
+the same bits in any batch of two or more points, so a chunk of two or more
+samples moves no residual.
 The alpha ladder of auto_parameters certifies V_up first and rejects a rung
 that fails there before fitting or checking anything else.
 """

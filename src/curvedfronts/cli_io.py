@@ -227,7 +227,7 @@ CONFIG = {
         table={name: Key(NUMBER, _required(BARRIER_USERS))
                for name in ("epsilon", "alpha", "beta", "delta", "lambda", "varrho")}),
     "solver": Key(OBJECT, _required(SOLVER_USERS), table={
-        "dx": Key(NUMBER, _required(SOLVER_USERS)),
+        "dx": Key(NUMBER, _required(SOLVER_USERS), POSITIVE),
         "dt": Key((lambda v: v == "cfl" or _is_number(v), 'a number or "cfl"'),
                   dict.fromkeys(SOLVER_USERS, "cfl"),
                   (lambda v: v == "cfl" or v > 0, "must be positive")),
@@ -258,7 +258,7 @@ CONFIG = {
         "theta_list": Key(NUMBERS, {"speed": None}, NONEMPTY),
         "height": Key(NUMBER, {"stability": REQUIRED},
                       (lambda v: v >= 0, "must be nonnegative")),
-        "radius": Key(NUMBER, {"stability": REQUIRED}),
+        "radius": Key(NUMBER, {"stability": REQUIRED}, POSITIVE),
         "center": Key(NUMBERS, {"stability": None}),
     }),
 }

@@ -134,16 +134,15 @@ class ScaledSurface:
 
         From y = psi the update y += log1p(r) sum_i w_i / sum_i w_i sin theta_i,
         r = sum_i w_i - 1 (exact), rises monotonically, and it is exact at once
-        where all sin theta_i are equal.  The loop stops when every |r| is
-        within 64 n ulps or, after the first update, within twice the rounding
-        of forming the q_i, sum_i w_i (|x . nu_i cos theta_i + tau_i| + |c t| +
-        |y| sin theta_i) ulps, which rules far from the origin; past
-        NEWTON_MAX_ITER updates it raises RuntimeError.  One _project per
-        call, one q_at call per residual.  Converged points update until the
-        last one converges, which can move their last bits: phi depends on
-        the batch through the call's Newton count alone (for two or more
-        points; in 3D numpy sends a one-row projection through another BLAS
-        kernel).
+        where all sin theta_i are equal.  Every point takes the update from
+        psi, then updates only while its |r| exceeds both 64 n ulps and twice
+        the rounding of forming the q_i, sum_i w_i (|x . nu_i cos theta_i +
+        tau_i| + |c t| + |y| sin theta_i) ulps, which rules far from the
+        origin; past NEWTON_MAX_ITER updates it raises RuntimeError.  One
+        _project per call, one q_at call per residual.  A point's updates
+        read only its own residual, so its phi does not depend on its batch
+        (of two or more points; in 3D numpy sends a one-row projection
+        through another BLAS kernel).
         """
         x = self._as_x(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).copy()
@@ -161,11 +160,12 @@ class ScaledSurface:
                 size = [np.abs(xn[..., i] + self._tau[i]) + np.abs(ct) + np.abs(y) * self._sin[i]
                         for i in range(self.cfg.n_waves)]
                 tol = np.maximum(floor, 2.0 * eps * _wave_sum(w * size))
-            if not np.any(a > tol):
+            live = a > tol if k else True
+            if not np.any(live):
                 return y
             if k == NEWTON_MAX_ITER:
                 break
-            y = y + np.log1p(r) * s / _wave_sum(w, self._sin)
+            y = np.where(live, y + np.log1p(r) * s / _wave_sum(w, self._sin), y)
         i = np.argmax(a - tol)  # the point furthest beyond its tolerance
         tol = np.broadcast_to(tol, a.shape)
         raise RuntimeError(f"solve_phi did not converge in {NEWTON_MAX_ITER} Newton steps: max "

@@ -16,15 +16,12 @@ stays a lower bound that never falls.
 Each step is one pass over cache-sized blocks of leading-axis rows (about
 BLOCK_CELLS cells each), swept as flat ranges with each axis's neighbours
 at -+ its stride, so each ufunc makes one contiguous pass (the ring data
-overwrite the ring cells in a range).  With several workers the blocks run
-on a thread pool, and a floored step first hands the pool one task that
-evaluates the ring data at the step's end time and the floor at its refresh
-time: neither depends on the new state, so it runs beside the sweep instead
-of after it.  Every cell's update is the same sequence of elementwise
-floating-point operations whichever block or thread computes it, and the
-only reductions (the blow-up check, once per snapshot) are a min and a max,
-which are exact, so results are bit-identical for any block layout and any
-worker count.
+overwrite the ring cells in a range).  With several workers the pool maps
+the sweep's row blocks.  Every cell's update is the same sequence of
+elementwise floating-point operations whichever block or thread computes
+it, and the only reductions (the blow-up check, once per snapshot) are a
+min and a max, which are exact, so results are bit-identical for any block
+layout and any worker count.
 """
 
 from __future__ import annotations
@@ -210,12 +207,11 @@ class _Stepper:
     Lap u + f(u) on its cells, ring cells too, and writes the update straight
     into the output buffer, out = u + dt * (Lap u + f(u)).  The optional floor
     callable t -> grid-shaped values is applied as a pointwise max after
-    each completed step; with a pool (workers > 1) the blocks, and the floor
-    and ring task before them, run on it.  The plain
-    scheme transports fronts at a slightly wrong discrete speed, so the
-    subsolution is not preserved under discretization; flooring by it
-    restores the comparison structure (the floored update is still a
-    monotone map), which the entire-solution iteration relies on.
+    each completed step; with workers > 1 the pool maps the sweep's row
+    blocks.  The plain scheme transports fronts at a slightly wrong discrete
+    speed, so the subsolution is not preserved under discretization;
+    flooring by it restores the comparison structure (the floored update is
+    still a monotone map), which the entire-solution iteration relies on.
     """
 
     def __init__(self, grid: Grid, nl: CombustionNonlinearity, dt: float,
@@ -260,31 +256,22 @@ class _Stepper:
         else:  # map queues every block before it waits on the first
             list(self.pool.map(lambda b: self._block(*b, u, out), self.blocks))
 
-    def _ring_and_floor(self, t, t_floor):
-        """Ring data at time t, floor values (None without a floor) at t_floor."""
-        return self.boundary(t, self.ring_points), self.floor and self.floor(t_floor)
-
     def advance(self, values: np.ndarray, t_new: float, t_floor) -> np.ndarray:
         """One step of length dt ending at time t_new; returns the new state.
 
-        The ring is evaluated at t_new and the floor at t_floor.  On a pool,
-        a floored step evaluates both in one task submitted before the sweep,
-        and they are applied after it, in the same order as without a pool.
-        values is only read.  The result is one of the stepper's two buffers,
-        whichever values is not, so it stays valid while it is fed back in
-        and is overwritten two steps later; a caller that keeps a state
-        longer must copy it.
+        After the sweep the ring data are evaluated at t_new and the floor
+        at t_floor, on the calling thread; the pool maps the sweep's row
+        blocks.  values is only read.  The result is one of the stepper's
+        two buffers, whichever values is not, so it stays valid while it is
+        fed back in and is overwritten two steps later; a caller that keeps
+        a state longer must copy it.
         """
         a, b = self.buffers
         new = a if values is b else b
-        pending = None
-        if self.pool is not None and self.floor is not None:
-            pending = self.pool.submit(self._ring_and_floor, t_new, t_floor)
         self._sweep(values, new)
-        ring, floor = pending.result() if pending else self._ring_and_floor(t_new, t_floor)
-        new.ravel()[self.ring] = ring
-        if floor is not None:
-            np.maximum(new, floor, out=new)
+        new.ravel()[self.ring] = self.boundary(t_new, self.ring_points)
+        if self.floor is not None:
+            np.maximum(new, self.floor(t_floor), out=new)
         return new
 
 

@@ -636,6 +636,8 @@ EXP_ERRORS = [
     ("surface", {"alpha": 0.0}, "experiment.alpha"),
     ("surface", {"alpha": -1.0}, "experiment.alpha"),
     ("stability", {"height": -0.1, "radius": 2.0}, "experiment.height"),
+    ("simulate", {}, "solver.dx"),
+    ("stability", {"height": 0.4, "radius": -1.0}, "experiment.radius"),
 ]
 # solver edits per field, and the messages expected where the field alone
 # is not the message's start
@@ -645,12 +647,15 @@ SOLVER_EDITS = {
     "solver.T": {"T": 1.0, "snapshot_interval": 0.3},
     "solver.box.counts": {"box": {"counts": [32, 32, 32], "origin": [0.0] * 3}},
     "solver.dt": {"dt": 1.0},
+    "solver.dx": {"dx": 0.0},
 }
 MESSAGES = {
     "solver.cfl_safety": ["solver: unknown key 'cfl_safety'",
                           'solver.scheme: must be "euler"'],
     "solver.T": ["solver.T: span 1.0 is not an integer multiple of snapshot_dt 0.3"],
     "experiment.kind": ["experiment: unknown key 'kind'"],
+    "solver.dx": ["solver.dx: must be positive"],
+    "experiment.radius": ["experiment.radius: must be positive"],
     "solver.dt": ["solver.dt: dt=1.0 violates the stability cap "
                   f"{SolverConfig().stable_dt(BASE_GRID, BASE_NL)}"],
 }

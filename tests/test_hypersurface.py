@@ -229,7 +229,8 @@ def _q_point_major(S, t, x, y):
 def _solve_phi_point_major(S, t, x):
     # returns phi and the number of residual evaluations; x @ nu_cos.T and
     # c t are recomputed on every one, and the rounding-scaled tolerance
-    # on every one after the first update
+    # on every one after the first update.  Every point takes the update
+    # from psi, then updates only while its own |r| exceeds its tolerance
     t = np.broadcast_to(t, x.shape[:-1]).copy()
     y = np.max(S.support_planes(t, x), axis=-1)
     eps = np.finfo(float).eps
@@ -242,9 +243,10 @@ def _solve_phi_point_major(S, t, x):
         size = (np.abs(x @ S._nu_cos.T + S._tau) + np.abs(S.cfg.speed * t)[..., None]
                 + np.abs(y)[..., None] * S._sin)
         tol = np.maximum(floor, 2.0 * eps * np.sum(w * size, axis=-1)) if k else floor
-        if not np.any(np.abs(r) > tol):
+        live = np.abs(r) > tol if k else True
+        if not np.any(live):
             return y, k + 1
-        y = y + np.log1p(r) * s / m
+        y = np.where(live, y + np.log1p(r) * s / m, y)
     raise AssertionError("reference Newton did not converge")
 
 
@@ -400,29 +402,19 @@ def test_solve_phi_converges_far_from_the_origin(cfg_v):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
        spread=st.floats(0.01, 3.0), data=st.data())
 def test_solve_phi_batch_property(make, cfg_v, seed, n, spread, data):
-    # chunked barrier certification rests on this: a point's phi depends on
-    # the rest of its batch only through the call's Newton count.  Converged
-    # points keep updating until the slowest converges, which can move their
-    # last bits, but by no more than the convergence tolerance allows.
+    # chunked barrier certification rests on this: a point's updates read
+    # only its own residual, so any shuffled sub-batch of two or more
+    # points gives each point the bits it has in the whole batch
     S = make(cfg_v)
     m = S.cfg.dimension - 1
     rng = np.random.default_rng(seed)
     t = rng.uniform(-6.0, 6.0, n) * S.alpha * spread
     x = rng.uniform(-30.0, 30.0, (n, m)) * S.alpha * spread
-    sub = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2))))
+    sub = rng.permutation(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2))))
     phi = S.solve_phi(t, x)
-    phi_sub = S.solve_phi(t[sub], x[sub])
-    k = _solve_phi_point_major(S, t, x)[1]
-    k_sub = _solve_phi_point_major(S, t[sub], x[sub])[1]
+    assert np.array_equal(S.solve_phi(t[sub], x[sub]), phi[sub])
     n_waves = S.cfg.n_waves
     min_sin = float(np.min(S._sin))
-    assert k_sub <= k
-    if k_sub == k:
-        assert np.array_equal(phi_sub, phi[sub])
-    else:
-        tol = 64.0 * np.finfo(float).eps * n_waves
-        assert np.all(np.abs(phi_sub - phi[sub]) <= 2.0 * tol / min_sin
-                      + 4.0 * np.spacing(np.abs(phi[sub])))
     # psi < phi <= psi + ln n / min sin
     planes = S.support_planes(t, x)
     psi = np.max(planes, axis=-1)

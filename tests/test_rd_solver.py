@@ -1,7 +1,7 @@
 """Explicit solver for u_t = Lap u + f(u): grid plumbing, the monotone step
 rule, order preservation, planar-wave accuracy, the floor's bits and memory,
-worker determinism (the floor and ring evaluated on the pool included),
-and the monotone entire-solution construction."""
+worker determinism (the floor and ring evaluated on the calling thread at
+any worker count), and the monotone entire-solution construction."""
 
 import itertools
 import math
@@ -426,8 +426,9 @@ def counted(fn, calls):
 @pytest.mark.parametrize("front", ["v-2d", "pyramid-3d"])
 @EULER
 def test_pooled_floor_and_ring_match_serial(front, scheme, nl03, profile03, cfg_v):
-    # on the pool a floored step evaluates the floor and the ring at t_new
-    # in a task beside the sweep: same calls per step, same bits
+    # the pool maps only the sweep's row blocks: at any worker count a
+    # floored step evaluates the ring and the floor on the calling thread,
+    # with the same calls per step and the same bits
     if front == "v-2d":
         grid, cfg = GRID_2D, cfg_v
     else:
@@ -445,23 +446,18 @@ def test_pooled_floor_and_ring_match_serial(front, scheme, nl03, profile03, cfg_
         runs[workers] = traj, floor_calls, ring_calls
     steps = 2 * round(0.5 / sc.resolve_dt(grid, nl03, 0.5))
     for traj, floor_calls, ring_calls in runs.values():
-        assert len(floor_calls) == steps
-        assert len(ring_calls) == 1 + steps
-    # serial: everything on the calling thread; pooled: the floor and the
-    # end-of-step ring in pool tasks, the initial ring not
-    _, floor_calls, ring_calls = runs[1]
-    assert all(floor_calls) and all(ring_calls)
-    _, floor_calls, ring_calls = runs[2]
-    assert not any(floor_calls)
-    assert sum(ring_calls) == 1
+        assert len(floor_calls) == steps and all(floor_calls)
+        assert len(ring_calls) == 1 + steps and all(ring_calls)
     for a, b in zip(runs[1][0], runs[2][0]):
         assert a.time == b.time
         assert np.array_equal(a.values, b.values)
 
 
 @EULER
-def test_floor_error_in_pool_task_propagates(scheme, nl03, profile03, cfg_v,
-                                             monkeypatch):
+def test_floor_error_on_pooled_run_propagates(scheme, nl03, profile03, cfg_v,
+                                              monkeypatch):
+    # the floor runs on the calling thread, so its error reaches the caller
+    # from there, and the pool that mapped the sweeps is shut down
     pools = []
 
     class RecordingPool(rd_solver.ThreadPoolExecutor):
@@ -487,7 +483,7 @@ def test_floor_error_in_pool_task_propagates(scheme, nl03, profile03, cfg_v,
     with pytest.raises(ArithmeticError) as exc:
         solve_cauchy(u0, nl03, bc, sc, t_end=0.5, snapshot_dt=0.25, floor=failing_floor)
     assert exc.value is err
-    assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
+    assert failed_on == [threading.main_thread()]
     assert len(pools) == 1
     with pytest.raises(RuntimeError, match="shutdown"):
         pools[0].submit(int)
