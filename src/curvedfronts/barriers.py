@@ -507,35 +507,32 @@ def validate_parameters(cfg: FrontConfiguration, profile: WaveProfile,
     live_u = ~exc_u
     i_worst = int(np.argmin(np.where(live_u, res_u, np.inf)))
     worst_point = [float(t_u[i_worst])] + [float(v) for v in z_u[i_worst]]
-    worst_rd = float(ridge_distance(cfg, t_u[i_worst], z_u[i_worst])) if cfg.n_waves >= 2 else float("nan")
 
     # ordering against the lower barrier, on the residual samples plus a
     # uniform-height batch for coverage away from the surface
-    v_lo = barriers.lower(t_u, z_u)
-    sandwich_min = float(np.min(v_up - v_lo))
+    gap = v_up - barriers.lower(t_u, z_u)
+    sandwich_min = float(np.min(gap))
     t_e, z_e, _ = _sample_points(barriers, spec, spec.n_samples // 4, *SAMPLE_T_RANGE, seed_offset=7)
     z_e[:, -1] = rng.uniform(z_e[:, -1].min(), z_e[:, -1].max(), size=z_e.shape[0])
     sandwich_min = min(sandwich_min,
                        float(np.min(barriers.upper(t_e, z_e) - barriers.lower(t_e, z_e))))
 
-    # weighted gap: fitted decay constant and the 2-eps clearance radius
+    # weighted gap: fitted decay constant and the 2-eps clearance radius,
+    # the least whole r0 >= 1 beyond every sample whose gap exceeds 2 eps,
+    # kept if some sample lies at rd >= r0 and r0 < max(2, max rd)
     v_star = v_star_schedule(profile, cfg, params.alpha, params.beta,
                              params.c_hat if params.c_hat is not None else 1.0, max_cot)
-    gap = v_up - v_lo
     if cfg.n_waves >= 2:
         rd = ridge_distance(cfg, t_u, z_u)
-        radius_grid = np.arange(1.0, max(2.0, np.max(rd)), 1.0)
-        clearance = float("inf")
-        for r0 in radius_grid:
-            far = rd >= r0
-            if np.any(far) and np.max(gap[far]) <= 2.0 * params.epsilon:
-                clearance = float(r0)
-                break
+        worst_rd, rd_max = float(rd[i_worst]), float(np.max(rd))
+        wide = rd[gap > 2.0 * params.epsilon]
+        r0 = max(1.0, float(np.floor(np.max(wide))) + 1.0) if wide.size else 1.0
+        clearance = r0 if r0 <= rd_max and r0 < max(2.0, rd_max) else float("inf")
         far = rd >= (clearance if np.isfinite(clearance) else np.median(rd))
         ratio = gap / _slab_weight(cfg, t_u, z_u, 2.0 * v_star)
         c_star_fit = float(np.max(ratio[far]) / params.epsilon) if np.any(far) else float("nan")
     else:
-        clearance = 0.0
+        worst_rd, clearance = float("nan"), 0.0
         c_star_fit = float(np.max(gap) / params.epsilon) if params.epsilon > 0 else 0.0
 
     # time-shifted barrier on t >= 0

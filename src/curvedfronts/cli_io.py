@@ -340,6 +340,10 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
         out["barrier"] = construct("barrier", lambda: BarrierParams(
             epsilon=barrier["epsilon"], alpha=barrier["alpha"], beta=barrier["beta"],
             delta=barrier["delta"], lam=barrier["lambda"], varrho=barrier["varrho"]))
+        nl = out["nl"]  # case_thresholds inverts U at 2 gamma* - epsilon
+        if nl is not None and not barrier["epsilon"] < 2.0 * nl.gamma_star:
+            errors.append(f"barrier.epsilon: must be below 2 gamma* = {2.0 * nl.gamma_star} "
+                          f"of the nonlinearity, got {barrier['epsilon']}")
 
     def tile_n_list():  # each entire run marches from -n to 0 in snapshots
         for k, n in enumerate(exp["n_list"]):
@@ -359,7 +363,13 @@ def build_objects(cfg: dict, subcommand: str) -> dict:
             dt=None if solver["dt"] == "cfl" else float(solver["dt"]))
         t_end = out["t_end"] = float(solver["T"])
         snap = out["snapshot_dt"] = float(solver["snapshot_interval"])
-        construct("solver.T", lambda: _snapshot_count(0.0, t_end, snap))
+        n_snaps = construct("solver.T", lambda: _snapshot_count(0.0, t_end, snap))
+        if subcommand == "simulate" and n_snaps is not None:
+            t0 = float(exp["t_start"])  # far from 0, t0 + T rounds T away
+            n0 = construct("experiment.t_start", lambda: _snapshot_count(t0, t0 + t_end, snap))
+            if n0 is not None and n0 != n_snaps:
+                errors.append(f"experiment.t_start: {t0} + T spans {(t0 + t_end) - t0}, "
+                              f"{n0} snapshot intervals, not the {n_snaps} of T")
         if grid is not None and out["nl"] is not None:
             construct("solver.dt", lambda: config.resolve_dt(grid, out["nl"], snap))
     default_n_list = subcommand == "entire" and callable(exp["n_list"])

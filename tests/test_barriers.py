@@ -20,6 +20,7 @@ from curvedfronts import (
     mollifier_omega,
     parabolic_residual,
     q_values,
+    ridge_distance,
     symmetric_v,
     WaveProfile,
     validate_parameters,
@@ -295,6 +296,35 @@ def test_chain_rule_residuals_match_finite_differences(front, cfg_v, profile03, 
         assert np.max(np.abs(fd - res)[live]) <= 1e-8
 
 
+def _scanned_clearance(rd, gap, epsilon):
+    # the clearance radius as validate_parameters found it before its closed
+    # form: one pass over the samples per whole radius
+    for r0 in np.arange(1.0, max(2.0, np.max(rd)), 1.0):
+        far = rd >= r0
+        if np.any(far) and np.max(gap[far]) <= 2.0 * epsilon:
+            return float(r0)
+    return math.inf
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("front", ["v", "pyramid", "three-wave"])
+def test_clearance_radius_matches_radius_scan(front, seed, cfg_v, profile03, nl03, params03):
+    # the closed form returns what the scan returns, a whole radius at the
+    # schedule's epsilon and none at an epsilon no radius clears
+    cfg = {"v": cfg_v, "pyramid": _pyramid(profile03.speed),
+           "three-wave": _three_wave(profile03.speed)}[front]
+    spec = BarrierSampleSpec(n_samples=10000, seed=seed)
+    for epsilon, clears in ((params03.epsilon, True), (1e-6, False)):
+        params = dataclasses.replace(params03, epsilon=epsilon)
+        B = BarrierSet(cfg, profile03, nl03, params)
+        cert = barriers._upper_certificate(B, spec)
+        t, z, _, v_up = cert[:4]
+        ref = _scanned_clearance(ridge_distance(cfg, t, z), v_up - B.lower(t, z), epsilon)
+        rep = validate_parameters(cfg, profile03, nl03, params, spec, upper_certificate=cert)
+        assert rep.clearance_radius == ref
+        assert math.isfinite(ref) == clears
+
+
 def _tail_residual(B, t, z):
     _, _, _, _, _, tail_t, lap_tail = B._jet(t, z)
     return tail_t - lap_tail
@@ -350,16 +380,23 @@ def _certify_with_chunk(B, chunk, samples, spec, monkeypatch):
             fit_time_term_constant(B, spec))
 
 
-@FRONTS
+@pytest.mark.parametrize("front", ["v", "pyramid", "three-wave"])
 def test_residual_chunking_preserves_residuals(front, cfg_v, profile03, nl03, params03, monkeypatch):
     # the chain-rule residuals run RESIDUAL_CHUNK samples at a time.  A
     # small batch runs chunks of 2 and 7 samples, and two full default
     # chunks plus a partial one run the default, each against a single
     # chunk.  A point's solve_phi updates read only its own residual, so no
-    # chunk moves a bit on either front.  (A chunk of one sample is not
-    # compared: numpy takes another kernel for the one-row gradient matmul,
-    # which moves grad phi by an ulp.)
-    B = _front_barriers(front, cfg_v, profile03, nl03, params03)
+    # chunk moves a bit on any front.  On the three-wave front at alpha 1
+    # the points of a chunk need unlike Newton counts, so there a point's
+    # bits would follow its chunk if its updates read other points'
+    # residuals.  (A chunk of one sample is not compared: numpy takes
+    # another kernel for the one-row gradient matmul, which moves grad phi
+    # by an ulp.)
+    if front == "three-wave":
+        B = BarrierSet(_three_wave(profile03.speed), profile03, nl03,
+                       dataclasses.replace(params03, alpha=1.0))
+    else:
+        B = _front_barriers(front, cfg_v, profile03, nl03, params03)
     spec = BarrierSampleSpec(seed=3)
     default = barriers.RESIDUAL_CHUNK
     for n, chunks in ((300, (2, 7)), (2 * default + 123, (default,))):

@@ -394,25 +394,57 @@ def test_simulate_snapshot_interval_shorter_than_dt(tmp_path, capsys):
     assert summary["n_snapshots"] == 3
 
 
-@pytest.mark.parametrize("t_end, code, n_snapshots", [(0.3, EXIT_OK, 4), (0.35, EXIT_CONFIG, 0)],
-                         ids=["tiled", "untiled"])
-def test_simulate_far_from_time_zero(tmp_path, capsys, t_end, code, n_snapshots):
+@pytest.mark.parametrize("t_start, t_end, code, expected", [
+    (1e8, 0.3, EXIT_OK, 4),
+    (1e8, 0.35, EXIT_CONFIG, "solver.T: span 0.35 is not an integer multiple of snapshot_dt 0.1"),
+    (1e17, 0.3, EXIT_CONFIG, "experiment.t_start: 1e+17 + T spans 0.0, 0 snapshot intervals, not the 3 of T"),
+], ids=["tiled", "untiled", "rounded-away"])
+def test_simulate_far_from_time_zero(tmp_path, capsys, t_start, t_end, code, expected):
     # at t_start 1e8 the span (t_start + T) - t_start rounds away from T,
     # which must not fail a T that the snapshots tile; one they do not
-    # tile still fails the config check
+    # tile still fails the config check.  At 1e17 the sum rounds T away
+    # altogether, which fails the config before any run
     cfg = copy.deepcopy(BASE)
     del cfg["barrier"]
     cfg["solver"].update({"box": {"counts": [32, 32], "origin": [-8.0, -8.0]},
                           "T": t_end, "snapshot_interval": 0.1})
-    cfg["experiment"] = {"t_start": 1e8}
-    rc = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    cfg["experiment"] = {"t_start": t_start}
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
     out = capsys.readouterr()
     assert rc == code, out.err
     if code == EXIT_OK:
         summary = json.load(open(os.path.join(run_dir_of(out.out), "simulate.json")))
-        assert summary["n_snapshots"] == n_snapshots
+        assert summary["n_snapshots"] == expected
     else:
-        assert "solver.T: span 0.35 is not an integer multiple of snapshot_dt 0.1" in out.err
+        assert f"config error: {expected}" in out.err
+        assert os.listdir(out_dir) == []
+
+
+@settings(max_examples=25)
+@given(t_start=st.floats(-1e300, 1e300) | st.floats(-1e10, 1e10) | st.floats(-1e18, 1e18),
+       use_floor=st.booleans())
+def test_simulate_experiment_exit_codes_property(t_start, use_floor):
+    # any experiment block the config table accepts ends in an exit code,
+    # never an exception; a run that exits 0 covers T in its snapshots
+    cfg = copy.deepcopy(BASE)
+    del cfg["barrier"]
+    cfg["solver"].update({"box": {"counts": [16, 16], "origin": [-4.0, -4.0]},
+                          "T": 7.59, "snapshot_interval": 3.795})
+    cfg["experiment"] = {"t_start": t_start, "use_floor": use_floor}
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        rc = main(["simulate", "--config", path, "--out", out])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        if rc == EXIT_OK:
+            (run,) = [d for d in os.listdir(out) if d != "cfg.json"]
+            with open(os.path.join(out, run, "simulate.json")) as fh:
+                summary = json.load(fh)
+            assert summary["n_snapshots"] == round(7.59 / 3.795) + 1
+            assert summary["t_final"] == t_start + 7.59
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
@@ -638,6 +670,9 @@ EXP_ERRORS = [
     ("stability", {"height": -0.1, "radius": 2.0}, "experiment.height"),
     ("simulate", {}, "solver.dx"),
     ("stability", {"height": 0.4, "radius": -1.0}, "experiment.radius"),
+    ("simulate", {"t_start": 1e17}, "experiment.t_start"),
+    ("barriers-validate", {}, "barrier.epsilon"),
+    ("verify", {}, "barrier.epsilon"),
 ]
 # solver edits per field, and the messages expected where the field alone
 # is not the message's start
@@ -649,7 +684,15 @@ SOLVER_EDITS = {
     "solver.dt": {"dt": 1.0},
     "solver.dx": {"dx": 0.0},
 }
+# barrier objects per field: epsilon at 2 gamma* = 0.05 or above leaves
+# case_thresholds no level to invert
+BARRIER_EDITS = {
+    "barrier.epsilon": {"epsilon": 0.1, "alpha": 0.025, "beta": 0.05, "delta": 0.003,
+                        "lambda": 0.01, "varrho": 10.0},
+}
 MESSAGES = {
+    "barrier.epsilon": ["barrier.epsilon: must be below 2 gamma* = 0.05 of the nonlinearity, "
+                        "got 0.1"],
     "solver.cfl_safety": ["solver: unknown key 'cfl_safety'",
                           'solver.scheme: must be "euler"'],
     "solver.T": ["solver.T: span 1.0 is not an integer multiple of snapshot_dt 0.3"],
@@ -672,6 +715,7 @@ def test_config_error_exits_2_before_run_dir(tmp_path, capsys, monkeypatch, sub,
     cfg = copy.deepcopy(BASE)
     cfg["experiment"] = experiment
     cfg["solver"].update(SOLVER_EDITS.get(field, {}))
+    cfg["barrier"] = BARRIER_EDITS.get(field, cfg["barrier"])
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     rc = main([sub, "--config", write_cfg(tmp_path, cfg), "--out", str(out_dir)])
